@@ -3,7 +3,18 @@
 Tensors wrap numpy arrays. Every op computes its result eagerly and, when
 any input requires gradients, records its parents plus a backward closure
 on the output. ``backward`` replays the recorded graph in reverse
-topological order and accumulates gradients into ``.grad`` buffers.
+topological order and accumulates gradients into the leaves' ``.grad``
+buffers.
+
+``backward`` consumes the graph: once a recorded node has passed its
+gradient on, its ``.grad``, parents and closure are dropped, so each
+intermediate array is freed as soon as nothing else holds it. Only leaves
+(tensors no op produced) keep ``.grad``. A graph takes one backward; a
+second backward that reaches a consumed node raises ``GraphConsumedError``
+(rebuild the graph with a fresh forward instead).
+
+Single-head attention ``softmax(c * q @ k^T) @ v`` is one fused op,
+``attention``, that keeps only the (N, M) probabilities for its backward.
 
 Shape rules are strict: elementwise ops require identical shapes, except
 that a 0-d (scalar) tensor may combine with any shape. There is no other
@@ -18,6 +29,10 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operands of an op have incompatible shapes."""
+
+
+class GraphConsumedError(RuntimeError):
+    """``backward`` reached a node an earlier backward already consumed."""
 
 
 _GRAD_ENABLED = True
@@ -330,6 +345,42 @@ def softmax(a, axis: int) -> Tensor:
     return _make(y, (a,), bw)
 
 
+def attention(q, k, v, c: float) -> Tensor:
+    """Single-head attention ``softmax(c * q @ k^T, rows) @ v`` as one node.
+
+    Evaluates the same numpy expressions in the same order as
+    ``matmul(softmax(scale(matmul(q, transpose(k)), c), axis=1), v)``,
+    forward and backward, so values and gradients match it bit for bit
+    (the composition's zero-initialised intermediate gradient buffers,
+    which this op skips, can only turn a -0.0 into +0.0). Only the (N, M)
+    probabilities are kept for backward, not the raw and scaled scores.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(
+            f"attention: expects 2-d operands, got {q.data.shape}, {k.data.shape}, {v.data.shape}"
+        )
+    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(
+            f"attention: q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
+            "need equal key widths and equal key/value rows"
+        )
+    c = float(c)
+    k_t = k.data.T.copy()
+    scores = (q.data @ k_t) * c
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        gp = g @ v.data.T
+        _accum(v, p.T @ g)
+        gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
+        _accum(q, gs @ k_t.T)
+        _accum(k, (q.data.T @ gs).T)
+
+    return _make(p @ v.data, (q, k, v), bw)
+
+
 def layer_norm(a, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
     a = _coerce(a)
@@ -432,11 +483,21 @@ def softmax_cross_entropy(logits, label: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward pass
 
+def _consumed(g) -> None:
+    """Stands in for the closure of a node whose backward already ran."""
+    raise GraphConsumedError(
+        "backward: the graph was already consumed by an earlier backward; run the forward again"
+    )
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` for the whole graph.
+    """Accumulate d(loss)/d(leaf) into the leaves' ``.grad`` and consume the graph.
 
     ``loss`` must hold a single value. Gradients add onto whatever is
-    already in ``.grad``; callers reset leaf grads between steps.
+    already in a leaf's ``.grad``; callers reset leaf grads between steps.
+    Each recorded node is released as soon as its closure has run, so a
+    second backward through any part of the graph raises
+    ``GraphConsumedError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -450,6 +511,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed(None)  # raises
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -458,6 +521,12 @@ def backward(loss: Tensor) -> None:
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _consumed

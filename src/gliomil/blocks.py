@@ -76,9 +76,8 @@ def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
     q = ad.matmul(h, p.wq)
     key = ad.matmul(h, p.wk)
     v = ad.matmul(h, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(key)), 1.0 / math.sqrt(k))
-    attn = ad.softmax(scores, axis=1)
-    x = ad.add(x, ad.matmul(ad.matmul(attn, v), p.wo))
+    attn = ad.attention(q, key, v, 1.0 / math.sqrt(k))
+    x = ad.add(x, ad.matmul(attn, p.wo))
     h2 = affine_norm(x, p.ln2_gain, p.ln2_bias)
     f = ad.relu(linear(h2, p.ffn_w1, p.ffn_b1))
     f = linear(f, p.ffn_w2, p.ffn_b2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import ABLATION_FLAGS, TrainConfig
+from .config import ABLATION_FLAGS, TrainConfig, validate
 from .interaction import (
     CurriculumSchedule,
     cmg_modulate,
@@ -196,6 +196,7 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
 
 
 def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> TrainResult:
+    validate(cfg)
     t0 = time.time()
     train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
     marker_rows = np.array(
@@ -211,13 +212,17 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
     order_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(12,)))
     if log and "no_cmg" in cfg.ablations:
         log("gradient modulation: skipped (no_cmg)")
+    held_out = {id(b) for b in val_bags}
     rows = []
     for epoch in range(cfg.epochs):
         term_means, overlap = train_epoch(
             model, train_bags, cooc.a, cfg, optimizer, epoch, order_rng, modulation_hook
         )
-        val_preds, _ = evaluate(model, val_bags, cooc.a, cfg.ablations)
-        report = compute_metrics(val_preds)
+        # the last epoch scores every bag once: its held-out subset gives the
+        # epoch row and the final report, the whole pass the confidences
+        scored = bags if epoch == cfg.epochs - 1 else val_bags
+        preds, confidences = evaluate(model, scored, cooc.a, cfg.ablations)
+        report = compute_metrics([p for b, p in zip(scored, preds) if id(b) in held_out])
         accuracies = {
             "idh": report.idh_mut.accuracy,
             "codel": report.codel_1p19q.accuracy,
@@ -232,9 +237,6 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
                 f"epoch {epoch:3d}  loss {term_means['total']:.4f}  "
                 f"overlap {overlap:.3f}  val glioma acc {accuracies['glioma']:.3f}"
             )
-    val_preds, _ = evaluate(model, val_bags, cooc.a, cfg.ablations)
-    report = compute_metrics(val_preds)
-    _, confidences = evaluate(model, bags, cooc.a, cfg.ablations)
     return TrainResult(
         model=model,
         cooc=cooc,

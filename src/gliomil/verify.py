@@ -64,6 +64,10 @@ def _op_cases(rng):
     logits = _param(rng, (1, 4))
     label = int(rng.integers(0, 4))
     pos_s = _positive(rng, ())
+    # drawn last, so the cases above keep the operands they had before attention
+    att_q = _param(rng, (3, 4))
+    att_k = _param(rng, (5, 4))
+    att_v = _param(rng, (5, 2))
     return [
         ("add", {"a": a, "b": b}, lambda: _scalarize(ad.add(a, b))),
         ("add_scalar", {"a": a, "s": s}, lambda: _scalarize(ad.add(a, s))),
@@ -84,6 +88,8 @@ def _op_cases(rng):
         ("log", {"pos": pos}, lambda: _scalarize(ad.log(pos))),
         ("softmax_rows", {"a": a}, lambda: _scalarize(ad.softmax(a, axis=1))),
         ("softmax_cols", {"a": a}, lambda: _scalarize(ad.softmax(a, axis=0))),
+        ("attention", {"att_q": att_q, "att_k": att_k, "att_v": att_v},
+         lambda: _scalarize(ad.attention(att_q, att_k, att_v, 0.5))),
         ("layer_norm", {"a": a}, lambda: _scalarize(ad.layer_norm(a))),
         ("sum_all", {"a": a}, lambda: ad.sum_all(a)),
         ("mean_all", {"a": a}, lambda: ad.mean_all(a)),

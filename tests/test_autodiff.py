@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,89 @@ class TestBackwardBasics:
         with no_grad():
             y = ad.mul(x, x)
         assert not y.requires_grad and y._parents == ()
+
+
+class TestGraphRelease:
+    def test_only_leaves_keep_grads(self):
+        x = t([[1.0, -2.0], [0.5, 3.0]])
+        h = ad.tanh(x)
+        y = ad.mul(h, h)
+        loss = ad.sum_all(y)
+        backward(loss)
+        assert np.allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+        for node in (h, y, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_interior_array_dies_with_the_loss(self):
+        x = t(np.arange(6.0).reshape(2, 3))
+        h = ad.tanh(x)
+        interior = weakref.ref(h.data)
+        y = ad.mul(h, h)          # kept, as a caller keeps a forward's outputs
+        loss = ad.sum_all(y)
+        del h
+        backward(loss)
+        del loss
+        assert interior() is None
+        assert y.data.shape == (2, 3) and x.grad is not None
+
+    def test_second_backward_raises(self):
+        x = t([1.0, 2.0])
+        loss = ad.sum_all(ad.mul(x, x))
+        backward(loss)
+        with pytest.raises(ad.GraphConsumedError, match="already consumed"):
+            backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_new_graph_on_a_consumed_node_raises(self):
+        x = t([1.0, 2.0])
+        y = ad.mul(x, x)
+        backward(ad.sum_all(y))
+        with pytest.raises(ad.GraphConsumedError):
+            backward(ad.sum_all(ad.tanh(y)))
+
+
+def _attention_by_five_ops(q, k, v, c):
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), c)
+    return ad.matmul(ad.softmax(scores, axis=1), v)
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_bitwise_equal_to_the_five_op_composition(self, n):
+        rng = np.random.default_rng(n)
+        arrays = rng.normal(size=(n, 5)), rng.normal(size=(n, 5)), rng.normal(size=(n, 3))
+        weight = Tensor(rng.normal(size=(n, 3)))
+        c = 1.0 / np.sqrt(5)
+
+        def run(attn):
+            q, k, v = (t(a.copy()) for a in arrays)
+            out = attn(q, k, v, c)
+            value = out.data.copy()
+            backward(ad.sum_all(ad.mul(out, weight)))
+            return value, q.grad, k.grad, v.grad
+
+        for fused, composed in zip(run(ad.attention), run(_attention_by_five_ops)):
+            assert np.array_equal(fused, composed)
+
+    def test_shared_input_accumulates_in_the_same_order(self):
+        rng = np.random.default_rng(4)
+        h_data = rng.normal(size=(17, 6))
+        ws = rng.normal(size=(6, 6)), rng.normal(size=(6, 6)), rng.normal(size=(6, 4))
+
+        def run(attn):
+            h = t(h_data.copy())
+            wq, wk, wv = (t(w.copy()) for w in ws)
+            out = attn(ad.matmul(h, wq), ad.matmul(h, wk), ad.matmul(h, wv), 0.4)
+            backward(ad.sum_all(ad.tanh(out)))
+            return out.data, h.grad, wq.grad, wk.grad, wv.grad
+
+        for fused, composed in zip(run(ad.attention), run(_attention_by_five_ops)):
+            assert np.array_equal(fused, composed)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 3))),
+                         Tensor(np.zeros((5, 2))), 1.0)
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))),
+                         Tensor(np.zeros((4, 2))), 1.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gliomil import autodiff as ad
-from gliomil.config import ABLATION_FLAGS, GenConfig, TrainConfig
+from gliomil.config import ABLATION_FLAGS, ConfigError, GenConfig, TrainConfig
+from gliomil.metrics import compute_metrics, report_text
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
 from gliomil.synth import estimate_cooccurrence, generate_dataset
@@ -13,6 +14,7 @@ from gliomil.trainer import (
     ablation_csv,
     batch_loss,
     epochs_csv,
+    evaluate,
     run_ablation,
     split_dataset,
     train_model,
@@ -277,6 +279,21 @@ def test_confidences_cover_every_patch_of_every_case():
     assert len(result.confidences) == sum(b.feats_high.shape[0] for b in bags)
     ids = {c[0] for c in result.confidences}
     assert ids == {b.case_id for b in bags}
+
+
+def test_final_scoring_matches_separate_held_out_and_all_bag_passes():
+    bags = small_bags(16)
+    result = train_model(bags, TrainConfig(epochs=2, seed=0))
+    val_bags = [b for b in bags if b.case_id in set(result.val_ids)]
+    val_preds, _ = evaluate(result.model, val_bags, result.cooc.a)
+    _, confidences = evaluate(result.model, bags, result.cooc.a)
+    assert report_text(result.report) == report_text(compute_metrics(val_preds))
+    assert result.confidences == confidences
+
+
+def test_train_model_rejects_zero_epochs():
+    with pytest.raises(ConfigError, match="epochs"):
+        train_model(small_bags(6), TrainConfig(epochs=0))
 
 
 def test_run_ablation_structure():

@@ -13,12 +13,30 @@ intermediate array is freed as soon as nothing else holds it. Only leaves
 second backward that reaches a consumed node raises ``GraphConsumedError``
 (rebuild the graph with a fresh forward instead).
 
-Single-head attention ``softmax(c * q @ k^T) @ v`` is one fused op,
-``attention``, that keeps only the (N, M) probabilities for its backward.
+Four fused ops each record one node in place of a chain of small ones.
+They evaluate the chain's numpy expressions in the same order, forward and
+backward, so they match it bit for bit, and keep only what their backward
+reads:
+
+- ``attention``: ``softmax(c * q @ k^T, rows) @ v``; keeps the (N, M)
+  probabilities.
+- ``linear``: ``x @ w`` plus a (1, F) bias row, optionally through ReLU;
+  keeps only its output (the ReLU mask is ``out > 0``).
+- ``affine_norm``: layer norm plus a per-feature (1, F) gain and bias;
+  keeps the normalised rows and the (N, 1) inverse deviations.
+- ``graph_mix_row``: ``alpha * relu(sum_j c_j P_j) + R``; keeps the sign
+  mask of the sum.
+
+One order differs: a fused node hands its bias or gain row its gradient
+at once, where the chain's ``repeat_rows`` did so only after the input's
+subgraph. Gradients still match bit for bit unless that row also feeds
+another call inside its own input's subgraph; no layer of the model
+reuses a row that way.
 
 Shape rules are strict: elementwise ops require identical shapes, except
 that a 0-d (scalar) tensor may combine with any shape. There is no other
-broadcasting -- use ``repeat_rows`` to tile a row vector explicitly.
+broadcasting: a (1, F) row enters only as the explicit bias or gain of
+``linear`` and ``affine_norm``, or tiled by ``repeat_rows``.
 """
 from __future__ import annotations
 
@@ -223,6 +241,37 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bw)
 
 
+def _check_row(op: str, name: str, row: Tensor, width: int) -> None:
+    if row.data.shape != (1, width):
+        raise ShapeError(f"{op}: {name} must have shape (1, {width}), got {row.data.shape}")
+
+
+def linear(x, w, b, relu: bool = False) -> Tensor:
+    """``x @ w`` plus the (1, F) row ``b`` on every row, optionally through ReLU.
+
+    One node that evaluates the same numpy expressions in the same order as
+    ``add(matmul(x, w), repeat_rows(b, N))`` (then ``relu``), forward and
+    backward. Only the output is kept; the ReLU mask is read back from it
+    (``out > 0`` exactly where the pre-activation was positive).
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: cannot multiply {x.data.shape} @ {w.data.shape}")
+    _check_row("linear", "bias", b, w.data.shape[1])
+    out = x.data @ w.data + b.data
+    if relu:
+        out = np.maximum(out, 0.0)
+
+    def bw(g):
+        if relu:
+            g = g * (out > 0.0)
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0, keepdims=True))
+
+    return _make(out, (x, w, b), bw)
+
+
 def transpose(a) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 2:
@@ -396,6 +445,70 @@ def layer_norm(a, axis: int = -1, eps: float = 1e-5) -> Tensor:
         _accum(a, inv * (g - gm - y * gym))
 
     return _make(y, (a,), bw)
+
+
+def affine_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Layer norm over features, then the (1, F) per-feature ``gain`` and ``bias``.
+
+    One node that evaluates the same numpy expressions in the same order as
+    ``add(mul(layer_norm(x), repeat_rows(gain, N)), repeat_rows(bias, N))``,
+    forward and backward. Keeps the normalised rows and the (N, 1) inverse
+    deviations, not the tiled rows or the scaled product.
+    """
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    if x.data.ndim != 2:
+        raise ShapeError(f"affine_norm: expects a 2-d tensor, got {x.data.shape}")
+    _check_row("affine_norm", "gain", gain, x.data.shape[1])
+    _check_row("affine_norm", "bias", bias, x.data.shape[1])
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centered * inv
+
+    def bw(g):
+        gy = g * gain.data
+        gm = gy.mean(axis=-1, keepdims=True)
+        gym = (gy * y).mean(axis=-1, keepdims=True)
+        _accum(x, inv * (gy - gm - y * gym))
+        _accum(gain, (g * y).sum(axis=0, keepdims=True))
+        _accum(bias, g.sum(axis=0, keepdims=True))
+
+    return _make(y * gain.data + bias.data, (x, gain, bias), bw)
+
+
+def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
+    """``alpha * relu(sum_j coeffs[j] * projected[j]) + residual`` as one node.
+
+    Evaluates the same numpy expressions in the same order as the chain of
+    ``scale``, ``add`` and ``relu`` nodes it replaces, forward and backward,
+    and keeps only the sign mask of the weighted sum. The residual comes in
+    already weighted (``scale(F, 1 - alpha)``): as a node of its own it
+    passes its gradient on where the chain's did, after the projections'
+    subgraphs, so every shared input sums its gradients in the same order.
+    """
+    ps, r = [_coerce(p) for p in projected], _coerce(residual)
+    cs = [float(c) for c in coeffs]
+    if not ps or len(cs) != len(ps):
+        raise ShapeError(f"graph_mix_row: {len(ps)} projections but {len(cs)} coefficients")
+    for p in ps:
+        if p.data.shape != r.data.shape:
+            raise ShapeError(
+                f"graph_mix_row: projection {p.data.shape} and residual {r.data.shape} differ"
+            )
+    alpha = float(alpha)
+    acc = ps[0].data * cs[0]
+    for p, c in zip(ps[1:], cs[1:]):
+        acc = acc + p.data * c
+    mask = acc > 0.0
+
+    def bw(g):
+        gm = (g * alpha) * mask
+        for p, c in zip(ps, cs):
+            _accum(p, gm * c)
+        _accum(r, g)
+
+    return _make(np.maximum(acc, 0.0) * alpha + r.data, (*ps, r), bw)
 
 
 # ---------------------------------------------------------------------------

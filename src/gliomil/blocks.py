@@ -1,5 +1,5 @@
-"""Shared network pieces: linear layers, a pre-norm transformer block,
-and attention-weighted pooling over a bag of patch features.
+"""Shared network pieces: a pre-norm transformer block and
+attention-weighted pooling over a bag of patch features.
 
 Patch bags are (N, K) matrices with no ordering semantics, so the block
 uses no positional encoding and everything here is permutation
@@ -14,20 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = ad.matmul(x, w)
-    if b is not None:
-        out = ad.add(out, ad.repeat_rows(b, x.data.shape[0]))
-    return out
-
-
-def affine_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over features followed by a learned per-feature affine map."""
-    n = x.data.shape[0]
-    y = ad.layer_norm(x)
-    return ad.add(ad.mul(y, ad.repeat_rows(gain, n)), ad.repeat_rows(bias, n))
 
 
 @dataclass
@@ -72,15 +58,15 @@ def init_block(rng: np.random.Generator, k: int, make) -> BlockParams:
 def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
     """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
     k = x.data.shape[1]
-    h = affine_norm(x, p.ln1_gain, p.ln1_bias)
+    h = ad.affine_norm(x, p.ln1_gain, p.ln1_bias)
     q = ad.matmul(h, p.wq)
     key = ad.matmul(h, p.wk)
     v = ad.matmul(h, p.wv)
     attn = ad.attention(q, key, v, 1.0 / math.sqrt(k))
     x = ad.add(x, ad.matmul(attn, p.wo))
-    h2 = affine_norm(x, p.ln2_gain, p.ln2_bias)
-    f = ad.relu(linear(h2, p.ffn_w1, p.ffn_b1))
-    f = linear(f, p.ffn_w2, p.ffn_b2)
+    h2 = ad.affine_norm(x, p.ln2_gain, p.ln2_bias)
+    f = ad.linear(h2, p.ffn_w1, p.ffn_b1, relu=True)
+    f = ad.linear(f, p.ffn_w2, p.ffn_b2)
     return ad.add(x, f)
 
 

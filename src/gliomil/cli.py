@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal/check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -80,13 +81,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _write_run(out: Path, result, cfg: TrainConfig) -> None:
+def _write_run(out: Path, result) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / EPOCHS_FILE).write_text(epochs_csv(result.rows))
     (out / REPORT_FILE).write_text(report_text(result.report, title="held-out metrics"))
     (out / CONFIDENCES_FILE).write_text(confidences_csv(result.confidences))
     write_checkpoint(out, result.model.params,
-                     result.model.cfg.feat_dim, result.cooc, cfg)
+                     result.model.cfg.feat_dim, result.cooc, result.cfg)
 
 
 def _cmd_train(args) -> int:
@@ -95,14 +96,13 @@ def _cmd_train(args) -> int:
         for flag in args.ablate:
             if flag not in ABLATION_FLAGS:
                 raise ConfigError(f"unknown ablation flag {flag!r}")
-        cfg = TrainConfig(**{
-            **{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-            "ablations": tuple(dict.fromkeys(cfg.ablations + tuple(args.ablate))),
-        })
+        cfg = dataclasses.replace(
+            cfg, ablations=tuple(dict.fromkeys(cfg.ablations + tuple(args.ablate)))
+        )
     bags = read_dataset(Path(args.data))
     result = train_model(bags, cfg, log=print)
     out = Path(args.out)
-    _write_run(out, result, cfg)
+    _write_run(out, result)
     # timing goes to stderr so stdout stays byte-identical across reruns
     print(f"training time {result.seconds:.1f}s", file=sys.stderr)
     print(f"trained {cfg.epochs} epochs "
@@ -142,11 +142,7 @@ def _cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = run_ablation(bags, cfg, log=print)
     for name, result in results:
-        variant_cfg = cfg if name == "full" else TrainConfig(**{
-            **{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-            "ablations": tuple(dict.fromkeys(cfg.ablations + (name,))),
-        })
-        _write_run(out / name, result, variant_cfg)
+        _write_run(out / name, result)
     (out / ABLATION_FILE).write_text(ablation_csv(results))
     print((out / ABLATION_FILE).read_text())
     return 0

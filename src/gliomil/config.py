@@ -7,6 +7,7 @@ keys are an error so typos never pass silently.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +139,15 @@ def validate(cfg) -> None:
             raise ConfigError("dcc_top_m and dcc_decay_every must be >= 1")
         if not 0.0 <= cfg.graph_alpha <= 1.0:
             raise ConfigError("graph_alpha must lie in [0, 1]")
+        t = cfg.dcc_temperature
+        if not (math.isfinite(t) and t > 0.0):
+            raise ConfigError(f"dcc_temperature must be finite and > 0, got {t}")
+        # lr = 0 stays valid: a run that trains nothing, used to test the optimizer
+        for name in ("lr", "weight_decay", "w_glioma", "w_molecular", "w_histology",
+                     "w_disent", "w_lc", "w_dcc"):
+            v = getattr(cfg, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         bad = sorted(set(cfg.ablations) - set(ABLATION_FLAGS))
         if bad:
             raise ConfigError(

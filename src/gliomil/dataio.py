@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import ConfigError, TrainConfig, validate
 from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, align_patch_count, derive_glioma_class
 
 DATASET_MANIFEST = "dataset.manifest"
@@ -233,4 +233,9 @@ def read_checkpoint(ckpt_dir):
             kwargs[key] = tuple(s for s in value.split(",") if s)
         else:
             kwargs[key] = ftype(value)
-    return params, feat_dim, cooc, TrainConfig(**kwargs)
+    cfg = TrainConfig(**kwargs)
+    try:
+        validate(cfg)
+    except ConfigError as exc:
+        raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
+    return params, feat_dim, cooc, cfg

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import linear
 
 
 @dataclass
@@ -77,7 +76,7 @@ class DisentangledFeatures:
 
 
 def _head_mlp(x: Tensor, p: HeadMlpParams) -> Tensor:
-    return linear(ad.relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
+    return ad.linear(ad.linear(x, p.w1, p.b1, relu=True), p.w2, p.b2)
 
 
 def disentangle(feats_low: Tensor, feats_high: Tensor, p: DisentanglerParams) -> DisentangledFeatures:
@@ -87,13 +86,13 @@ def disentangle(feats_low: Tensor, feats_high: Tensor, p: DisentanglerParams) ->
             f"{feats_low.data.shape} vs {feats_high.data.shape}"
         )
     mixed = ad.concat([ad.mul(p.scale_low, feats_low), ad.mul(p.scale_high, feats_high)], axis=1)
-    base = linear(mixed, p.base_w, p.base_b)
+    base = ad.linear(mixed, p.base_w, p.base_b)
     shared_mol = _head_mlp(base, p.shared_mol)
     indep_mol = _head_mlp(base, p.indep_mol)
     shared_his = _head_mlp(base, p.shared_his)
     indep_his = _head_mlp(base, p.indep_his)
-    fused_mol = linear(ad.concat([shared_mol, indep_mol], axis=1), p.fuse_mol_w, p.fuse_mol_b)
-    fused_his = linear(ad.concat([shared_his, indep_his], axis=1), p.fuse_his_w, p.fuse_his_b)
+    fused_mol = ad.linear(ad.concat([shared_mol, indep_mol], axis=1), p.fuse_mol_w, p.fuse_mol_b)
+    fused_his = ad.linear(ad.concat([shared_his, indep_his], axis=1), p.fuse_his_w, p.fuse_his_b)
     return DisentangledFeatures(
         base=base,
         shared_mol=shared_mol, indep_mol=indep_mol,

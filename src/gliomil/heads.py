@@ -44,6 +44,27 @@ def init_branch(rng: np.random.Generator, k: int, n_blocks: int, make) -> Branch
 
 
 @dataclass
+class BranchState:
+    feats: Tensor   # (N, K) refined patch features
+    pooled: Tensor  # (1, K)
+    attn: Tensor    # (N, 1)
+    logits: Tensor  # (1, 2)
+
+
+def refine(h: Tensor, p: BranchParams) -> Tensor:
+    """Run a branch's transformer blocks over (N, K) patch rows."""
+    for block in p.blocks:
+        h = transformer_block(h, block)
+    return h
+
+
+def readout(f: Tensor, p: BranchParams) -> BranchState:
+    """Pool a branch's patch rows and classify the (1, K) summary."""
+    z, a = attention_pool(f, p.pool)
+    return BranchState(feats=f, pooled=z, attn=a, logits=ad.linear(z, p.clf_w, p.clf_b))
+
+
+@dataclass
 class MolecularParams:
     idh: BranchParams
     codel: BranchParams
@@ -79,14 +100,10 @@ def graph_mix(feats_in, adjacency: np.ndarray, graph_w: Tensor, alpha: float):
     if a.shape != (3, 3):
         raise ValueError(f"adjacency must be 3x3, got {a.shape}")
     projected = [ad.matmul(f, graph_w) for f in feats_in]
-    out = []
-    for i in range(3):
-        acc = ad.scale(projected[0], float(a[i, 0]))
-        for j in (1, 2):
-            acc = ad.add(acc, ad.scale(projected[j], float(a[i, j])))
-        mid = ad.relu(acc)
-        out.append(ad.add(ad.scale(mid, alpha), ad.scale(feats_in[i], 1.0 - alpha)))
-    return tuple(out)
+    return tuple(
+        ad.graph_mix_row(projected, a[i], ad.scale(f, 1.0 - alpha), alpha)
+        for i, f in enumerate(feats_in)
+    )
 
 
 def molecular_forward(
@@ -96,24 +113,20 @@ def molecular_forward(
     alpha: float,
     use_graph: bool = True,
 ) -> MolecularState:
-    n = feats.data.shape[0]
+    branches = (p.idh, p.codel, p.cdkn)
     h = feats
     per_branch = []
-    for branch in (p.idh, p.codel, p.cdkn):
-        for block in branch.blocks:
-            h = transformer_block(h, block)
+    for branch in branches:
+        h = refine(h, branch)
         per_branch.append(h)
     feats_in = tuple(per_branch)
     feats_out = graph_mix(feats_in, adjacency, p.graph_w, alpha) if use_graph else feats_in
-    pooled, attn, logits = [], [], []
-    for branch, f in zip((p.idh, p.codel, p.cdkn), feats_out):
-        z, a = attention_pool(f, branch.pool)
-        pooled.append(z)
-        attn.append(a)
-        logits.append(ad.add(ad.matmul(z, branch.clf_w), branch.clf_b))
+    states = [readout(f, branch) for branch, f in zip(branches, feats_out)]
     return MolecularState(
         feats_in=feats_in, feats_out=feats_out,
-        pooled=tuple(pooled), attn=tuple(attn), logits=tuple(logits),
+        pooled=tuple(s.pooled for s in states),
+        attn=tuple(s.attn for s in states),
+        logits=tuple(s.logits for s in states),
     )
 
 
@@ -136,39 +149,8 @@ def correlation_loss(feats_out, adjacency: np.ndarray) -> Tensor:
     return ad.scale(total, 1.0 / 9.0)
 
 
-@dataclass
-class HistologyParams:
-    blocks: list
-    pool: AttnPoolParams
-    clf_w: Tensor
-    clf_b: Tensor
-
-
-def init_histology(rng: np.random.Generator, k: int, make) -> HistologyParams:
-    std = math.sqrt(2.0 / (k + 2))
-    return HistologyParams(
-        blocks=[init_block(rng, k, make) for _ in range(HISTOLOGY_BLOCK_COUNT)],
-        pool=init_pool(rng, k, make),
-        clf_w=make(rng.normal(scale=std, size=(k, 2))),
-        clf_b=make(np.zeros((1, 2))),
-    )
-
-
-@dataclass
-class HistologyState:
-    feats: Tensor   # (N, K) refined patch features
-    pooled: Tensor  # (1, K)
-    attn: Tensor    # (N, 1)
-    logits: Tensor  # (1, 2)
-
-
-def histology_forward(feats: Tensor, p: HistologyParams) -> HistologyState:
-    h = feats
-    for block in p.blocks:
-        h = transformer_block(h, block)
-    z, a = attention_pool(h, p.pool)
-    logits = ad.add(ad.matmul(z, p.clf_w), p.clf_b)
-    return HistologyState(feats=h, pooled=z, attn=a, logits=logits)
+def histology_forward(feats: Tensor, p: BranchParams) -> BranchState:
+    return readout(refine(feats, p), p)
 
 
 def fusion_classify(pooled_his: Tensor, pooled_mol, w: Tensor, b: Tensor) -> Tensor:
@@ -179,4 +161,4 @@ def fusion_classify(pooled_his: Tensor, pooled_mol, w: Tensor, b: Tensor) -> Ten
     """
     mol_mean = ad.scale(ad.add(ad.add(pooled_mol[0], pooled_mol[1]), pooled_mol[2]), 1.0 / 3.0)
     joint = ad.concat([pooled_his, mol_mean], axis=1)
-    return ad.add(ad.matmul(joint, w), b)
+    return ad.linear(joint, w, b)

@@ -19,12 +19,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .disentangle import DisentangledFeatures, disentangle, disentangle_loss, init_disentangler
 from .heads import (
-    HistologyState,
+    HISTOLOGY_BLOCK_COUNT,
+    BranchState,
     MolecularState,
     correlation_loss,
     fusion_classify,
     histology_forward,
-    init_histology,
+    init_branch,
     init_molecular,
     molecular_forward,
 )
@@ -46,7 +47,7 @@ class ModelConfig:
 class BagForward:
     disent: DisentangledFeatures
     mol: MolecularState
-    his: HistologyState
+    his: BranchState
     glioma_logits: Tensor        # (1, 4)
     conf_wt: ConfidenceVector    # molecular confidence toward IDH-wildtype
     conf_nmp: ConfidenceVector   # histology confidence toward lesion presence
@@ -74,7 +75,7 @@ class Model:
             return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
         self.disent = init_disentangler(rng, k, make)
-        self.his = init_histology(rng, k, make)
+        self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT, make)
         self.mol = init_molecular(rng, k, make)
         std = np.sqrt(2.0 / (2 * k + 4))
         self.fusion_w = make(rng.normal(scale=std, size=(2 * k, 4)))

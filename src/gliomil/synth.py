@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import GenConfig
 
-GRAPH_MARKERS = ("idh_mut", "codel_1p19q", "cdkn_homdel")
 CLASS_NAMES = (
     "gbm_grade4",          # IDH wildtype
     "astro_high_grade",    # IDH mutant, non-codeleted, CDKN loss or NMP

@@ -7,6 +7,7 @@ finding, and finally applies an AdamW update.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ class EpochRow:
 
 @dataclass
 class TrainResult:
+    cfg: TrainConfig
     model: Model
     cooc: CooccurrenceMatrix
     rows: list
@@ -238,6 +240,7 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
                 f"overlap {overlap:.3f}  val glioma acc {accuracies['glioma']:.3f}"
             )
     return TrainResult(
+        cfg=cfg,
         model=model,
         cooc=cooc,
         rows=rows,
@@ -253,20 +256,19 @@ def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
     """Train the full model plus one single-flag variant per flag.
 
     Every variant shares the base config's seed (and therefore the same
-    split and init stream). Returns [(variant_name, TrainResult), ...].
+    split and init stream). Returns [(variant_name, TrainResult), ...];
+    each result carries the config its variant trained with.
     """
     results = []
-    full_cfg = cfg
     if log:
         log("variant: full")
-    results.append(("full", train_model(bags, full_cfg)))
+    results.append(("full", train_model(bags, cfg)))
     for flag in flags:
         if log:
             log(f"variant: {flag}")
-        variant_cfg = TrainConfig(**{
-            **{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-            "ablations": tuple(dict.fromkeys(cfg.ablations + (flag,))),
-        })
+        variant_cfg = dataclasses.replace(
+            cfg, ablations=tuple(dict.fromkeys(cfg.ablations + (flag,)))
+        )
         results.append((flag, train_model(bags, variant_cfg)))
     return results
 

@@ -68,6 +68,16 @@ def _op_cases(rng):
     att_q = _param(rng, (3, 4))
     att_k = _param(rng, (5, 4))
     att_v = _param(rng, (5, 2))
+    # drawn after the attention operands, for the same reason
+    lin_x, lin_w, lin_b = _param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (1, 2))
+    while np.abs(lin_x.data @ lin_w.data + lin_b.data).min() < 0.01:
+        lin_b.data += 0.05  # keep every ReLU input off the kink
+    an_gain, an_bias = _param(rng, (1, 4)), _param(rng, (1, 4))
+    mix_p = [_param(rng, (3, 4)) for _ in range(3)]
+    mix_r = _param(rng, (3, 4))
+    mix_c = (0.7, -0.4, 0.9)
+    near_kink = np.abs(sum(c * p.data for c, p in zip(mix_c, mix_p))) < 0.01
+    mix_p[0].data[near_kink] += 0.1
     return [
         ("add", {"a": a, "b": b}, lambda: _scalarize(ad.add(a, b))),
         ("add_scalar", {"a": a, "s": s}, lambda: _scalarize(ad.add(a, s))),
@@ -98,6 +108,13 @@ def _op_cases(rng):
         ("mse", {"a": a, "near": near}, lambda: ad.mse(a, near)),
         ("cross_entropy", {"logits": logits},
          lambda: ad.softmax_cross_entropy(logits, label)),
+        ("linear_relu", {"lin_x": lin_x, "lin_w": lin_w, "lin_b": lin_b},
+         lambda: _scalarize(ad.linear(lin_x, lin_w, lin_b, relu=True))),
+        ("affine_norm", {"a": a, "an_gain": an_gain, "an_bias": an_bias},
+         lambda: _scalarize(ad.affine_norm(a, an_gain, an_bias))),
+        ("graph_mix_row", {"mix_p0": mix_p[0], "mix_p1": mix_p[1], "mix_p2": mix_p[2],
+                           "mix_r": mix_r},
+         lambda: _scalarize(ad.graph_mix_row(mix_p, mix_c, mix_r, 0.6))),
     ]
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 
 from gliomil.autodiff import Tensor
@@ -8,16 +6,3 @@ from gliomil.autodiff import Tensor
 def make_param(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
-
-def collect_tensors(obj, prefix="p"):
-    """Flatten any nest of dataclasses/lists/tuples into {name: Tensor}."""
-    out = {}
-    if isinstance(obj, Tensor):
-        out[prefix] = obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            out.update(collect_tensors(getattr(obj, f.name), f"{prefix}.{f.name}"))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            out.update(collect_tensors(v, f"{prefix}[{i}]"))
-    return out

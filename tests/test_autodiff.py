@@ -241,3 +241,167 @@ class TestFusedAttention:
         with pytest.raises(ad.ShapeError, match="attention"):
             ad.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))),
                          Tensor(np.zeros((4, 2))), 1.0)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+def _assert_bitwise(fused, composed):
+    for f, c in zip(fused, composed, strict=True):
+        assert _bits(f) == _bits(c)
+
+
+def _linear_by_ops(x, w, b, relu=False):
+    out = ad.add(ad.matmul(x, w), ad.repeat_rows(b, x.data.shape[0]))
+    return ad.relu(out) if relu else out
+
+
+def _affine_norm_by_ops(x, gain, bias):
+    n = x.data.shape[0]
+    return ad.add(ad.mul(ad.layer_norm(x), ad.repeat_rows(gain, n)), ad.repeat_rows(bias, n))
+
+
+def _graph_mix_row_by_ops(projected, coeffs, residual, alpha):
+    acc = ad.scale(projected[0], float(coeffs[0]))
+    for p, c in zip(projected[1:], coeffs[1:]):
+        acc = ad.add(acc, ad.scale(p, float(c)))
+    return ad.add(ad.scale(ad.relu(acc), alpha), residual)
+
+
+class TestFusedRowOps:
+    """Each fused row-wise op equals the chain of ops it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_linear_bitwise_equal_to_its_composition(self, n, relu):
+        rng = np.random.default_rng(n)
+        arrays = rng.normal(size=(n, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
+        weight = Tensor(rng.normal(size=(n, 4)))
+
+        def run(linear):
+            x, w, b = (t(a.copy()) for a in arrays)
+            out = linear(x, w, b, relu=relu)
+            value = out.data.copy()
+            backward(ad.sum_all(ad.mul(out, weight)))
+            return value, x.grad, w.grad, b.grad
+
+        _assert_bitwise(run(ad.linear), run(_linear_by_ops))
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_affine_norm_bitwise_equal_to_its_composition(self, n):
+        rng = np.random.default_rng(n + 100)
+        arrays = rng.normal(size=(n, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+        weight = Tensor(rng.normal(size=(n, 6)))
+
+        def run(affine_norm):
+            x, gain, bias = (t(a.copy()) for a in arrays)
+            out = affine_norm(x, gain, bias)
+            value = out.data.copy()
+            backward(ad.sum_all(ad.mul(out, weight)))
+            return value, x.grad, gain.grad, bias.grad
+
+        _assert_bitwise(run(ad.affine_norm), run(_affine_norm_by_ops))
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_graph_mix_row_bitwise_equal_to_its_composition(self, n):
+        rng = np.random.default_rng(n + 200)
+        arrays = [rng.normal(size=(n, 4)) for _ in range(4)]
+        coeffs = rng.uniform(0.0, 1.0, size=3)
+        weight = Tensor(rng.normal(size=(n, 4)))
+
+        def run(mix):
+            p0, p1, p2, r = (t(a.copy()) for a in arrays)
+            out = mix([p0, p1, p2], coeffs, r, 0.3)
+            value = out.data.copy()
+            backward(ad.sum_all(ad.mul(out, weight)))
+            return value, p0.grad, p1.grad, p2.grad, r.grad
+
+        _assert_bitwise(run(ad.graph_mix_row), run(_graph_mix_row_by_ops))
+
+    def test_linear_shared_weights_accumulate_in_the_same_order(self):
+        # the model's layout: every bag of a batch runs through the same two
+        # layers, and one weight matrix also serves both layers
+        rng = np.random.default_rng(5)
+        xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
+        ws_data = rng.normal(size=(6, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+
+        def run(linear):
+            xs = [t(x.copy()) for x in xs_data]
+            w, b1, b2 = (t(a.copy()) for a in ws_data)
+            loss = None
+            for x in xs:
+                h = linear(linear(x, w, b1, relu=True), w, b2)
+                term = ad.sum_all(ad.tanh(h))
+                loss = term if loss is None else ad.add(loss, term)
+            backward(loss)
+            return [x.grad for x in xs] + [w.grad, b1.grad, b2.grad]
+
+        _assert_bitwise(run(ad.linear), run(_linear_by_ops))
+
+    def test_affine_norm_shared_gain_accumulates_in_the_same_order(self):
+        # a transformer block's pattern for each bag of a batch: the input feeds
+        # both the norm and the residual sum, and every bag shares the rows
+        rng = np.random.default_rng(6)
+        xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
+        rows = [rng.normal(size=(1, 6)) for _ in range(4)]
+
+        def run(affine_norm):
+            xs = [t(x.copy()) for x in xs_data]
+            g1, b1, g2, b2 = (t(r.copy()) for r in rows)
+            loss = None
+            for x in xs:
+                h = ad.add(x, ad.tanh(affine_norm(x, g1, b1)))
+                term = ad.sum_all(ad.tanh(affine_norm(h, g2, b2)))
+                loss = term if loss is None else ad.add(loss, term)
+            backward(loss)
+            return [x.grad for x in xs] + [g1.grad, b1.grad, g2.grad, b2.grad]
+
+        _assert_bitwise(run(ad.affine_norm), run(_affine_norm_by_ops))
+
+    def test_graph_mix_shared_projection_accumulates_in_the_same_order(self):
+        # the layout of heads.graph_mix: three rows read one shared weight
+        # through three projections, and each row's residual is its own input
+        rng = np.random.default_rng(7)
+        feats_data = [rng.normal(size=(17, 4)) for _ in range(3)]
+        w_data = rng.normal(size=(4, 4))
+        a = rng.uniform(0.0, 1.0, size=(3, 3))
+
+        def run(mix):
+            feats = [t(f.copy()) for f in feats_data]
+            w = t(w_data.copy())
+            projected = [ad.matmul(f, w) for f in feats]
+            outs = [mix(projected, a[i], ad.scale(f, 0.4), 0.6) for i, f in enumerate(feats)]
+            loss = ad.sum_all(ad.tanh(outs[0]))
+            for o in outs[1:]:
+                loss = ad.add(loss, ad.sum_all(ad.tanh(o)))
+            backward(loss)
+            return [o.data for o in outs] + [f.grad for f in feats] + [w.grad]
+
+        _assert_bitwise(run(ad.graph_mix_row), run(_graph_mix_row_by_ops))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 3), (1, 4, 1)])
+    def test_linear_bias_must_be_a_row(self, shape):
+        with pytest.raises(ad.ShapeError, match="linear: bias"):
+            ad.linear(Tensor(np.zeros((3, 5))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(shape)))
+
+    def test_linear_inner_mismatch(self):
+        with pytest.raises(ad.ShapeError, match="linear"):
+            ad.linear(Tensor(np.zeros((3, 5))), Tensor(np.zeros((4, 4))),
+                      Tensor(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5), (6, 1)])
+    def test_affine_norm_gain_and_bias_must_be_rows(self, shape):
+        x, row = Tensor(np.zeros((3, 6))), Tensor(np.ones((1, 6)))
+        with pytest.raises(ad.ShapeError, match="affine_norm: gain"):
+            ad.affine_norm(x, Tensor(np.ones(shape)), row)
+        with pytest.raises(ad.ShapeError, match="affine_norm: bias"):
+            ad.affine_norm(x, row, Tensor(np.zeros(shape)))
+
+    def test_graph_mix_row_shape_errors(self):
+        p = [Tensor(np.zeros((3, 4))) for _ in range(3)]
+        with pytest.raises(ad.ShapeError, match="graph_mix_row"):
+            ad.graph_mix_row(p, [1.0, 1.0], Tensor(np.zeros((3, 4))), 0.5)
+        with pytest.raises(ad.ShapeError, match="graph_mix_row"):
+            ad.graph_mix_row(p, [1.0, 1.0, 1.0], Tensor(np.zeros((1, 4))), 0.5)

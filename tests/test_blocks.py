@@ -13,8 +13,9 @@ from gliomil.blocks import (
     transformer_block,
 )
 from gliomil.gradcheck import grad_check
+from gliomil.model import _walk
 
-from helpers import collect_tensors, make_param
+from helpers import make_param
 
 
 def block(seed, k):
@@ -49,7 +50,8 @@ class TestTransformerBlock:
         rng = np.random.default_rng(6)
         x = Tensor(rng.uniform(-2, 2, size=(5, 8)))
         p = block(7, 8)
-        params = collect_tensors(p)
+        params = {}
+        _walk(p, "p", params)
         target = Tensor(rng.normal(size=(5, 8)))
 
         def f():
@@ -114,7 +116,8 @@ class TestAttentionPool:
         rng = np.random.default_rng(17)
         p = init_pool(rng, 4, make_param)
         x = Tensor(rng.uniform(-2, 2, size=(6, 4)), requires_grad=True)
-        params = collect_tensors(p)
+        params = {}
+        _walk(p, "p", params)
         params["x"] = x
 
         def f():

@@ -124,6 +124,59 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_TRAIN_VALUES = (
+    [("dcc_temperature", v) for v in ("0", "-0.5", "nan", "inf")]
+    + [("lr", v) for v in ("-5", "-1e-9", "nan", "inf")]
+    + [("weight_decay", v) for v in ("-1e-4", "nan", "-inf")]
+    + [(w, v) for w in ("w_glioma", "w_molecular", "w_histology", "w_disent", "w_lc", "w_dcc")
+       for v in ("-1", "nan")]
+    + [("w_dcc", "inf")]
+)
+
+
+def _one_error_line(err: str, key: str) -> None:
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], err
+
+
+@pytest.mark.parametrize("key,value", BAD_TRAIN_VALUES)
+def test_train_rejects_bad_config_value(tmp_path, small_data, capsys, key, value):
+    cfg = quick_train_cfg(tmp_path, f"{key} = {value}\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(small_data), "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    _one_error_line(capsys.readouterr().err, key)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data, run = root / "data", root / "run"
+    gen_cfg = write_cfg(root / "gen.cfg", "n_cases = 12\nn_patches = 4\nfeat_dim = 4\nseed = 3\n")
+    assert main(["gen", "--config", gen_cfg, "--out", str(data)]) == 0
+    train_cfg = write_cfg(root / "train.cfg", "epochs = 1\nbatch_size = 6\nseed = 1\n")
+    assert main(["train", "--data", str(data), "--config", train_cfg, "--out", str(run)]) == 0
+    return data, run
+
+
+@pytest.mark.parametrize("key,value", BAD_TRAIN_VALUES)
+def test_eval_rejects_checkpoint_with_bad_config_value(tmp_path, trained_run, capsys, key, value):
+    data, run = trained_run
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "checkpoint.blob").write_bytes((run / "checkpoint.blob").read_bytes())
+    lines = (run / "checkpoint.manifest").read_text().splitlines()
+    at = [i for i, ln in enumerate(lines) if ln.startswith(f"config {key} ")]
+    assert len(at) == 1
+    lines[at[0]] = f"config {key} {value}"
+    (ckpt / "checkpoint.manifest").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err, key)
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -10,8 +10,9 @@ from gliomil.disentangle import (
     init_disentangler,
 )
 from gliomil.gradcheck import grad_check
+from gliomil.model import _walk
 
-from helpers import collect_tensors, make_param
+from helpers import make_param
 
 
 def features(seed, n=5, k=4):
@@ -35,7 +36,8 @@ class TestDisentangle:
     def test_gradients_match_finite_differences(self):
         low, high = features(3)
         p = init_disentangler(np.random.default_rng(4), 4, make_param)
-        params = collect_tensors(p)
+        params = {}
+        _walk(p, "p", params)
         rng = np.random.default_rng(5)
         t1, t2 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 4)))
 
@@ -90,7 +92,8 @@ class TestDisentangleLoss:
         """200 plain-gradient steps at lr 1e-3: non-increasing over any 10-step window."""
         low, high = features(8, n=6, k=4)
         p = init_disentangler(np.random.default_rng(9), 4, make_param)
-        params = collect_tensors(p)
+        params = {}
+        _walk(p, "p", params)
         history = []
         for _ in range(201):
             for t in params.values():

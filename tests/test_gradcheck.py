@@ -137,6 +137,29 @@ def _mse(rng):
     return lambda: ad.mse(a, b), {"a": a, "b": b}
 
 
+def _linear(relu):
+    def build(rng):
+        x, w, b = rand(rng, (3, 4)), rand(rng, (4, 2)), rand(rng, (1, 2))
+        while relu and np.abs(x.data @ w.data + b.data).min() < 1e-3:
+            b.data += 0.01  # keep the ReLU inputs off its kink
+        return lambda: scalarize(ad.linear(x, w, b, relu=relu)), {"x": x, "w": w, "b": b}
+
+    return build
+
+
+def _affine_norm(rng):
+    x, gain, bias = rand(rng, (4, 6)), rand(rng, (1, 6)), rand(rng, (1, 6))
+    return lambda: scalarize(ad.affine_norm(x, gain, bias)), {"x": x, "gain": gain, "bias": bias}
+
+
+def _graph_mix_row(rng):
+    ps, r = [rand(rng, (3, 4)) for _ in range(3)], rand(rng, (3, 4))
+    c = rng.uniform(0.2, 1.0, size=3)
+    ps[0].data[np.abs(sum(cj * p.data for cj, p in zip(c, ps))) < 1e-3] += 0.05
+    params = {"p0": ps[0], "p1": ps[1], "p2": ps[2], "r": r}
+    return lambda: scalarize(ad.graph_mix_row(ps, c, r, 0.3)), params
+
+
 def _cross_entropy(rng):
     x = rand(rng, (1, 5))
     label = int(rng.integers(5))
@@ -164,6 +187,10 @@ OPS = {
     "softmax": _softmax,
     "softmax_axis0": _softmax_axis0,
     "layer_norm": _layer_norm,
+    "linear": _linear(relu=False),
+    "linear_relu": _linear(relu=True),
+    "affine_norm": _affine_norm,
+    "graph_mix_row": _graph_mix_row,
     "sum_all": _sum,
     "mean_all": _mean,
     "l2norm": _l2norm,

@@ -5,17 +5,19 @@ from gliomil import autodiff as ad
 from gliomil.autodiff import Tensor
 from gliomil.gradcheck import grad_check
 from gliomil.heads import (
+    HISTOLOGY_BLOCK_COUNT,
     correlation_loss,
     fusion_classify,
     graph_mix,
     histology_forward,
-    init_histology,
+    init_branch,
     init_molecular,
     molecular_forward,
 )
+from gliomil.model import _walk
 from gliomil.synth import estimate_cooccurrence
 
-from helpers import collect_tensors, make_param
+from helpers import make_param
 
 
 def rand_feats(seed, n=3, k=4, count=3):
@@ -143,7 +145,8 @@ class TestMolecularForward:
         p = init_molecular(rng, 3, make_param)
         feats = Tensor(rng.uniform(-1, 1, size=(4, 3)))
         a = np.full((3, 3), 0.4) + 0.6 * np.eye(3)
-        params = collect_tensors(p)
+        params = {}
+        _walk(p, "p", params)
 
         def f():
             state = molecular_forward(feats, a, p, alpha=0.5)
@@ -158,7 +161,7 @@ class TestMolecularForward:
 
 class TestHistologyAndFusion:
     def test_histology_shapes(self):
-        p = init_histology(np.random.default_rng(13), 4, make_param)
+        p = init_branch(np.random.default_rng(13), 4, HISTOLOGY_BLOCK_COUNT, make_param)
         state = histology_forward(Tensor(np.random.default_rng(14).normal(size=(7, 4))), p)
         assert state.feats.data.shape == (7, 4)
         assert state.pooled.data.shape == (1, 4)
@@ -167,7 +170,7 @@ class TestHistologyAndFusion:
 
     def test_histology_permutation_invariant_summary(self):
         rng = np.random.default_rng(15)
-        p = init_histology(rng, 4, make_param)
+        p = init_branch(rng, 4, HISTOLOGY_BLOCK_COUNT, make_param)
         x = rng.normal(size=(6, 4))
         perm = rng.permutation(6)
         a = histology_forward(Tensor(x), p)

@@ -430,24 +430,37 @@ def attention(q, k, v, c: float) -> Tensor:
     return _make(p @ v.data, (q, k, v), bw)
 
 
-def layer_norm(a, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
-    a = _coerce(a)
-    mu = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mu
+_NORM_EPS = 1e-5
+
+
+def _normalize(data, axis: int, eps: float):
+    """Zero-mean / unit-variance rows of ``data`` and the inverse deviations."""
+    mu = data.mean(axis=axis, keepdims=True)
+    centered = data - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    return centered * inv, inv
+
+
+def _normalize_grad(g, y, inv, axis: int):
+    """Gradient of ``_normalize`` w.r.t. its input, given its output ``y``."""
+    gm = g.mean(axis=axis, keepdims=True)
+    gym = (g * y).mean(axis=axis, keepdims=True)
+    return inv * (g - gm - y * gym)
+
+
+def layer_norm(a, axis: int = -1, eps: float = _NORM_EPS) -> Tensor:
+    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
+    a = _coerce(a)
+    y, inv = _normalize(a.data, axis, eps)
 
     def bw(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gym = (g * y).mean(axis=axis, keepdims=True)
-        _accum(a, inv * (g - gm - y * gym))
+        _accum(a, _normalize_grad(g, y, inv, axis))
 
     return _make(y, (a,), bw)
 
 
-def affine_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def affine_norm(x, gain, bias) -> Tensor:
     """Layer norm over features, then the (1, F) per-feature ``gain`` and ``bias``.
 
     One node that evaluates the same numpy expressions in the same order as
@@ -460,17 +473,10 @@ def affine_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"affine_norm: expects a 2-d tensor, got {x.data.shape}")
     _check_row("affine_norm", "gain", gain, x.data.shape[1])
     _check_row("affine_norm", "bias", bias, x.data.shape[1])
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    y, inv = _normalize(x.data, -1, _NORM_EPS)
 
     def bw(g):
-        gy = g * gain.data
-        gm = gy.mean(axis=-1, keepdims=True)
-        gym = (gy * y).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gy - gm - y * gym))
+        _accum(x, _normalize_grad(g * gain.data, y, inv, -1))
         _accum(gain, (g * y).sum(axis=0, keepdims=True))
         _accum(bias, g.sum(axis=0, keepdims=True))
 

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 internal/check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .config import (
     TrainConfig,
     load_gen_config,
     load_train_config,
+    with_ablations,
 )
 from .dataio import (
     CheckpointError,
@@ -91,14 +91,8 @@ def _write_run(out: Path, result) -> None:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_train_config(args.config) if args.config else TrainConfig()
-    if args.ablate:
-        for flag in args.ablate:
-            if flag not in ABLATION_FLAGS:
-                raise ConfigError(f"unknown ablation flag {flag!r}")
-        cfg = dataclasses.replace(
-            cfg, ablations=tuple(dict.fromkeys(cfg.ablations + tuple(args.ablate)))
-        )
+    cfg = with_ablations(load_train_config(args.config) if args.config else TrainConfig(),
+                         args.ablate)
     bags = read_dataset(Path(args.data))
     result = train_model(bags, cfg, log=print)
     out = Path(args.out)
@@ -139,7 +133,6 @@ def _cmd_ablate(args) -> int:
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     bags = read_dataset(Path(args.data))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = run_ablation(bags, cfg, log=print)
     for name, result in results:
         _write_run(out / name, result)

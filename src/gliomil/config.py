@@ -2,7 +2,9 @@
 
 Config files are plain text, one assignment per line, ``#`` comments and
 blank lines ignored. Keys are exactly the dataclass field names; unknown
-keys are an error so typos never pass silently.
+keys are an error so typos never pass silently. ``parse_config`` and
+``format_config`` turn a config into field name -> text and back; config
+files and checkpoints both go through them.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ from pathlib import Path
 class ConfigError(ValueError):
     pass
 
+
+LOSS_TERMS = ("glioma", "idh", "codel", "cdkn", "nmp", "disent", "lc", "dcc")
 
 ABLATION_FLAGS = (
     "no_graph",    # bypass the marker-correlation graph layer
@@ -85,18 +89,29 @@ def _parse_lines(text: str, path) -> dict:
     return out
 
 
-def _coerce(name: str, ftype, raw: str, path):
-    try:
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-        if ftype is tuple:
-            items = tuple(s.strip() for s in raw.split(",") if s.strip())
-            return items
-        return raw
-    except ValueError:
-        raise ConfigError(f"{path}: field {name!r}: cannot parse {raw!r} as {ftype.__name__}") from None
+def parse_config(cls, raw: dict):
+    """Field name -> text into a validated ``cls``; each field's type is its default's."""
+    fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    kwargs = {}
+    for name, text in raw.items():
+        ftype = fields[name]
+        try:
+            kwargs[name] = (tuple(s.strip() for s in text.split(",") if s.strip())
+                            if ftype is tuple else ftype(text))
+        except ValueError:
+            raise ConfigError(f"field {name!r}: cannot parse {text!r} as {ftype.__name__}") from None
+    cfg = cls(**kwargs)
+    validate(cfg)
+    return cfg
+
+
+def format_config(cfg) -> dict:
+    """Field name -> text, in field order; ``parse_config`` inverts it."""
+    return {k: ",".join(v) if isinstance(v, tuple) else str(v)
+            for k, v in dataclasses.asdict(cfg).items()}
 
 
 def _load(cls, path) -> object:
@@ -106,19 +121,31 @@ def _load(cls, path) -> object:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw = _parse_lines(text, path)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        ftype = fields[name].type
-        if isinstance(ftype, str):  # from __future__ annotations
-            ftype = {"int": int, "float": float, "tuple": tuple, "str": str}[ftype]
-        kwargs[name] = _coerce(name, ftype, value, path)
-    cfg = cls(**kwargs)
-    validate(cfg)
-    return cfg
+    try:
+        return parse_config(cls, raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def loss_weights(cfg: TrainConfig) -> dict:
+    """Each loss term's effective weight, in ``LOSS_TERMS`` order, after ablations."""
+    return {
+        "glioma": cfg.w_glioma,
+        "idh": cfg.w_molecular,
+        "codel": cfg.w_molecular,
+        "cdkn": cfg.w_molecular,
+        "nmp": cfg.w_histology,
+        "disent": 0.0 if "no_disent" in cfg.ablations else cfg.w_disent,
+        "lc": 0.0 if "no_lc" in cfg.ablations else cfg.w_lc,
+        "dcc": 0.0 if "no_dcc" in cfg.ablations else cfg.w_dcc,
+    }
+
+
+def with_ablations(cfg: TrainConfig, flags) -> TrainConfig:
+    """``cfg`` with ``flags`` added to its ablations (each flag once), validated."""
+    merged = dataclasses.replace(cfg, ablations=tuple(dict.fromkeys((*cfg.ablations, *flags))))
+    validate(merged)
+    return merged
 
 
 def validate(cfg) -> None:
@@ -153,6 +180,10 @@ def validate(cfg) -> None:
             raise ConfigError(
                 f"unknown ablation flags: {', '.join(bad)} (known: {', '.join(ABLATION_FLAGS)})"
             )
+        if not any(loss_weights(cfg).values()):
+            raise ConfigError(
+                "every loss weight is 0 once the ablations apply; nothing to optimize"
+            )
 
 
 def load_gen_config(path) -> GenConfig:
@@ -161,14 +192,3 @@ def load_gen_config(path) -> GenConfig:
 
 def load_train_config(path) -> TrainConfig:
     return _load(TrainConfig, path)
-
-
-def format_config(cfg) -> str:
-    """Render a config back into the flat key=value file format."""
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

@@ -8,12 +8,12 @@ idea at float64: a manifest of named parameter shapes and byte offsets
 """
 from __future__ import annotations
 
-import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig, validate
+from .config import ConfigError, TrainConfig, format_config, parse_config
 from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, align_patch_count, derive_glioma_class
 
 DATASET_MANIFEST = "dataset.manifest"
@@ -114,11 +114,13 @@ def read_dataset(data_dir, n_patches: int | None = None) -> list:
             raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
         glioma = _parse_int(fields[7], "class", case_id)
         off_high, off_low = (_parse_int(fields[i], "offset", case_id) for i in (8, 9))
-        nbytes = n * k * 4
-        if off_low + nbytes > len(blob):
+        if min(n, k, off_high, off_low) < 0:
+            raise DatasetError(f"case {case_id}: negative size or offset in {record!r}")
+        end = max(off_high, off_low) + n * k * 4
+        if end > len(blob):
             raise DatasetError(
                 f"case {case_id}: truncated blob "
-                f"(need bytes up to {off_low + nbytes}, blob has {len(blob)})"
+                f"(need bytes up to {end}, blob has {len(blob)})"
             )
         high = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_high)
         low = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_low)
@@ -155,11 +157,7 @@ def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
     lines.append(f"meta cooccurrence {a_flat}")
     lines.append(f"meta cooccurrence_counts {counts_flat}")
     lines.append(f"meta cooccurrence_cases {cooc.n_cases}")
-    for f in dataclasses.fields(train_cfg):
-        value = getattr(train_cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(value)
-        lines.append(f"config {f.name} {value}")
+    lines += [f"config {key} {text}" for key, text in format_config(train_cfg).items()]
     chunks = []
     offset = 0
     for name, tensor in params.items():
@@ -191,18 +189,22 @@ def read_checkpoint(ckpt_dir):
     for line in lines[1:]:
         if not line.strip():
             continue
-        kind, rest = line.split(" ", 1)
+        kind, _, rest = line.partition(" ")
+        key, _, value = rest.partition(" ")
         if kind == "meta":
-            key, value = rest.split(" ", 1)
             meta[key] = value
         elif kind == "config":
-            key, _, value = rest.partition(" ")
             config_raw[key] = value
         elif kind == "param":
-            name, shape_s, offset_s = rest.rsplit(" ", 2)
-            dims = tuple(int(d) for d in shape_s.strip("()").split(",") if d)
-            offset = int(offset_s)
-            count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+            try:
+                name, shape_s, offset_s = rest.rsplit(" ", 2)
+                dims = tuple(int(d) for d in shape_s.strip("()").split(",") if d)
+                offset = int(offset_s)
+            except ValueError:
+                raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
+            if min(dims + (offset,)) < 0:
+                raise CheckpointError(f"{manifest_path}: negative shape or offset in {line!r}")
+            count = math.prod(dims)
             if offset + count * 8 > len(blob):
                 raise CheckpointError(f"param {name}: truncated blob")
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
@@ -220,22 +222,8 @@ def read_checkpoint(ckpt_dir):
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{manifest_path}: bad metadata: {exc}") from None
     cooc = CooccurrenceMatrix(a=a, counts=counts, n_cases=n_cases)
-
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    kwargs = {}
-    for key, value in config_raw.items():
-        if key not in fields:
-            raise CheckpointError(f"{manifest_path}: unknown config key {key!r}")
-        ftype = fields[key].type
-        if isinstance(ftype, str):
-            ftype = {"int": int, "float": float, "tuple": tuple, "str": str}[ftype]
-        if ftype is tuple:
-            kwargs[key] = tuple(s for s in value.split(",") if s)
-        else:
-            kwargs[key] = ftype(value)
-    cfg = TrainConfig(**kwargs)
     try:
-        validate(cfg)
+        cfg = parse_config(TrainConfig, config_raw)
     except ConfigError as exc:
         raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
     return params, feat_dim, cooc, cfg

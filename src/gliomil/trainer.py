@@ -7,14 +7,20 @@ finding, and finally applies an AdamW update.
 """
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import ABLATION_FLAGS, TrainConfig, validate
+from .config import (
+    ABLATION_FLAGS,
+    LOSS_TERMS,
+    TrainConfig,
+    loss_weights,
+    validate,
+    with_ablations,
+)
 from .interaction import (
     CurriculumSchedule,
     cmg_modulate,
@@ -27,8 +33,6 @@ from .metrics import CasePrediction, MetricReport, compute_metrics
 from .model import Model, ModelConfig
 from .optim import AdamW
 from .synth import CooccurrenceMatrix, estimate_cooccurrence
-
-LOSS_TERMS = ("glioma", "idh", "codel", "cdkn", "nmp", "disent", "lc", "dcc")
 
 
 class LossError(RuntimeError):
@@ -105,16 +109,7 @@ def batch_loss(forwards, bags, cfg: TrainConfig, top_m: int):
             raise LossError(f"loss term {name!r} is not finite ({value})")
         values[name] = value
 
-    weights = {
-        "glioma": cfg.w_glioma,
-        "idh": cfg.w_molecular,
-        "codel": cfg.w_molecular,
-        "cdkn": cfg.w_molecular,
-        "nmp": cfg.w_histology,
-        "disent": 0.0 if "no_disent" in cfg.ablations else cfg.w_disent,
-        "lc": 0.0 if "no_lc" in cfg.ablations else cfg.w_lc,
-        "dcc": 0.0 if "no_dcc" in cfg.ablations else cfg.w_dcc,
-    }
+    weights = loss_weights(cfg)
     total = None
     for name in LOSS_TERMS:
         if weights[name] == 0.0:
@@ -256,20 +251,16 @@ def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
     """Train the full model plus one single-flag variant per flag.
 
     Every variant shares the base config's seed (and therefore the same
-    split and init stream). Returns [(variant_name, TrainResult), ...];
-    each result carries the config its variant trained with.
+    split and init stream). Every variant's config is validated before the
+    first one trains. Returns [(variant_name, TrainResult), ...]; each
+    result carries the config its variant trained with.
     """
+    variants = [("full", cfg)] + [(flag, with_ablations(cfg, (flag,))) for flag in flags]
     results = []
-    if log:
-        log("variant: full")
-    results.append(("full", train_model(bags, cfg)))
-    for flag in flags:
+    for name, variant_cfg in variants:
         if log:
-            log(f"variant: {flag}")
-        variant_cfg = dataclasses.replace(
-            cfg, ablations=tuple(dict.fromkeys(cfg.ablations + (flag,)))
-        )
-        results.append((flag, train_model(bags, variant_cfg)))
+            log(f"variant: {name}")
+        results.append((name, train_model(bags, variant_cfg)))
     return results
 
 

@@ -177,6 +177,122 @@ def test_eval_rejects_checkpoint_with_bad_config_value(tmp_path, trained_run, ca
     _one_error_line(capsys.readouterr().err, key)
 
 
+def _copy_run(run, dest, edit_manifest):
+    """Copy ``run``'s checkpoint into ``dest`` with ``edit_manifest`` applied to its lines."""
+    dest.mkdir()
+    (dest / "checkpoint.blob").write_bytes((run / "checkpoint.blob").read_bytes())
+    lines = edit_manifest((run / "checkpoint.manifest").read_text().splitlines())
+    (dest / "checkpoint.manifest").write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def _replace_line(prefix, new):
+    def edit(lines):
+        at = [i for i, ln in enumerate(lines) if ln.startswith(prefix)]
+        assert at, prefix
+        lines[at[0]] = new(lines[at[0]])
+        return lines
+
+    return edit
+
+
+def _set_param_field(index, value):
+    def new(line):
+        fields = line.split(" ")
+        fields[index] = value
+        return " ".join(fields)
+
+    return new
+
+
+# (edit of checkpoint.manifest, text the one error line must contain)
+BAD_CHECKPOINT_MANIFESTS = {
+    "line_without_space": (lambda lines: lines[:1] + ["garbage"] + lines[1:], "garbage"),
+    "meta_without_value": (
+        _replace_line("meta feat_dim ", lambda _: "meta feat_dim"), "bad metadata"),
+    "param_shape_not_int": (_replace_line("param ", _set_param_field(2, "(x,16)")), "(x,16)"),
+    "param_offset_negative": (_replace_line("param ", _set_param_field(3, "-8")), "negative"),
+    "param_line_short": (_replace_line("param ", lambda _: "param lonely"), "lonely"),
+    "config_int_not_int": (_replace_line("config epochs ", lambda _: "config epochs x"), "epochs"),
+    "config_int_fraction": (
+        _replace_line("config batch_size ", lambda _: "config batch_size 6.5"), "batch_size"),
+    "config_float_not_float": (_replace_line("config lr ", lambda _: "config lr fast"), "lr"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_MANIFESTS))
+def test_eval_rejects_malformed_checkpoint_manifest(tmp_path, trained_run, capsys, case):
+    data, run = trained_run
+    edit, key = BAD_CHECKPOINT_MANIFESTS[case]
+    ckpt = _copy_run(run, tmp_path / "ckpt", edit)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err, key)
+
+
+@pytest.mark.parametrize("field", (8, 9))
+def test_eval_rejects_negative_dataset_blob_offset(tmp_path, trained_run, capsys, field):
+    data, run = trained_run
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "dataset.blob").write_bytes((data / "dataset.blob").read_bytes())
+    lines = (data / "dataset.manifest").read_text().splitlines()
+    fields = lines[2].split()
+    fields[field] = "-64"
+    lines[2] = " ".join(fields)
+    (bad / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
+    _one_error_line(capsys.readouterr().err, fields[0])
+
+
+NO_LOSS_LEFT = "w_glioma = 0\nw_molecular = 0\nw_histology = 0\nw_disent = 0\nw_dcc = 0\n"
+
+
+@pytest.mark.parametrize("extra,ablate", [
+    (NO_LOSS_LEFT + "w_lc = 0\n", []),
+    (NO_LOSS_LEFT + "ablations = no_lc\n", []),
+    (NO_LOSS_LEFT, ["--ablate", "no_lc"]),
+], ids=["all_weights_zero", "config_ablation", "cli_ablation"])
+def test_train_rejects_config_with_no_loss_term_left(tmp_path, small_data, capsys, extra, ablate):
+    cfg = quick_train_cfg(tmp_path, extra)
+    capsys.readouterr()
+    assert main(["train", "--data", str(small_data), "--config", cfg,
+                 "--out", str(tmp_path / "run")] + ablate) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "loss weight")
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_rejects_checkpoint_with_no_loss_term_left(tmp_path, trained_run, capsys):
+    data, run = trained_run
+
+    def edit(lines):
+        zero = {f"config {w} 1.0": f"config {w} 0.0"
+                for w in ("w_glioma", "w_molecular", "w_histology")}
+        lines = [zero.get(ln, ln) for ln in lines]
+        return [ln for ln in lines if not ln.startswith("config ablations")] + [
+            "config ablations no_disent,no_lc,no_dcc"]
+
+    ckpt = _copy_run(run, tmp_path / "ckpt", edit)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err, "loss weight")
+
+
+def test_ablate_validates_every_variant_before_training(tmp_path, small_data, capsys):
+    # the full model still optimizes w_lc, but the no_lc variant has nothing left
+    cfg = quick_train_cfg(tmp_path, NO_LOSS_LEFT)
+    out = tmp_path / "ablation"
+    capsys.readouterr()
+    assert main(["ablate", "--data", str(small_data), "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "loss weight")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

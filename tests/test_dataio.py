@@ -125,6 +125,29 @@ class TestCheckpointRoundTrip:
             read_checkpoint(tmp_path)
 
 
+    @pytest.mark.parametrize("line,key", [
+        ("config epochs x", "epochs"),
+        ("config batch_size 6.5", "batch_size"),
+        ("config lr fast", "lr"),
+        ("config no_such_key 3", "no_such_key"),
+        ("config ablations no_such_flag", "no_such_flag"),
+    ])
+    def test_bad_config_line_names_its_key(self, tmp_path, line, key):
+        cooc = estimate_cooccurrence(np.zeros((1, 3), dtype=int))
+        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        manifest = tmp_path / "checkpoint.manifest"
+        lines = manifest.read_text().splitlines()
+        field = line.split()[1]
+        at = [i for i, ln in enumerate(lines) if ln.startswith(f"config {field} ")]
+        if at:
+            lines[at[0]] = line
+        else:
+            lines.append(line)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=key):
+            read_checkpoint(tmp_path)
+
+
 class TestConfigFiles:
     def test_gen_config_roundtrip(self, tmp_path):
         path = tmp_path / "gen.cfg"

@@ -108,6 +108,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params, feat_dim, cooc, cfg = read_checkpoint(Path(args.checkpoint))
     bags = read_dataset(Path(args.data))
+    width = bags[0].feats_high.shape[1]
+    if width != feat_dim:
+        raise DatasetError(f"{args.data}: feature width {width} != checkpoint feat_dim {feat_dim}")
     model = Model(ModelConfig(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha),
                   np.random.default_rng(0))
     model.load_state(params)

@@ -160,6 +160,8 @@ def validate(cfg) -> None:
     elif isinstance(cfg, TrainConfig):
         if cfg.epochs < 1 or cfg.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         if not 0.0 < cfg.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie in (0, 1)")
         if cfg.dcc_top_m < 1 or cfg.dcc_decay_every < 1:

@@ -96,6 +96,8 @@ def read_dataset(data_dir, n_patches: int | None = None) -> list:
     except (IndexError, ValueError):
         raise DatasetError(f"{manifest_path}: malformed header {lines[0]!r}") from None
     records = [ln for ln in lines[1:] if ln.strip()]
+    if not records:
+        raise DatasetError(f"{manifest_path}: no cases")
     if len(records) != declared:
         raise DatasetError(
             f"{manifest_path}: header declares {declared} cases, found {len(records)} records"
@@ -114,8 +116,13 @@ def read_dataset(data_dir, n_patches: int | None = None) -> list:
             raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
         glioma = _parse_int(fields[7], "class", case_id)
         off_high, off_low = (_parse_int(fields[i], "offset", case_id) for i in (8, 9))
-        if min(n, k, off_high, off_low) < 0:
-            raise DatasetError(f"case {case_id}: negative size or offset in {record!r}")
+        if min(n, k) < 1 or min(off_high, off_low) < 0:
+            raise DatasetError(f"case {case_id}: empty bag or negative offset in {record!r}")
+        if bags and k != bags[0].feats_high.shape[1]:
+            raise DatasetError(
+                f"case {case_id}: feature width {k} differs from the first case's "
+                f"{bags[0].feats_high.shape[1]}"
+            )
         end = max(off_high, off_low) + n * k * 4
         if end > len(blob):
             raise DatasetError(
@@ -145,6 +152,19 @@ def read_dataset(data_dir, n_patches: int | None = None) -> list:
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+def _matrix3(scalar):
+    return lambda text: np.array([scalar(v) for v in text.split(",")]).reshape(3, 3)
+
+
+# meta key -> parser of its value, in the order write_checkpoint writes them
+_META_PARSERS = {
+    "feat_dim": int,
+    "cooccurrence": _matrix3(np.float64),
+    "cooccurrence_counts": _matrix3(np.int64),
+    "cooccurrence_cases": int,
+}
+
 
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
@@ -183,21 +203,16 @@ def read_checkpoint(ckpt_dir):
         raise CheckpointError(f"{manifest_path}: not a {_CHECKPOINT_MAGIC} manifest")
     blob = blob_path.read_bytes()
 
-    meta = {}
-    config_raw = {}
-    params = {}
+    sections = {"meta": {}, "config": {}, "param": {}}
     for line in lines[1:]:
         if not line.strip():
             continue
         kind, _, rest = line.partition(" ")
-        key, _, value = rest.partition(" ")
-        if kind == "meta":
-            meta[key] = value
-        elif kind == "config":
-            config_raw[key] = value
-        elif kind == "param":
+        if kind not in sections:
+            raise CheckpointError(f"{manifest_path}: unknown line kind {kind!r}")
+        if kind == "param":
             try:
-                name, shape_s, offset_s = rest.rsplit(" ", 2)
+                key, shape_s, offset_s = rest.rsplit(" ", 2)
                 dims = tuple(int(d) for d in shape_s.strip("()").split(",") if d)
                 offset = int(offset_s)
             except ValueError:
@@ -206,24 +221,31 @@ def read_checkpoint(ckpt_dir):
                 raise CheckpointError(f"{manifest_path}: negative shape or offset in {line!r}")
             count = math.prod(dims)
             if offset + count * 8 > len(blob):
-                raise CheckpointError(f"param {name}: truncated blob")
+                raise CheckpointError(f"param {key}: truncated blob")
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            params[name] = arr.astype(np.float64).reshape(dims)
+            value = arr.astype(np.float64).reshape(dims)
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"param {key}: non-finite values")
         else:
-            raise CheckpointError(f"{manifest_path}: unknown line kind {kind!r}")
+            key, _, value = rest.partition(" ")
+        if key in sections[kind]:
+            raise CheckpointError(f"{manifest_path}: repeated {kind} {key!r}")
+        sections[kind][key] = value
+    meta, config_raw, params = sections["meta"], sections["config"], sections["param"]
 
-    try:
-        feat_dim = int(meta["feat_dim"])
-        a = np.array([float(v) for v in meta["cooccurrence"].split(",")]).reshape(3, 3)
-        counts = np.array(
-            [int(v) for v in meta["cooccurrence_counts"].split(",")], dtype=np.int64
-        ).reshape(3, 3)
-        n_cases = int(meta["cooccurrence_cases"])
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{manifest_path}: bad metadata: {exc}") from None
-    cooc = CooccurrenceMatrix(a=a, counts=counts, n_cases=n_cases)
+    if set(meta) != set(_META_PARSERS):
+        odd = sorted(set(meta) ^ set(_META_PARSERS))
+        raise CheckpointError(f"{manifest_path}: bad metadata: missing or unknown keys {odd}")
+    parsed = {}
+    for key, parse in _META_PARSERS.items():
+        try:
+            parsed[key] = parse(meta[key])
+        except (ValueError, OverflowError):
+            raise CheckpointError(f"{manifest_path}: bad metadata: {key} {meta[key]!r}") from None
+    cooc = CooccurrenceMatrix(a=parsed["cooccurrence"], counts=parsed["cooccurrence_counts"],
+                              n_cases=parsed["cooccurrence_cases"])
     try:
         cfg = parse_config(TrainConfig, config_raw)
     except ConfigError as exc:
         raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
-    return params, feat_dim, cooc, cfg
+    return params, parsed["feat_dim"], cooc, cfg

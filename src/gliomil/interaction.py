@@ -10,10 +10,12 @@ M shrinking on a schedule so agreement is demanded only on the most
 decisive patches as training progresses.
 
 Gradient modulation projects one parameter group's gradient to be
-orthogonal to the other group's, keeping its length. The two groups have
-different sizes, so the reference gradient is embedded into the
+orthogonal to the other group's, keeping its length. A gradient is one
+flat vector in the model's parameter layout (``Model.theta``), and each
+group is a contiguous slice of it (``Model.groups``). The two groups
+have different sizes, so the reference gradient is embedded into the
 modulated group's coordinate space first (zero-padded or truncated at
-the tail). Both flat orders lead with structurally identical sub-trees
+the tail). Both slices lead with structurally identical sub-trees
 (refinement blocks, pool, 2-way classifier) -- the molecular group
 starts with the IDH branch -- so the embedding aligns the coupled pair
 of branches coordinate-for-coordinate.
@@ -145,42 +147,7 @@ def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gradient sets and modulation
-
-@dataclass
-class GradientSet:
-    """Named gradients split into the two modulated groups plus the rest.
-
-    Dicts preserve insertion order; flattening concatenates raveled
-    arrays in that order.
-    """
-
-    histology: dict   # name -> ndarray
-    molecular: dict
-    shared: dict      # disentangler + fusion: never modulated
-
-    def flat(self, group: str) -> np.ndarray:
-        arrs = getattr(self, group)
-        if not arrs:
-            return np.zeros(0)
-        return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrs.values()])
-
-    def with_flat(self, group: str, flat: np.ndarray) -> "GradientSet":
-        """Copy of this set with one group's gradients replaced from a flat vector."""
-        arrs = getattr(self, group)
-        new = {}
-        pos = 0
-        for name, a in arrs.items():
-            size = a.size
-            new[name] = flat[pos: pos + size].reshape(a.shape).copy()
-            pos += size
-        if pos != flat.size:
-            raise ValueError(f"flat vector of size {flat.size} does not cover group {group!r} ({pos})")
-        parts = {"histology": dict(self.histology), "molecular": dict(self.molecular),
-                 "shared": dict(self.shared)}
-        parts[group] = new
-        return GradientSet(**parts)
-
+# modulation
 
 @dataclass
 class ModulationRecord:
@@ -198,26 +165,28 @@ def majority_vote(flags) -> int:
 
 
 def cmg_modulate(
-    grads: GradientSet,
+    grad: np.ndarray,
+    groups: dict,
     nmp_majority: int,
     guide: bool = True,
     apply_rescale: bool = True,
 ):
-    """Project one group's flat gradient orthogonal to the other's.
+    """Project one group's slice of the flat gradient orthogonal to the other's.
 
-    A lesion-positive batch majority modulates the molecular group
-    (histology is the reliable signal there); a negative majority
-    modulates the histology group. With ``guide`` off the molecular
-    group is always the one modulated. Returns the new GradientSet and a
-    record of what happened.
+    ``groups`` maps "histology" and "molecular" to their slices of
+    ``grad``. A lesion-positive batch majority modulates the molecular
+    group (histology is the reliable signal there); a negative majority
+    modulates the histology group. With ``guide`` off the molecular group
+    is always the one modulated. Returns a copy of ``grad`` with the
+    modulated slice replaced, and a record of what happened.
     """
     if guide:
         group = "molecular" if nmp_majority == 1 else "histology"
     else:
         group = "molecular"
     other = "histology" if group == "molecular" else "molecular"
-    vec = grads.flat(group)
-    ref = embed_reference(grads.flat(other), vec.size)
+    vec = grad[groups[group]]
+    ref = embed_reference(grad[groups[other]], vec.size)
     projected = project_perp(vec, ref)
     if apply_rescale:
         projected = rescale(projected, float(np.linalg.norm(vec)))
@@ -227,4 +196,6 @@ def cmg_modulate(
         flat_before=vec,
         flat_after=projected,
     )
-    return grads.with_flat(group, projected), record
+    out = grad.copy()
+    out[groups[group]] = projected
+    return out, record

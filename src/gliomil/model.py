@@ -1,10 +1,14 @@
-"""Full model assembly: parameter registry, task partitions, per-bag forward.
+"""Full model assembly: one flat parameter vector, task groups, per-bag forward.
 
 Parameters are registered under hierarchical names in construction
-order. Names starting ``his.`` form the histology group and names
-starting ``mol.`` the molecular group -- the two groups gradient
-modulation acts on; the disentangler and the fusion classifier belong to
-neither and are never modulated. Both groups' flat orders begin with a
+order and packed into one contiguous float64 vector, ``Model.theta``;
+each parameter's ``Tensor.data`` is a reshaped view of its span, so
+writing ``theta`` moves the model and nothing rebinds a parameter's
+array. Names starting ``his.`` come first and form the histology group,
+names starting ``mol.`` follow and form the molecular group; each group
+is one contiguous slice of ``theta`` (``Model.groups``) -- the two
+slices gradient modulation acts on. The disentangler and the fusion
+classifier follow and are never modulated. Both groups begin with a
 structurally identical branch (blocks, pool, classifier), the molecular
 group leading with its IDH branch.
 """
@@ -29,7 +33,8 @@ from .heads import (
     init_molecular,
     molecular_forward,
 )
-from .interaction import ConfidenceVector, GradientSet, confidence_weights
+from .dataio import CheckpointError
+from .interaction import ConfidenceVector, confidence_weights
 from .synth import PatchBag
 
 # classifier column conventions: binary heads order logits (negative, positive)
@@ -81,56 +86,48 @@ class Model:
         self.fusion_w = make(rng.normal(scale=std, size=(2 * k, 4)))
         self.fusion_b = make(np.zeros((1, 4)))
 
-        params: dict = {}
-        _walk(self.his, "his", params)
-        _walk(self.mol, "mol", params)
+        his: dict = {}
+        mol: dict = {}
+        _walk(self.his, "his", his)
+        _walk(self.mol, "mol", mol)
+        params = {**his, **mol}
         _walk(self.disent, "disent", params)
         params["fusion.w"] = self.fusion_w
         params["fusion.b"] = self.fusion_b
         self.params = params
-        self.histology_names = [n for n in params if n.startswith("his.")]
-        self.molecular_names = [n for n in params if n.startswith("mol.")]
-        self.shared_names = [
-            n for n in params if not (n.startswith("his.") or n.startswith("mol."))
-        ]
+        self.theta = np.concatenate([t.data.ravel() for t in params.values()])
+        offset = 0
+        for t in params.values():
+            t.data = self.theta[offset: offset + t.data.size].reshape(t.data.shape)
+            offset += t.data.size
+        n_his = sum(t.data.size for t in his.values())
+        n_mol = sum(t.data.size for t in mol.values())
+        self.groups = {"histology": slice(0, n_his), "molecular": slice(n_his, n_his + n_mol)}
 
     def load_state(self, state: dict) -> None:
+        """Write checkpoint arrays into the parameter views (and so into ``theta``)."""
         missing = sorted(set(self.params) - set(state))
         extra = sorted(set(state) - set(self.params))
         if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+            raise CheckpointError(f"checkpoint params: missing {missing}, unexpected {extra}")
         for name, tensor in self.params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != tensor.data.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint param {name}: shape {arr.shape} != expected {tensor.data.shape}"
                 )
-            tensor.data = arr.copy()
+            tensor.data[...] = arr
 
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None
 
-    def gradient_set(self) -> GradientSet:
-        def grab(names):
-            out = {}
-            for name in names:
-                t = self.params[name]
-                out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-            return out
-
-        return GradientSet(
-            histology=grab(self.histology_names),
-            molecular=grab(self.molecular_names),
-            shared=grab(self.shared_names),
-        )
-
-    def apply_gradient_set(self, gs: GradientSet) -> dict:
-        merged = {}
-        merged.update(gs.histology)
-        merged.update(gs.molecular)
-        merged.update(gs.shared)
-        return merged
+    def gradient_set(self) -> np.ndarray:
+        """Every parameter's gradient in ``theta``'s layout; zeros where none arrived."""
+        return np.concatenate([
+            (t.grad if t.grad is not None else np.zeros_like(t.data)).ravel()
+            for t in self.params.values()
+        ])
 
     def forward(self, bag: PatchBag, adjacency: np.ndarray, ablations=()) -> BagForward:
         d = disentangle(Tensor(bag.feats_low), Tensor(bag.feats_high), self.disent)

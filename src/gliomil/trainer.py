@@ -174,13 +174,14 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
             vote = majority_vote([bag.markers.nmp for bag in batch])
             grads, record = cmg_modulate(
                 grads,
+                model.groups,
                 vote,
                 guide="no_guide" not in cfg.ablations,
                 apply_rescale="no_rescale" not in cfg.ablations,
             )
             if modulation_hook is not None:
                 modulation_hook(epoch=epoch, step=n_batches, record=record, grads=grads)
-        optimizer.step(model.apply_gradient_set(grads))
+        optimizer.step(grads)
         for fwd, bag in zip(forwards, batch):
             m_eff = min(top_m, fwd.conf_wt.values.size)
             overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, m_eff)
@@ -205,7 +206,7 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
         ModelConfig(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha),
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))),
     )
-    optimizer = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     order_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(12,)))
     if log and "no_cmg" in cfg.ablations:
         log("gradient modulation: skipped (no_cmg)")

@@ -1,9 +1,17 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
+import contextlib
+import io
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliomil.cli import main
-from gliomil.config import ABLATION_FLAGS
-from gliomil.dataio import read_dataset
+from gliomil.config import ABLATION_FLAGS, GenConfig
+from gliomil.dataio import read_dataset, write_dataset
+from gliomil.synth import generate_dataset
 
 
 def write_cfg(path, text):
@@ -217,6 +225,24 @@ BAD_CHECKPOINT_MANIFESTS = {
     "config_int_fraction": (
         _replace_line("config batch_size ", lambda _: "config batch_size 6.5"), "batch_size"),
     "config_float_not_float": (_replace_line("config lr ", lambda _: "config lr fast"), "lr"),
+    "config_repeated": (lambda lines: lines + ["config epochs 7"], "epochs"),
+    "config_seed_negative": (_replace_line("config seed ", lambda _: "config seed -1"), "seed"),
+    "meta_repeated": (lambda lines: lines + ["meta cooccurrence_cases 3"], "cooccurrence_cases"),
+    "meta_unknown": (lambda lines: lines + ["meta bogus 3"], "bogus"),
+    "meta_value_named": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim"), "feat_dim"),
+    "meta_feat_dim_zero": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim 0"),
+                           "feat_dim"),
+    "meta_count_overflow": (
+        _replace_line("meta cooccurrence_counts ", lambda _: "meta cooccurrence_counts "
+                      + ",".join(["99999999999999999999"] * 9)), "cooccurrence_counts"),
+    "param_repeated": (
+        lambda lines: lines + [next(ln for ln in lines if ln.startswith("param "))],
+        "his.blocks.0.ln1_gain"),
+    "param_shape_transposed": (
+        _replace_line("param his.blocks.0.ln1_gain ", _set_param_field(2, "(4,1)")),
+        "his.blocks.0.ln1_gain"),
+    "param_deleted": (
+        lambda lines: [ln for ln in lines if not ln.startswith("param fusion.b ")], "fusion.b"),
 }
 
 
@@ -244,6 +270,139 @@ def test_eval_rejects_negative_dataset_blob_offset(tmp_path, trained_run, capsys
     capsys.readouterr()
     assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
     _one_error_line(capsys.readouterr().err, fields[0])
+
+
+NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _mutate(lines, data):
+    """One drawn edit of one manifest line: duplicate, delete, swap tokens or replace a number."""
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    how = data.draw(st.sampled_from(["duplicate", "delete", "swap", "number"]), label="edit")
+    if how == "duplicate":
+        lines.insert(i + 1, lines[i])
+    elif how == "delete":
+        del lines[i]
+    elif how == "swap":
+        tokens = lines[i].split(" ")
+        a, b = (data.draw(st.integers(0, len(tokens) - 1), label="token") for _ in range(2))
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        lines[i] = " ".join(tokens)
+    else:
+        spans = [m.span() for m in NUMBER.finditer(lines[i])]
+        if spans:
+            lo, hi = data.draw(st.sampled_from(spans), label="number")
+            new = data.draw(st.sampled_from(["x", "-1", str(10**12)]), label="value")
+            lines[i] = lines[i][:lo] + new + lines[i][hi:]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_ckpt(trained_run, tmp_path_factory):
+    _, run = trained_run
+    ckpt = tmp_path_factory.mktemp("fuzz")
+    (ckpt / "checkpoint.blob").write_bytes((run / "checkpoint.blob").read_bytes())
+    return ckpt
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_eval_on_a_mutated_manifest_exits_0_or_2(trained_run, fuzz_ckpt, data):
+    data_dir, run = trained_run
+    lines = _mutate((run / "checkpoint.manifest").read_text().splitlines(), data)
+    (fuzz_ckpt / "checkpoint.manifest").write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--data", str(data_dir), "--checkpoint", str(fuzz_ckpt),
+                     "--split", "all"])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        _one_error_line(err.getvalue(), "error:")
+
+
+def test_eval_rejects_non_finite_checkpoint_value(tmp_path, trained_run, capsys):
+    data, run = trained_run
+    ckpt = _copy_run(run, tmp_path / "ckpt", lambda lines: lines)
+    blob = bytearray((ckpt / "checkpoint.blob").read_bytes())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last entry of the last param
+    (ckpt / "checkpoint.blob").write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err, "fusion.b")
+
+
+def test_train_rejects_negative_seed(tmp_path, small_data, capsys):
+    cfg = write_cfg(tmp_path / "train.cfg", "epochs = 1\nseed = -1\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(small_data), "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    _one_error_line(capsys.readouterr().err, "seed")
+
+
+def _write_bags(dest, *gen_cfgs, edit_record=None):
+    """Write the bags of every generator config into one dataset at ``dest``."""
+    bags = [bag for cfg in gen_cfgs for bag in generate_dataset(cfg)]
+    write_dataset(dest, bags)
+    if edit_record is not None:
+        lines = (dest / "dataset.manifest").read_text().splitlines()
+        fields = lines[1].split()
+        edit_record(fields)
+        lines[1] = " ".join(fields)
+        (dest / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def _set_field(index, value):
+    def edit(fields):
+        fields[index] = value
+
+    return edit
+
+
+def _empty_dataset(dest):
+    dest.mkdir()
+    (dest / "dataset.manifest").write_text("bagset v1 cases=0\n")
+    (dest / "dataset.blob").write_bytes(b"")
+    return dest
+
+
+# dataset builder -> text the one error line must contain
+BAD_DATASETS = {
+    "mixed_width": (lambda d: _write_bags(d, GenConfig(n_cases=6, n_patches=4, feat_dim=4),
+                                         GenConfig(n_cases=6, n_patches=4, feat_dim=6)),
+                    "feature width"),
+    "zero_patches": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
+                                           edit_record=_set_field(1, "0")), "empty bag"),
+    "zero_width": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
+                                         edit_record=_set_field(2, "0")), "empty bag"),
+    "no_cases": (_empty_dataset, "no cases"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_rejects_malformed_dataset(tmp_path, trained_run, capsys, case, command):
+    _, run = trained_run
+    build, key = BAD_DATASETS[case]
+    data = build(tmp_path / "data")
+    if command == "train":
+        argv = ["train", "--data", str(data), "--config", quick_train_cfg(tmp_path),
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["eval", "--data", str(data), "--checkpoint", str(run), "--split", "all"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err, key)
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_rejects_dataset_wider_than_checkpoint(tmp_path, trained_run, capsys):
+    _, run = trained_run
+    data = _write_bags(tmp_path / "data", GenConfig(n_cases=12, n_patches=4, feat_dim=6))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(run)]) == 2
+    _one_error_line(capsys.readouterr().err, "feat_dim")
 
 
 NO_LOSS_LEFT = "w_glioma = 0\nw_molecular = 0\nw_histology = 0\nw_disent = 0\nw_dcc = 0\n"

@@ -10,7 +10,6 @@ from gliomil.autodiff import Tensor
 from gliomil.interaction import (
     ConfidenceVector,
     CurriculumSchedule,
-    GradientSet,
     cmg_modulate,
     confidence_weights,
     curriculum_m,
@@ -175,71 +174,66 @@ class TestMajorityVote:
         assert majority_vote([]) == 1
 
 
+def flat_grads(his_parts, mol_parts, shared_parts):
+    """A flat gradient laid out histology, molecular, shared, with its group slices."""
+    his = np.concatenate([np.ravel(a) for a in his_parts])
+    mol = np.concatenate([np.ravel(a) for a in mol_parts])
+    grad = np.concatenate([his, mol] + [np.ravel(a) for a in shared_parts])
+    groups = {"histology": slice(0, his.size), "molecular": slice(his.size, his.size + mol.size)}
+    return grad, groups
+
+
 def toy_grads(mol, his):
-    """A gradient set with single-array groups for hand-checking."""
-    return GradientSet(
-        histology={"h.w": np.asarray(his, dtype=np.float64)},
-        molecular={"m.w": np.asarray(mol, dtype=np.float64)},
-        shared={"s.w": np.array([7.0])},
-    )
+    """A flat gradient with one-array groups and a one-entry shared tail, for hand-checking."""
+    return flat_grads([np.asarray(his, dtype=np.float64)],
+                      [np.asarray(mol, dtype=np.float64)], [np.array([7.0])])
 
 
 class TestModulation:
     def test_toy_example_molecular_modulated(self):
-        gs = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, record = cmg_modulate(gs, nmp_majority=1)
+        grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
+        out, record = cmg_modulate(grad, groups, nmp_majority=1)
         assert record.modulated_group == "molecular"
-        assert np.allclose(out.molecular["m.w"], [0.0, math.sqrt(2.0)], atol=1e-12)
-        assert np.array_equal(out.histology["h.w"], gs.histology["h.w"])
-        assert np.array_equal(out.shared["s.w"], gs.shared["s.w"])
+        assert np.allclose(out[groups["molecular"]], [0.0, math.sqrt(2.0)], atol=1e-12)
+        assert np.array_equal(out[groups["histology"]], [1.0, 0.0])
+        assert out[-1] == 7.0
+        assert np.array_equal(grad, [1.0, 0.0, 1.0, 1.0, 7.0])  # input left untouched
 
     def test_negative_majority_modulates_histology(self):
-        gs = toy_grads([1.0, 0.0], [1.0, 1.0])
-        out, record = cmg_modulate(gs, nmp_majority=0)
+        grad, groups = toy_grads([1.0, 0.0], [1.0, 1.0])
+        out, record = cmg_modulate(grad, groups, nmp_majority=0)
         assert record.modulated_group == "histology"
-        assert np.allclose(out.histology["h.w"], [0.0, math.sqrt(2.0)], atol=1e-12)
-        assert np.array_equal(out.molecular["m.w"], gs.molecular["m.w"])
+        assert np.allclose(out[groups["histology"]], [0.0, math.sqrt(2.0)], atol=1e-12)
+        assert np.array_equal(out[groups["molecular"]], [1.0, 0.0])
 
     def test_guide_off_always_modulates_molecular(self):
-        gs = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, record = cmg_modulate(gs, nmp_majority=0, guide=False)
+        grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
+        out, record = cmg_modulate(grad, groups, nmp_majority=0, guide=False)
         assert record.modulated_group == "molecular"
-        assert np.array_equal(out.histology["h.w"], gs.histology["h.w"])
+        assert np.array_equal(out[groups["histology"]], grad[groups["histology"]])
 
     def test_rescale_off_keeps_raw_projection(self):
-        gs = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, _ = cmg_modulate(gs, nmp_majority=1, apply_rescale=False)
-        assert np.allclose(out.molecular["m.w"], [0.0, 1.0], atol=1e-15)
+        grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
+        out, _ = cmg_modulate(grad, groups, nmp_majority=1, apply_rescale=False)
+        assert np.allclose(out[groups["molecular"]], [0.0, 1.0], atol=1e-15)
 
     def test_unequal_sizes_orthogonal_and_norm_preserving(self):
         rng = np.random.default_rng(3)
         for trial in range(30):
-            gs = GradientSet(
-                histology={"h.a": rng.normal(size=(3, 2)), "h.b": rng.normal(size=(4,))},
-                molecular={"m.a": rng.normal(size=(5, 3)), "m.b": rng.normal(size=(2,))},
-                shared={"s.a": rng.normal(size=(2, 2))},
+            grad, groups = flat_grads(
+                [rng.normal(size=(3, 2)), rng.normal(size=(4,))],
+                [rng.normal(size=(5, 3)), rng.normal(size=(2,))],
+                [rng.normal(size=(2, 2))],
             )
             vote = trial % 2
-            out, record = cmg_modulate(gs, nmp_majority=vote)
+            out, record = cmg_modulate(grad, groups, nmp_majority=vote)
             after = record.flat_after
             ref = record.reference_embedded
             norms = np.linalg.norm(after) * np.linalg.norm(ref)
             assert abs(after @ ref) <= 1e-8 * max(norms, 1e-30)
             assert abs(np.linalg.norm(after) - np.linalg.norm(record.flat_before)) <= 1e-8
-            untouched = "histology" if record.modulated_group == "molecular" else "molecular"
-            for name, arr in getattr(gs, untouched).items():
-                assert np.array_equal(getattr(out, untouched)[name], arr)
-            for name, arr in gs.shared.items():
-                assert np.array_equal(out.shared[name], arr)
-
-    def test_flat_reshape_roundtrip(self):
-        rng = np.random.default_rng(4)
-        gs = GradientSet(
-            histology={"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(5,))},
-            molecular={}, shared={},
-        )
-        flat = gs.flat("histology")
-        assert flat.shape == (11,)
-        back = gs.with_flat("histology", flat)
-        for name in gs.histology:
-            assert np.array_equal(back.histology[name], gs.histology[name])
+            span = groups[record.modulated_group]
+            assert np.array_equal(out[span], after)
+            keep = np.ones(grad.size, dtype=bool)
+            keep[span] = False
+            assert np.array_equal(out[keep], grad[keep])

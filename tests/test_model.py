@@ -1,0 +1,105 @@
+"""The flat parameter layout: every parameter is a view of ``Model.theta``."""
+import numpy as np
+
+from gliomil.config import GenConfig, TrainConfig
+from gliomil.model import Model, ModelConfig
+from gliomil.optim import AdamW
+from gliomil.synth import estimate_cooccurrence, generate_dataset
+from gliomil.trainer import train_epoch
+
+
+def build(feat_dim=6, seed=0):
+    return Model(ModelConfig(feat_dim=feat_dim), np.random.default_rng(seed))
+
+
+def offset_in_theta(model, arr):
+    """Index of ``arr``'s first element inside ``model.theta``."""
+    start = arr.__array_interface__["data"][0] - model.theta.__array_interface__["data"][0]
+    return start // model.theta.itemsize
+
+
+def assert_views_of_theta(model):
+    for name, t in model.params.items():
+        assert np.shares_memory(t.data, model.theta), name
+        assert t.data.flags.c_contiguous, name
+
+
+def test_every_parameter_is_a_view_of_theta():
+    model = build()
+    assert model.theta.dtype == np.float64 and model.theta.ndim == 1
+    assert model.theta.flags.c_contiguous
+    assert_views_of_theta(model)
+
+
+def test_views_tile_theta_in_registry_order():
+    model = build()
+    names = list(model.params)
+    assert len({id(t) for t in model.params.values()}) == len(names)
+    prefixes = [n.split(".", 1)[0] for n in names]
+    assert prefixes == sorted(prefixes, key=["his", "mol", "disent", "fusion"].index)
+    offset = 0
+    for name in names:
+        data = model.params[name].data
+        assert offset_in_theta(model, data) == offset, name
+        offset += data.size
+    assert offset == model.theta.size
+
+
+def test_groups_are_the_spans_of_the_branch_parameters():
+    model = build()
+
+    def span(prefix):
+        views = [t.data for n, t in model.params.items() if n.startswith(prefix)]
+        start = offset_in_theta(model, views[0])
+        return slice(start, start + sum(v.size for v in views))
+
+    assert model.groups == {"histology": span("his."), "molecular": span("mol.")}
+    assert model.groups["histology"].start == 0
+    assert model.groups["histology"].stop == model.groups["molecular"].start
+    theta = model.theta.copy()
+    model.params["mol.idh.clf_b"].data[...] = 123.0
+    changed = np.flatnonzero(model.theta != theta)
+    assert changed.size and all(
+        model.groups["molecular"].start <= i < model.groups["molecular"].stop for i in changed
+    )
+
+
+def test_gradient_set_is_flat_in_theta_layout():
+    model = build()
+    for i, t in enumerate(model.params.values()):
+        t.grad = np.full(t.data.shape, float(i)) if i % 3 else None
+    grad = model.gradient_set()
+    assert grad.shape == model.theta.shape
+    for i, t in enumerate(model.params.values()):
+        at = offset_in_theta(model, t.data)
+        np.testing.assert_array_equal(grad[at: at + t.data.size], float(i) if i % 3 else 0.0)
+
+
+def test_load_state_writes_through_to_theta_and_keeps_identity():
+    model = build(seed=0)
+    tensors = dict(model.params)
+    theta = model.theta
+    source = build(seed=1)
+    model.load_state({n: t.data.copy() for n, t in source.params.items()})
+    assert model.theta is theta
+    np.testing.assert_array_equal(model.theta, source.theta)
+    for name, t in model.params.items():
+        assert t is tensors[name]
+    assert_views_of_theta(model)
+
+
+def test_train_epoch_moves_parameters_only_through_theta():
+    bags = generate_dataset(GenConfig(n_cases=12, n_patches=4, feat_dim=4, seed=2))
+    adjacency = estimate_cooccurrence(np.array(
+        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in bags]
+    )).a
+    cfg = TrainConfig(epochs=1, batch_size=6, seed=0)
+    model = build(feat_dim=4)
+    theta, before = model.theta, model.theta.copy()
+    data_ids = {n: id(t.data) for n, t in model.params.items()}
+    optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    train_epoch(model, bags, adjacency, cfg, optimizer, 0, np.random.default_rng(0))
+    assert model.theta is theta and optimizer.theta is theta
+    assert not np.array_equal(model.theta, before)
+    assert {n: id(t.data) for n, t in model.params.items()} == data_ids
+    assert_views_of_theta(model)

@@ -142,14 +142,14 @@ def test_all_terms_disabled_raises():
 
 
 def test_adamw_first_step_is_signed_unit_scaled():
-    p = ad.Tensor(np.array([[2.0, -3.0]]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-    opt.step({"p": np.array([[0.5, -0.25]])})
+    theta = np.array([2.0, -3.0])
+    opt = AdamW(theta, lr=0.1, weight_decay=0.0)
+    opt.step(np.array([0.5, -0.25]))
     # first Adam step moves each coordinate by ~lr * sign(grad)
-    expect = np.array([[2.0, -3.0]]) - 0.1 * np.array([[1.0, -1.0]]) * (
+    expect = np.array([2.0, -3.0]) - 0.1 * np.array([1.0, -1.0]) * (
         1.0 / (1.0 + 1e-8 / np.sqrt(1 - 0.999))
     )
-    np.testing.assert_allclose(p.data, expect, rtol=1e-6)
+    np.testing.assert_allclose(theta, expect, rtol=1e-6)
 
 
 def test_adamw_zero_lr_is_identity():

@@ -32,7 +32,7 @@ from .dataio import (
 )
 from .metrics import compute_metrics, report_text
 from .model import Model, ModelConfig
-from .synth import CLASS_NAMES, estimate_cooccurrence, generate_dataset
+from .synth import CLASS_NAMES, estimate_cooccurrence, generate_dataset, marker_table
 from .trainer import (
     LossError,
     ablation_csv,
@@ -66,10 +66,7 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset(out, bags)
-    marker_rows = np.array(
-        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in bags]
-    )
-    cooc = estimate_cooccurrence(marker_rows)
+    cooc = estimate_cooccurrence(marker_table(bags))
     print(f"wrote {len(bags)} cases to {out}")
     print("marker co-occurrence:")
     for row in cooc.a:

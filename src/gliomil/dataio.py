@@ -9,12 +9,13 @@ idea at float64: a manifest of named parameter shapes and byte offsets
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, TrainConfig, format_config, parse_config
-from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, align_patch_count, derive_glioma_class
+from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, derive_glioma_class
 
 DATASET_MANIFEST = "dataset.manifest"
 DATASET_BLOB = "dataset.blob"
@@ -74,12 +75,8 @@ def _parse_int(token: str, what: str, case_id: str) -> int:
         raise DatasetError(f"case {case_id}: bad {what} field {token!r}") from None
 
 
-def read_dataset(data_dir, n_patches: int | None = None) -> list:
-    """Read bags back; optionally force every bag to ``n_patches`` rows.
-
-    External bags whose stored patch count differs from ``n_patches`` are
-    aligned by cycling (too few) or bucket-averaging (too many).
-    """
+def read_dataset(data_dir) -> list:
+    """Read bags back, each with its stored patch count."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / DATASET_MANIFEST
     blob_path = data_dir / DATASET_BLOB
@@ -140,9 +137,6 @@ def read_dataset(data_dir, n_patches: int | None = None) -> list:
             raise DatasetError(
                 f"case {case_id}: stored class {glioma} contradicts markers {labels}"
             )
-        if n_patches is not None and n != n_patches:
-            high = align_patch_count(high, n_patches)
-            low = align_patch_count(low, n_patches)
         bags.append(
             PatchBag(case_id=case_id, feats_high=high, feats_low=low,
                      markers=markers, glioma_class=glioma)
@@ -244,6 +238,9 @@ def read_checkpoint(ckpt_dir):
             raise CheckpointError(f"{manifest_path}: bad metadata: {key} {meta[key]!r}") from None
     cooc = CooccurrenceMatrix(a=parsed["cooccurrence"], counts=parsed["cooccurrence_counts"],
                               n_cases=parsed["cooccurrence_cases"])
+    missing = [f.name for f in fields(TrainConfig) if f.name not in config_raw]
+    if missing:
+        raise CheckpointError(f"{manifest_path}: bad config: missing keys {missing}")
     try:
         cfg = parse_config(TrainConfig, config_raw)
     except ConfigError as exc:

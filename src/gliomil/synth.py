@@ -157,21 +157,10 @@ def generate_dataset(cfg: GenConfig) -> list:
     return bags
 
 
-def align_patch_count(feats: np.ndarray, n: int) -> np.ndarray:
-    """Force a feature matrix to exactly ``n`` rows.
-
-    Fewer rows cycle from the top; more rows are averaged over ``n``
-    contiguous, near-equal buckets (boundary i sits at ceil(i * M / n)).
-    """
-    if n < 1:
-        raise ValueError(f"target patch count must be >= 1, got {n}")
-    m = feats.shape[0]
-    if m == n:
-        return feats
-    if m < n:
-        return feats[np.arange(n) % m]
-    bounds = [-(-i * m // n) for i in range(n + 1)]  # ceil without floats
-    return np.stack([feats[bounds[i]:bounds[i + 1]].mean(axis=0) for i in range(n)])
+def marker_table(bags) -> np.ndarray:
+    """The (n, 3) table of molecular markers that ``estimate_cooccurrence`` reads."""
+    return np.array([[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel]
+                     for b in bags])
 
 
 def estimate_cooccurrence(marker_rows: np.ndarray) -> CooccurrenceMatrix:

@@ -32,7 +32,7 @@ from .interaction import (
 from .metrics import CasePrediction, MetricReport, compute_metrics
 from .model import Model, ModelConfig
 from .optim import AdamW
-from .synth import CooccurrenceMatrix, estimate_cooccurrence
+from .synth import CooccurrenceMatrix, estimate_cooccurrence, marker_table
 
 
 class LossError(RuntimeError):
@@ -197,10 +197,7 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
     validate(cfg)
     t0 = time.time()
     train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
-    marker_rows = np.array(
-        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in train_bags]
-    )
-    cooc = estimate_cooccurrence(marker_rows)
+    cooc = estimate_cooccurrence(marker_table(train_bags))
     feat_dim = bags[0].feats_high.shape[1]
     model = Model(
         ModelConfig(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha),

@@ -1,12 +1,17 @@
 """Runtime gradient verification: per-op checks plus an end-to-end model check.
 
-This is the machinery behind the ``gradcheck`` CLI command. Each operation
-gets many randomized finite-difference trials; the full model gets a
+This is the machinery behind the ``gradcheck`` CLI command and the test
+suite's per-op gradient tests. ``OP_CASES`` is the one registry of op
+cases: name -> ``build(rng) -> (params, loss_fn)``. ``check_op`` runs one
+case's randomized finite-difference trials, each trial drawing its
+operands from a stream keyed by (seed, case name, trial), so adding or
+removing a case changes no other case's draws. The full model gets a
 sampled-coordinate check through the complete training loss.
 """
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +21,7 @@ from .autodiff import Tensor
 from .config import GenConfig, TrainConfig
 from .gradcheck import grad_check
 from .model import Model, ModelConfig
-from .synth import estimate_cooccurrence, generate_dataset
+from .synth import estimate_cooccurrence, generate_dataset, marker_table
 from .trainer import batch_loss
 
 
@@ -32,111 +37,126 @@ class CheckLine:
         return f"{tag:4s} {self.name:24s} trials={self.trials:<4d} max rel err {self.max_rel_err:.3e}"
 
 
-def _param(rng, shape) -> Tensor:
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
+def _uniform(*shape, low=-2.0, high=2.0):
+    return lambda rng: Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
 
 
-def _kink_free(rng, shape) -> Tensor:
-    mag = rng.uniform(0.2, 1.5, size=shape)
-    return Tensor(mag * np.where(rng.random(shape) < 0.5, -1.0, 1.0), requires_grad=True)
-
-
-def _positive(rng, shape) -> Tensor:
-    return Tensor(rng.uniform(0.3, 2.0, size=shape), requires_grad=True)
+def _off_zero(*shape, low, high=2.0):
+    """Magnitudes in [low, high] with random signs: kept off 0 on both sides."""
+    def draw(rng):
+        signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        return Tensor(signs * rng.uniform(low, high, size=shape), requires_grad=True)
+    return draw
 
 
 def _scalarize(t: Tensor) -> Tensor:
+    """Weighted sum of every entry, so each one gets a distinct gradient; a 0-d t is kept."""
+    if t.data.ndim == 0:
+        return t
     weight = Tensor(np.linspace(0.25, 1.75, t.data.size).reshape(t.data.shape))
     return ad.sum_all(ad.mul(t, weight))
 
 
-def _op_cases(rng):
-    """(name, params, scalar-loss closure) triples covering every op."""
-    a = _param(rng, (3, 4))
-    b = _param(rng, (3, 4))
-    s = _param(rng, ())
-    m1 = _param(rng, (3, 4))
-    m2 = _param(rng, (4, 2))
-    row = _param(rng, (1, 4))
-    pos = _positive(rng, (3, 4))
-    kink = _kink_free(rng, (3, 4))
-    near = Tensor(a.data + 0.05 * rng.standard_normal((3, 4)), requires_grad=True)
-    logits = _param(rng, (1, 4))
-    label = int(rng.integers(0, 4))
-    pos_s = _positive(rng, ())
-    # drawn last, so the cases above keep the operands they had before attention
-    att_q = _param(rng, (3, 4))
-    att_k = _param(rng, (5, 4))
-    att_v = _param(rng, (5, 2))
-    # drawn after the attention operands, for the same reason
-    lin_x, lin_w, lin_b = _param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (1, 2))
-    while np.abs(lin_x.data @ lin_w.data + lin_b.data).min() < 0.01:
-        lin_b.data += 0.05  # keep every ReLU input off the kink
-    an_gain, an_bias = _param(rng, (1, 4)), _param(rng, (1, 4))
-    mix_p = [_param(rng, (3, 4)) for _ in range(3)]
-    mix_r = _param(rng, (3, 4))
-    mix_c = (0.7, -0.4, 0.9)
-    near_kink = np.abs(sum(c * p.data for c, p in zip(mix_c, mix_p))) < 0.01
-    mix_p[0].data[near_kink] += 0.1
-    return [
-        ("add", {"a": a, "b": b}, lambda: _scalarize(ad.add(a, b))),
-        ("add_scalar", {"a": a, "s": s}, lambda: _scalarize(ad.add(a, s))),
-        ("sub", {"a": a, "b": b}, lambda: _scalarize(ad.sub(a, b))),
-        ("mul", {"a": a, "b": b}, lambda: _scalarize(ad.mul(a, b))),
-        ("mul_scalar", {"a": a, "s": s}, lambda: _scalarize(ad.mul(a, s))),
-        ("div", {"a": a, "pos": pos}, lambda: _scalarize(ad.div(a, pos))),
-        ("div_scalar", {"a": a, "pos_s": pos_s}, lambda: _scalarize(ad.div(a, pos_s))),
-        ("scale", {"a": a}, lambda: _scalarize(ad.scale(a, -1.7))),
-        ("matmul", {"m1": m1, "m2": m2}, lambda: _scalarize(ad.matmul(m1, m2))),
-        ("transpose", {"a": a}, lambda: _scalarize(ad.transpose(a))),
-        ("repeat_rows", {"row": row}, lambda: _scalarize(ad.repeat_rows(row, 3))),
-        ("concat", {"a": a, "b": b}, lambda: _scalarize(ad.concat([a, b], axis=0))),
-        ("narrow", {"a": a}, lambda: _scalarize(ad.narrow(a, 1, 1, 2))),
-        ("tanh", {"a": a}, lambda: _scalarize(ad.tanh(a))),
-        ("relu", {"kink": kink}, lambda: _scalarize(ad.relu(kink))),
-        ("exp", {"a": a}, lambda: _scalarize(ad.exp(a))),
-        ("log", {"pos": pos}, lambda: _scalarize(ad.log(pos))),
-        ("softmax_rows", {"a": a}, lambda: _scalarize(ad.softmax(a, axis=1))),
-        ("softmax_cols", {"a": a}, lambda: _scalarize(ad.softmax(a, axis=0))),
-        ("attention", {"att_q": att_q, "att_k": att_k, "att_v": att_v},
-         lambda: _scalarize(ad.attention(att_q, att_k, att_v, 0.5))),
-        ("layer_norm", {"a": a}, lambda: _scalarize(ad.layer_norm(a))),
-        ("sum_all", {"a": a}, lambda: ad.sum_all(a)),
-        ("mean_all", {"a": a}, lambda: ad.mean_all(a)),
-        ("l2norm", {"pos": pos}, lambda: ad.l2norm(pos)),
-        ("cosine", {"a": a, "b": b}, lambda: ad.cosine(a, b)),
-        ("mse", {"a": a, "near": near}, lambda: ad.mse(a, near)),
-        ("cross_entropy", {"logits": logits},
-         lambda: ad.softmax_cross_entropy(logits, label)),
-        ("linear_relu", {"lin_x": lin_x, "lin_w": lin_w, "lin_b": lin_b},
-         lambda: _scalarize(ad.linear(lin_x, lin_w, lin_b, relu=True))),
-        ("affine_norm", {"a": a, "an_gain": an_gain, "an_bias": an_bias},
-         lambda: _scalarize(ad.affine_norm(a, an_gain, an_bias))),
-        ("graph_mix_row", {"mix_p0": mix_p[0], "mix_p1": mix_p[1], "mix_p2": mix_p[2],
-                           "mix_r": mix_r},
-         lambda: _scalarize(ad.graph_mix_row(mix_p, mix_c, mix_r, 0.6))),
-    ]
+def _case(op, **operands):
+    """Builder of the loss ``_scalarize(op(*operands))``; each operand is ``draw(rng)``.
+
+    ``op`` reaches autodiff through ``ad.<name>`` at call time, so a wrapper
+    installed on the module sees every call.
+    """
+    def build(rng):
+        params = {name: draw(rng) for name, draw in operands.items()}
+        return params, lambda: _scalarize(op(*params.values()))
+    return build
+
+
+def _linear_relu(rng):
+    x, w, b = _uniform(3, 4)(rng), _uniform(4, 2)(rng), _uniform(1, 2)(rng)
+    while np.abs(x.data @ w.data + b.data).min() < 1e-3:
+        b.data += 0.01  # keep every ReLU input off the kink
+    return {"x": x, "w": w, "b": b}, lambda: _scalarize(ad.linear(x, w, b, relu=True))
+
+
+def _concat(rng):
+    axis = int(rng.integers(2))  # unequal parts along either axis
+    shapes = [(2, 3), (4, 3)] if axis == 0 else [(3, 2), (3, 4)]
+    a, b = (_uniform(*shape)(rng) for shape in shapes)
+    return {"a": a, "b": b}, lambda: _scalarize(ad.concat([a, b], axis=axis))
+
+
+def _cosine(rng):
+    shape = (4,) if rng.random() < 0.5 else (3, 4)  # cosine flattens either
+    a, b = _off_zero(*shape, low=0.2)(rng), _off_zero(*shape, low=0.2)(rng)
+    return {"a": a, "b": b}, lambda: ad.cosine(a, b)
+
+
+def _graph_mix_row(rng):
+    ps, r = [_uniform(3, 4)(rng) for _ in range(3)], _uniform(3, 4)(rng)
+    cs = _off_zero(3, low=0.2, high=1.0)(rng).data
+    ps[0].data[np.abs(sum(c * p.data for c, p in zip(cs, ps))) < 1e-3] += 0.05  # off the kink
+    params = {"p0": ps[0], "p1": ps[1], "p2": ps[2], "r": r}
+    return params, lambda: _scalarize(ad.graph_mix_row(ps, cs, r, 0.3))
+
+
+def _cross_entropy(rng):
+    x, label = _uniform(1, 5)(rng), int(rng.integers(5))
+    return {"x": x}, lambda: ad.softmax_cross_entropy(x, label)
+
+
+OP_CASES = {
+    "add": _case(lambda a, b: ad.add(a, b), a=_uniform(3, 4), b=_uniform(3, 4)),
+    "add_scalar": _case(lambda a, s: ad.add(a, s), a=_uniform(3, 4), s=_uniform()),
+    "sub": _case(lambda a, b: ad.sub(a, b), a=_uniform(3, 4), b=_uniform(3, 4)),
+    "mul": _case(lambda a, b: ad.mul(a, b), a=_uniform(3, 4), b=_uniform(3, 4)),
+    "mul_scalar": _case(lambda a, s: ad.mul(a, s), a=_uniform(3, 4), s=_uniform()),
+    "div": _case(lambda a, b: ad.div(a, b), a=_uniform(3, 4), b=_off_zero(3, 4, low=0.3)),
+    "div_scalar": _case(lambda a, s: ad.div(a, s), a=_uniform(3, 4), s=_off_zero(low=0.3)),
+    "scale": _case(lambda x: ad.scale(x, -1.7), x=_uniform(3, 4)),
+    "matmul": _case(lambda a, b: ad.matmul(a, b), a=_uniform(3, 4), b=_uniform(4, 2)),
+    "linear": _case(lambda x, w, b: ad.linear(x, w, b),
+                    x=_uniform(3, 4), w=_uniform(4, 2), b=_uniform(1, 2)),
+    "linear_relu": _linear_relu,
+    "transpose": _case(lambda x: ad.transpose(x), x=_uniform(3, 4)),
+    "repeat_rows": _case(lambda row: ad.repeat_rows(row, 4), row=_uniform(1, 5)),
+    "concat": _concat,
+    "narrow": _case(lambda x: ad.narrow(ad.narrow(x, 0, 1, 3), 1, 1, 2), x=_uniform(5, 4)),
+    "tanh": _case(lambda x: ad.tanh(x), x=_uniform(3, 4)),
+    "relu": _case(lambda x: ad.relu(x), x=_off_zero(3, 4, low=1e-3)),
+    "exp": _case(lambda x: ad.exp(x), x=_uniform(3, 4)),
+    "log": _case(lambda x: ad.log(x), x=_uniform(3, 4, low=0.2)),
+    "softmax": _case(lambda x: ad.softmax(x, axis=1), x=_uniform(3, 4)),
+    "softmax_axis0": _case(lambda x: ad.softmax(x, axis=0), x=_uniform(5, 3)),
+    "attention": _case(lambda q, k, v: ad.attention(q, k, v, 0.5),
+                       q=_uniform(3, 4), k=_uniform(5, 4), v=_uniform(5, 2)),
+    "layer_norm": _case(lambda x: ad.layer_norm(x), x=_uniform(4, 6)),
+    "affine_norm": _case(lambda x, gain, bias: ad.affine_norm(x, gain, bias),
+                         x=_uniform(4, 6), gain=_uniform(1, 6), bias=_uniform(1, 6)),
+    "graph_mix_row": _graph_mix_row,
+    "sum_all": _case(lambda x: ad.sum_all(ad.tanh(x)), x=_uniform(3, 4)),
+    "mean_all": _case(lambda x: ad.mean_all(ad.mul(x, x)), x=_uniform(3, 4)),
+    "l2norm": _case(lambda x: ad.l2norm(x), x=_off_zero(3, 3, low=0.1)),
+    "cosine": _cosine,
+    "mse": _case(lambda a, b: ad.mse(a, b), a=_uniform(3, 4), b=_uniform(3, 4)),
+    "softmax_cross_entropy": _cross_entropy,
+}
+
+
+def check_op(name: str, trials: int = 100, seed: int = 0) -> CheckLine:
+    """Run ``trials`` randomized finite-difference checks of one ``OP_CASES`` entry."""
+    build, key = OP_CASES[name], zlib.crc32(name.encode())
+    worst, fails = 0.0, 0
+    for trial in range(trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(7, key, trial)))
+        params, f = build(rng)
+        report = grad_check(f, params)
+        worst = max(worst, report.max_rel_err)
+        fails += not report.passed
+    return CheckLine(name=name, trials=trials, passed=fails == 0, max_rel_err=worst)
 
 
 def check_ops(trials: int = 100, seed: int = 0):
     """Run ``trials`` randomized finite-difference checks per operation."""
-    worst: dict = {}
-    fails: dict = {}
-    names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
-    for name in names:
-        worst[name] = 0.0
-        fails[name] = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, trial)))
-        for name, params, f in _op_cases(rng):
-            report = grad_check(f, params)
-            worst[name] = max(worst[name], report.max_rel_err)
-            if not report.passed:
-                fails[name] += 1
-    return [
-        CheckLine(name=name, trials=trials, passed=fails[name] == 0, max_rel_err=worst[name])
-        for name in names
-    ]
+    return [check_op(name, trials, seed) for name in OP_CASES]
 
 
 def check_model(seeds: int = 3, coords_per_param: int = 2, base_seed: int = 0):
@@ -149,10 +169,7 @@ def check_model(seeds: int = 3, coords_per_param: int = 2, base_seed: int = 0):
     for k in range(seeds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(8, k)))
         bags = generate_dataset(GenConfig(n_cases=4, n_patches=3, feat_dim=4, seed=1000 + k))
-        marker_rows = np.array(
-            [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in bags]
-        )
-        adjacency = estimate_cooccurrence(marker_rows).a
+        adjacency = estimate_cooccurrence(marker_table(bags)).a
         model = Model(ModelConfig(feat_dim=4), rng)
         batch = bags[:2]
         cfg = TrainConfig(seed=1000 + k)

@@ -28,6 +28,7 @@ from gliomil.synth import (
     derive_glioma_class,
     estimate_cooccurrence,
     generate_dataset,
+    marker_table,
 )
 from gliomil.trainer import split_dataset, train_epoch, train_model
 from gliomil.verify import run_suite
@@ -66,10 +67,7 @@ def test_c2_modulation_invariants_over_five_epochs():
     bags = generate_dataset(GenConfig(n_cases=60, n_patches=8, feat_dim=8, seed=1))
     cfg = TrainConfig(epochs=5, batch_size=6, seed=0)
     train_bags, _ = split_dataset(bags, cfg.val_fraction, cfg.seed)
-    rows = np.array(
-        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in train_bags]
-    )
-    cooc = estimate_cooccurrence(rows)
+    cooc = estimate_cooccurrence(marker_table(train_bags))
     model = Model(
         ModelConfig(feat_dim=8, graph_alpha=cfg.graph_alpha),
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))),

@@ -227,6 +227,8 @@ BAD_CHECKPOINT_MANIFESTS = {
     "config_float_not_float": (_replace_line("config lr ", lambda _: "config lr fast"), "lr"),
     "config_repeated": (lambda lines: lines + ["config epochs 7"], "epochs"),
     "config_seed_negative": (_replace_line("config seed ", lambda _: "config seed -1"), "seed"),
+    "config_missing": (lambda lines: [ln for ln in lines if not ln.startswith("config seed ")],
+                       "seed"),
     "meta_repeated": (lambda lines: lines + ["meta cooccurrence_cases 3"], "cooccurrence_cases"),
     "meta_unknown": (lambda lines: lines + ["meta bogus 3"], "bogus"),
     "meta_value_named": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim"), "feat_dim"),

@@ -71,20 +71,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match="contradicts"):
             read_dataset(tmp_path)
 
-    def test_external_patch_counts_are_aligned(self, tmp_path):
-        """Bags of varying length are standardized on read when asked."""
+    def test_uneven_patch_counts_round_trip(self, tmp_path):
+        """Bags of uneven patch counts come back with their stored row counts."""
         bags = [
             PatchBag("short", np.ones((2, 3)), np.zeros((2, 3)), MarkerTuple(0, 0, 0, 0), 0),
-            PatchBag("long", np.arange(15.0).reshape(5, 3), np.zeros((5, 3)),
+            PatchBag("long", np.arange(15.0).reshape(5, 3), -np.arange(15.0).reshape(5, 3),
                      MarkerTuple(1, 1, 0, 0), 3),
         ]
         write_dataset(tmp_path, bags)
-        back = read_dataset(tmp_path, n_patches=4)
-        assert all(b.feats_high.shape == (4, 3) for b in back)
-        assert all(b.feats_low.shape == (4, 3) for b in back)
-        # without a target the stored counts survive
-        raw = read_dataset(tmp_path)
-        assert raw[0].feats_high.shape == (2, 3) and raw[1].feats_high.shape == (5, 3)
+        for bag, back in zip(bags, read_dataset(tmp_path), strict=True):
+            assert np.array_equal(back.feats_high, bag.feats_high)
+            assert np.array_equal(back.feats_low, bag.feats_low)
 
 
 class TestCheckpointRoundTrip:

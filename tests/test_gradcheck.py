@@ -1,215 +1,49 @@
 """Finite-difference verification of every differentiable primitive.
 
-Each op gets >= 100 randomized trials on inputs drawn from [-2, 2]
-(log gets positive inputs; relu inputs are kept away from its kink,
-where central differences are not valid).
+The op cases live in one registry, ``gliomil.verify.OP_CASES``, which the
+``gradcheck`` CLI runs too; each case gets 100 randomized trials through
+``verify.check_op``. The tests below that exercise ``grad_check`` itself.
 """
-import zlib
+import inspect
 
 import numpy as np
 import pytest
 
 from gliomil import autodiff as ad
+from gliomil import verify
 from gliomil.autodiff import Tensor
 from gliomil.gradcheck import grad_check
 
-TRIALS = 100
 
-
-def rand(rng, shape, low=-2.0, high=2.0):
-    return Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
-
-
-def check(f, params, tol=1e-4):
-    report = grad_check(f, params, h=1e-5, tol=tol)
-    assert report.passed, report.summary()
-
-
-def weight(x):
-    """A fixed mixing matrix so reductions see every entry asymmetrically."""
-    n = x.size
-    return Tensor(np.linspace(0.5, 1.5, n).reshape(x.shape))
-
-
-def scalarize(y):
-    return ad.sum_all(ad.mul(y, weight(y.data)))
-
-
-# one entry per primitive: name -> builder(rng) returning (loss_fn, params)
-def _binary(op):
-    def build(rng):
-        a, b = rand(rng, (2, 3)), rand(rng, (2, 3))
-        if op is ad.div:
-            b.data[np.abs(b.data) < 0.5] += 1.0  # keep denominators away from 0
-        return lambda: scalarize(op(a, b)), {"a": a, "b": b}
-
-    return build
-
-
-def _binary_scalar(op):
-    def build(rng):
-        a, s = rand(rng, (2, 3)), rand(rng, ())
-        if op is ad.div:
-            s.data += 3.0
-        return lambda: scalarize(op(a, s)), {"a": a, "s": s}
-
-    return build
-
-
-def _unary(op, low=-2.0, high=2.0):
-    def build(rng):
-        x = rand(rng, (3, 4), low, high)
-        if op is ad.relu:
-            x.data[np.abs(x.data) < 1e-3] += 0.01
-        return lambda: scalarize(op(x)), {"x": x}
-
-    return build
-
-
-def _softmax(rng):
-    x = rand(rng, (3, 4))
-    return lambda: scalarize(ad.softmax(x, axis=1)), {"x": x}
-
-
-def _softmax_axis0(rng):
-    x = rand(rng, (5, 1))
-    return lambda: scalarize(ad.softmax(x, axis=0)), {"x": x}
-
-
-def _layer_norm(rng):
-    x = rand(rng, (4, 6))
-    return lambda: scalarize(ad.layer_norm(x)), {"x": x}
-
-
-def _matmul(rng):
-    a, b = rand(rng, (3, 4)), rand(rng, (4, 2))
-    return lambda: scalarize(ad.matmul(a, b)), {"a": a, "b": b}
-
-
-def _transpose(rng):
-    x = rand(rng, (3, 4))
-    return lambda: scalarize(ad.transpose(x)), {"x": x}
-
-
-def _repeat_rows(rng):
-    x = rand(rng, (1, 5))
-    return lambda: scalarize(ad.repeat_rows(x, 4)), {"x": x}
-
-
-def _concat(rng):
-    a, b = rand(rng, (2, 3)), rand(rng, (4, 3))
-    return lambda: scalarize(ad.concat([a, b], axis=0)), {"a": a, "b": b}
-
-
-def _narrow(rng):
-    x = rand(rng, (5, 4))
-    return lambda: scalarize(ad.narrow(x, 0, 1, 3)), {"x": x}
-
-
-def _scale(rng):
-    x = rand(rng, (3, 3))
-    return lambda: scalarize(ad.scale(x, -1.7)), {"x": x}
-
-
-def _sum(rng):
-    x = rand(rng, (3, 4))
-    return lambda: ad.sum_all(ad.tanh(x)), {"x": x}
-
-
-def _mean(rng):
-    x = rand(rng, (3, 4))
-    return lambda: ad.mean_all(ad.mul(x, x)), {"x": x}
-
-
-def _l2norm(rng):
-    x = rand(rng, (3, 3))
-    x.data += np.sign(x.data) * 0.1  # keep away from the origin
-    return lambda: ad.l2norm(x), {"x": x}
-
-
-def _cosine(rng):
-    a, b = rand(rng, (4,)), rand(rng, (4,))
-    a.data += np.sign(a.data) * 0.2
-    b.data += np.sign(b.data) * 0.2
-    return lambda: ad.cosine(a, b), {"a": a, "b": b}
-
-
-def _mse(rng):
-    a, b = rand(rng, (3, 4)), rand(rng, (3, 4))
-    return lambda: ad.mse(a, b), {"a": a, "b": b}
-
-
-def _linear(relu):
-    def build(rng):
-        x, w, b = rand(rng, (3, 4)), rand(rng, (4, 2)), rand(rng, (1, 2))
-        while relu and np.abs(x.data @ w.data + b.data).min() < 1e-3:
-            b.data += 0.01  # keep the ReLU inputs off its kink
-        return lambda: scalarize(ad.linear(x, w, b, relu=relu)), {"x": x, "w": w, "b": b}
-
-    return build
-
-
-def _affine_norm(rng):
-    x, gain, bias = rand(rng, (4, 6)), rand(rng, (1, 6)), rand(rng, (1, 6))
-    return lambda: scalarize(ad.affine_norm(x, gain, bias)), {"x": x, "gain": gain, "bias": bias}
-
-
-def _graph_mix_row(rng):
-    ps, r = [rand(rng, (3, 4)) for _ in range(3)], rand(rng, (3, 4))
-    c = rng.uniform(0.2, 1.0, size=3)
-    ps[0].data[np.abs(sum(cj * p.data for cj, p in zip(c, ps))) < 1e-3] += 0.05
-    params = {"p0": ps[0], "p1": ps[1], "p2": ps[2], "r": r}
-    return lambda: scalarize(ad.graph_mix_row(ps, c, r, 0.3)), params
-
-
-def _cross_entropy(rng):
-    x = rand(rng, (1, 5))
-    label = int(rng.integers(5))
-    return lambda: ad.softmax_cross_entropy(x, label), {"x": x}
-
-
-OPS = {
-    "add": _binary(ad.add),
-    "sub": _binary(ad.sub),
-    "mul": _binary(ad.mul),
-    "div": _binary(ad.div),
-    "add_scalar": _binary_scalar(ad.add),
-    "mul_scalar": _binary_scalar(ad.mul),
-    "div_scalar": _binary_scalar(ad.div),
-    "scale": _scale,
-    "matmul": _matmul,
-    "transpose": _transpose,
-    "repeat_rows": _repeat_rows,
-    "concat": _concat,
-    "narrow": _narrow,
-    "tanh": _unary(ad.tanh),
-    "relu": _unary(ad.relu),
-    "exp": _unary(ad.exp),
-    "log": _unary(ad.log, low=0.2, high=2.0),
-    "softmax": _softmax,
-    "softmax_axis0": _softmax_axis0,
-    "layer_norm": _layer_norm,
-    "linear": _linear(relu=False),
-    "linear_relu": _linear(relu=True),
-    "affine_norm": _affine_norm,
-    "graph_mix_row": _graph_mix_row,
-    "sum_all": _sum,
-    "mean_all": _mean,
-    "l2norm": _l2norm,
-    "cosine": _cosine,
-    "mse": _mse,
-    "softmax_cross_entropy": _cross_entropy,
-}
-
-
-@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("name", sorted(verify.OP_CASES))
 def test_op_gradients_match_finite_differences(name):
-    build = OPS[name]
-    for trial in range(TRIALS):
-        rng = np.random.default_rng(1000 * zlib.crc32(name.encode()) % 100000 + trial)
-        f, params = build(rng)
-        report = grad_check(f, params)
-        assert report.passed, f"{name} trial {trial}:\n{report.summary()}"
+    line = verify.check_op(name, trials=100)
+    assert line.passed, line.text()
+
+
+def test_every_autodiff_op_has_a_registry_case(monkeypatch):
+    """Each public op is called by a case named after it (``op`` or ``op_<variant>``)."""
+    ops = {
+        name for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    } - {"no_grad", "backward"}
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    covered = set()
+    for case, build in verify.OP_CASES.items():
+        called.clear()
+        _, loss = build(np.random.default_rng(0))
+        loss()
+        covered |= {op for op in called if case == op or case.startswith(op + "_")}
+    assert ops - covered == set()
 
 
 def test_three_layer_mlp_composite():

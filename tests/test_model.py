@@ -4,7 +4,7 @@ import numpy as np
 from gliomil.config import GenConfig, TrainConfig
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
-from gliomil.synth import estimate_cooccurrence, generate_dataset
+from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table
 from gliomil.trainer import train_epoch
 
 
@@ -90,9 +90,7 @@ def test_load_state_writes_through_to_theta_and_keeps_identity():
 
 def test_train_epoch_moves_parameters_only_through_theta():
     bags = generate_dataset(GenConfig(n_cases=12, n_patches=4, feat_dim=4, seed=2))
-    adjacency = estimate_cooccurrence(np.array(
-        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in bags]
-    )).a
+    adjacency = estimate_cooccurrence(marker_table(bags)).a
     cfg = TrainConfig(epochs=1, batch_size=6, seed=0)
     model = build(feat_dim=4)
     theta, before = model.theta, model.theta.copy()

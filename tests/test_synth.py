@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gliomil.config import GenConfig
 from gliomil.synth import (
     MarkerTuple,
-    align_patch_count,
     derive_glioma_class,
     estimate_cooccurrence,
     generate_bag,
@@ -118,43 +117,6 @@ class TestBagGeneration:
         shift_high = np.abs((on.feats_high - off.feats_high).mean(axis=0) @ d)
         assert shift_low == pytest.approx(cfg.signal_strength, rel=1e-5)
         assert shift_high < 1e-5
-
-
-class TestAlignPatchCount:
-    def test_identity(self):
-        x = np.arange(12.0).reshape(4, 3)
-        assert align_patch_count(x, 4) is x
-
-    def test_cyclic_repeat_when_short(self):
-        x = np.array([[1.0], [2.0]])
-        out = align_patch_count(x, 5)
-        assert out.ravel().tolist() == [1, 2, 1, 2, 1]
-
-    def test_bucket_sizes_five_to_two(self):
-        # rows 0,1,2 then 3,4: the leading bucket takes the extra row
-        x = np.arange(5.0).reshape(5, 1)
-        out = align_patch_count(x, 2)
-        assert out.ravel().tolist() == [1.0, 3.5]
-
-    def test_equal_buckets_preserve_mean(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(12, 7))
-        out = align_patch_count(x, 4)
-        assert np.max(np.abs(out.mean(axis=0) - x.mean(axis=0))) < 1e-12
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            align_patch_count(np.ones((3, 2)), 0)
-
-    @given(m=st.integers(1, 40), n=st.integers(1, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_output_rows_and_columns(self, m, n):
-        x = np.random.default_rng(m * 41 + n).normal(size=(m, 3))
-        out = align_patch_count(x, n)
-        assert out.shape == (n, 3)
-        if m > n:
-            # every bucket is a mean of contiguous rows, so values stay in range
-            assert out.min() >= x.min() - 1e-12 and out.max() <= x.max() + 1e-12
 
 
 class TestCooccurrence:

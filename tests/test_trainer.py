@@ -8,7 +8,7 @@ from gliomil.config import ABLATION_FLAGS, ConfigError, GenConfig, TrainConfig
 from gliomil.metrics import compute_metrics, report_text
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
-from gliomil.synth import estimate_cooccurrence, generate_dataset
+from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table
 from gliomil.trainer import (
     LossError,
     ablation_csv,
@@ -26,10 +26,7 @@ def small_bags(n_cases=30, seed=0):
 
 
 def adjacency_of(bags):
-    rows = np.array(
-        [[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel] for b in bags]
-    )
-    return estimate_cooccurrence(rows).a
+    return estimate_cooccurrence(marker_table(bags)).a
 
 
 def fresh_model(bags, seed=0):

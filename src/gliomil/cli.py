@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 internal/check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,8 @@ from .config import (
     with_ablations,
 )
 from .dataio import (
+    CHECKPOINT_BLOB,
+    CHECKPOINT_MANIFEST,
     CheckpointError,
     DatasetError,
     read_checkpoint,
@@ -49,11 +54,13 @@ REPORT_FILE = "report.txt"
 EPOCHS_FILE = "epochs.csv"
 CONFIDENCES_FILE = "confidences.csv"
 ABLATION_FILE = "ablation.csv"
+RUN_FILES = (EPOCHS_FILE, REPORT_FILE, CONFIDENCES_FILE, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB)
 
 _INPUT_ERRORS = (
     ConfigError,
     DatasetError,
     CheckpointError,
+    FileExistsError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
@@ -78,21 +85,58 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_run_dir(out: Path) -> None:
+    """``out`` must be new, empty or a run directory, since a new run replaces it whole."""
+    if not out.exists():
+        return
+    if not out.is_dir():
+        raise NotADirectoryError(f"{out}: not a directory")
+    if Path.cwd().is_relative_to(out.resolve()):
+        raise IsADirectoryError(f"{out}: holds the working directory, which a run cannot replace")
+    foreign = sorted(p.name for p in out.iterdir() if p.name not in RUN_FILES)
+    if foreign:
+        raise FileExistsError(f"{out}: holds {', '.join(foreign)}, which a run does not write; "
+                              "choose a new or empty directory")
+
+
 def _write_run(out: Path, result) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / EPOCHS_FILE).write_text(epochs_csv(result.rows))
-    (out / REPORT_FILE).write_text(report_text(result.report, title="held-out metrics"))
-    (out / CONFIDENCES_FILE).write_text(confidences_csv(result.confidences))
-    write_checkpoint(out, result.model.params,
-                     result.model.cfg.feat_dim, result.cooc, result.cfg)
+    """Write the run into a sibling temp directory, then move it into place.
+
+    A run already at ``out`` is replaced only after the new one is complete;
+    an interrupted write leaves the old run (or nothing) and no temp directory.
+    """
+    _check_run_dir(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}.new-"))
+    old = None
+    try:
+        (tmp / EPOCHS_FILE).write_text(epochs_csv(result.rows))
+        (tmp / REPORT_FILE).write_text(report_text(result.report, title="held-out metrics"))
+        (tmp / CONFIDENCES_FILE).write_text(confidences_csv(result.confidences))
+        write_checkpoint(tmp, result.model.params,
+                         result.model.cfg.feat_dim, result.cooc, result.cfg)
+        if out.exists():
+            old = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}.old-"))
+            os.replace(out, old)
+        os.replace(tmp, out)
+    except BaseException:
+        if old is not None and not out.exists():
+            os.replace(old, out)
+            old = None
+        raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if old is not None:
+            shutil.rmtree(old, ignore_errors=True)
 
 
 def _cmd_train(args) -> int:
     cfg = with_ablations(load_train_config(args.config) if args.config else TrainConfig(),
                          args.ablate)
+    out = Path(args.out)
+    _check_run_dir(out)
     bags = read_dataset(Path(args.data))
     result = train_model(bags, cfg, log=print)
-    out = Path(args.out)
     _write_run(out, result)
     # timing goes to stderr so stdout stays byte-identical across reruns
     print(f"training time {result.seconds:.1f}s", file=sys.stderr)
@@ -131,8 +175,10 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = load_train_config(args.config) if args.config else TrainConfig()
-    bags = read_dataset(Path(args.data))
     out = Path(args.out)
+    for name in ("full",) + ABLATION_FLAGS:
+        _check_run_dir(out / name)
+    bags = read_dataset(Path(args.data))
     results = run_ablation(bags, cfg, log=print)
     for name, result in results:
         _write_run(out / name, result)

@@ -13,8 +13,11 @@ dataset is reproducible case-by-case regardless of generation order.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,26 +90,29 @@ def sample_case(rng: np.random.Generator, cfg: GenConfig) -> MarkerTuple:
     return MarkerTuple(idh, codel, cdkn, nmp)
 
 
-def signal_directions(feat_dim: int) -> dict:
+@functools.lru_cache(maxsize=None)
+def signal_directions(feat_dim: int) -> Mapping:
     """Fixed unit directions for the four planted signals.
 
     Derived from a constant-seeded Gaussian draw, orthonormalized when the
     feature space is wide enough, so the same feat_dim always produces the
-    same geometry.
+    same geometry. Computed once per width; the mapping and its arrays
+    are read-only, because every caller shares them.
     """
     rng = np.random.default_rng(718281828)
     raw = rng.normal(size=(4, feat_dim))
     if feat_dim >= 4:
         q, _ = np.linalg.qr(raw.T)
-        dirs = q.T[:4]
+        dirs = q.T[:4].copy()
     else:
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return {
+    dirs.flags.writeable = False
+    return MappingProxyType({
         "idh_mut": dirs[0],
         "codel_1p19q": dirs[1],
         "cdkn_homdel": dirs[2],
         "nmp": dirs[3],
-    }
+    })
 
 
 def generate_bag(

@@ -1,9 +1,12 @@
 """Training loop: multi-term loss, modulated optimization, evaluation.
 
-One step forwards a minibatch of bags, averages seven loss terms,
-backpropagates, then (unless ablated) modulates one parameter group's
-gradient against the other according to the batch's majority histology
-finding, and finally applies an AdamW update.
+One step minimizes the weighted batch mean of eight per-bag loss terms.
+It runs forward, loss and backward for one bag at a time, each bag's
+loss scaled by 1/batch, so the leaves' ``.grad`` add up to the gradient
+of the batch mean while only one bag's graph is alive. Then (unless
+ablated) it modulates one parameter group's summed gradient against the
+other according to the batch's majority histology finding, and finally
+applies an AdamW update.
 """
 from __future__ import annotations
 
@@ -81,6 +84,25 @@ def split_dataset(bags, val_fraction: float, seed: int):
     return [bags[i] for i in train_idx], [bags[i] for i in val_idx]
 
 
+def term_values(means: dict, cfg: TrainConfig) -> dict:
+    """Per-term batch means, checked finite, plus their weighted ``total``."""
+    for name, value in means.items():
+        if not np.isfinite(value):
+            raise LossError(f"loss term {name!r} is not finite ({value})")
+    weights = loss_weights(cfg)
+    total = None
+    for name in LOSS_TERMS:
+        if weights[name] == 0.0:
+            continue
+        term = means[name] * weights[name]
+        total = term if total is None else total + term
+    if total is None:
+        raise LossError("every loss term is disabled; nothing to optimize")
+    if not np.isfinite(total):
+        raise LossError("loss term 'total' is not finite")
+    return {**means, "total": total}
+
+
 def batch_loss(forwards, bags, cfg: TrainConfig, top_m: int):
     """Weighted batch-mean loss and the per-term values that went into it."""
     n = len(bags)
@@ -102,13 +124,7 @@ def batch_loss(forwards, bags, cfg: TrainConfig, top_m: int):
         tally("dcc", dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, m_eff, cfg.dcc_temperature))
 
     means = {name: ad.scale(t, 1.0 / n) for name, t in sums.items()}
-    values = {}
-    for name, tensor in means.items():
-        value = float(tensor.data)
-        if not np.isfinite(value):
-            raise LossError(f"loss term {name!r} is not finite ({value})")
-        values[name] = value
-
+    values = term_values({name: float(t.data) for name, t in means.items()}, cfg)
     weights = loss_weights(cfg)
     total = None
     for name in LOSS_TERMS:
@@ -116,11 +132,6 @@ def batch_loss(forwards, bags, cfg: TrainConfig, top_m: int):
             continue
         term = ad.scale(means[name], weights[name])
         total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise LossError("every loss term is disabled; nothing to optimize")
-    values["total"] = float(total.data)
-    if not np.isfinite(values["total"]):
-        raise LossError("loss term 'total' is not finite")
     return total, values
 
 
@@ -165,10 +176,21 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
     for start in range(0, len(order), cfg.batch_size):
         batch = [train_bags[i] for i in order[start: start + cfg.batch_size]]
         model.zero_grads()
-        forwards = [model.forward(bag, adjacency, cfg.ablations) for bag in batch]
         top_m = curriculum_m(epoch, schedule, max(b.feats_high.shape[0] for b in batch))
-        loss, values = batch_loss(forwards, batch, cfg, top_m)
-        ad.backward(loss)
+        inv_n = 1.0 / len(batch)
+        sums = {}
+        for bag in batch:
+            fwd = model.forward(bag, adjacency, cfg.ablations)
+            # a mean over one bag is the bag's own term values
+            loss, bag_values = batch_loss([fwd], [bag], cfg, top_m)
+            ad.backward(ad.scale(loss, inv_n))
+            m_eff = min(top_m, fwd.conf_wt.values.size)
+            overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, m_eff)
+            for name in LOSS_TERMS:
+                v = bag_values[name]
+                sums[name] = v if name not in sums else sums[name] + v
+            del fwd, loss  # the bag's activations go before the next bag's forward
+        values = term_values({name: v * inv_n for name, v in sums.items()}, cfg)
         grads = model.gradient_set()
         if "no_cmg" not in cfg.ablations:
             vote = majority_vote([bag.markers.nmp for bag in batch])
@@ -182,9 +204,6 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
             if modulation_hook is not None:
                 modulation_hook(epoch=epoch, step=n_batches, record=record, grads=grads)
         optimizer.step(grads)
-        for fwd, bag in zip(forwards, batch):
-            m_eff = min(top_m, fwd.conf_wt.values.size)
-            overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, m_eff)
         for name, v in values.items():
             term_sums[name] += v
         n_batches += 1

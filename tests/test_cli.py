@@ -2,15 +2,17 @@
 import contextlib
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gliomil import cli
 from gliomil.cli import main
 from gliomil.config import ABLATION_FLAGS, GenConfig
-from gliomil.dataio import read_dataset, write_dataset
+from gliomil.dataio import CHECKPOINT_BLOB, read_dataset, write_checkpoint, write_dataset
 from gliomil.synth import generate_dataset
 
 
@@ -130,6 +132,71 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _checkpoint_write_fails_after_manifest(*args):
+    """Leave a manifest without its blob, as a write cut short would."""
+    write_checkpoint(*args)
+    (args[0] / CHECKPOINT_BLOB).unlink()
+    raise Interrupted
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_interrupted_train_leaves_the_previous_run_or_none(tmp_path, small_data, capsys,
+                                                           monkeypatch, previous):
+    run = tmp_path / "run"
+    cfg = quick_train_cfg(tmp_path)
+    if previous:
+        assert main(["train", "--data", str(small_data), "--config", cfg, "--out", str(run)]) == 0
+    before = _snapshot(tmp_path)
+    monkeypatch.setattr(cli, "write_checkpoint", _checkpoint_write_fails_after_manifest)
+    with pytest.raises(Interrupted):
+        main(["train", "--data", str(small_data), "--config", cfg, "--out", str(run),
+              "--ablate", "no_cmg"])
+    monkeypatch.undo()
+    assert _snapshot(tmp_path) == before  # the old run untouched, nothing left beside it
+    capsys.readouterr()
+    code = main(["eval", "--data", str(small_data), "--checkpoint", str(run)])
+    assert code == (0 if previous else 2)
+
+
+def test_train_replaces_a_previous_run_whole(tmp_path, small_data):
+    run, fresh = tmp_path / "run", tmp_path / "fresh"
+    assert main(["train", "--data", str(small_data), "--config", quick_train_cfg(tmp_path),
+                 "--out", str(run)]) == 0
+    cfg = quick_train_cfg(tmp_path, "lr = 0.01\n")
+    assert main(["train", "--data", str(small_data), "--config", cfg, "--out", str(run)]) == 0
+    assert main(["train", "--data", str(small_data), "--config", cfg, "--out", str(fresh)]) == 0
+    assert _snapshot(run) == _snapshot(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data", "fresh", "gen.cfg", "run", "train.cfg"]
+
+
+@pytest.mark.parametrize("kind", ["dir", "file", "cwd"])
+def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, monkeypatch, kind):
+    out = tmp_path / "notes"
+    if kind == "file":
+        out.write_text("keep me\n")
+    else:
+        out.mkdir()
+    if kind == "dir":
+        (out / "todo.txt").write_text("keep me\n")
+    if kind == "cwd":
+        monkeypatch.chdir(out)
+        out = Path(".")
+    cfg = quick_train_cfg(tmp_path)
+    before = _snapshot(tmp_path)
+    assert main(["train", "--data", str(small_data), "--config", cfg, "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert _snapshot(tmp_path) == before
 
 
 BAD_TRAIN_VALUES = (

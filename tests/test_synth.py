@@ -92,6 +92,18 @@ class TestBagGeneration:
         _, p = stats.ttest_ind(pooled[labels == 1], pooled[labels == 0])
         assert p > 0.01
 
+    @pytest.mark.parametrize("feat_dim", [3, 16])
+    def test_signal_directions_are_computed_once_and_read_only(self, feat_dim):
+        first, second = signal_directions(feat_dim), signal_directions(feat_dim)
+        assert first is second
+        for name, direction in first.items():
+            assert direction is second[name]
+            assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-12)
+            with pytest.raises(ValueError, match="read-only"):
+                direction[0] = 0.0
+        with pytest.raises(TypeError):
+            first["nmp"] = np.zeros(feat_dim)
+
     def test_linear_probe_separates_idh(self):
         """Mean-pooled high-mag features must be linearly separable at default strength."""
         cfg = GenConfig()

@@ -1,14 +1,25 @@
-"""Training-loop behavior: splits, loss assembly, the optimizer step,
-gradient modulation wiring, determinism, and the ablation harness."""
+"""Training-loop behavior: splits, loss assembly, the bag-by-bag step, the
+optimizer step, gradient modulation wiring, determinism, and the ablation
+harness."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gliomil import autodiff as ad
 from gliomil.config import ABLATION_FLAGS, ConfigError, GenConfig, TrainConfig
+from gliomil.interaction import CurriculumSchedule, curriculum_m
 from gliomil.metrics import compute_metrics, report_text
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
-from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table
+from gliomil.synth import (
+    estimate_cooccurrence,
+    generate_bag,
+    generate_dataset,
+    marker_table,
+    rng_for_case,
+    sample_case,
+)
 from gliomil.trainer import (
     LossError,
     ablation_csv,
@@ -17,6 +28,7 @@ from gliomil.trainer import (
     evaluate,
     run_ablation,
     split_dataset,
+    train_epoch,
     train_model,
 )
 
@@ -132,6 +144,66 @@ def test_all_terms_disabled_raises():
     forwards = [model.forward(b, adj, cfg.ablations) for b in bags]
     with pytest.raises(LossError, match="disabled"):
         batch_loss(forwards, bags, cfg, top_m=2)
+
+
+# ---------------------------------------------------------------------------
+# the bag-by-bag step
+
+
+def sized_bags(sizes, feat_dim=6, seed=0):
+    """One bag per entry of ``sizes``, with that many patches."""
+    bags = []
+    for i, n in enumerate(sizes):
+        cfg = GenConfig(n_patches=n, feat_dim=feat_dim, seed=seed)
+        rng = rng_for_case(seed, f"case{i:04d}")
+        bags.append(generate_bag(sample_case(rng, cfg), cfg, rng, case_id=f"case{i:04d}"))
+    return bags
+
+
+@pytest.mark.parametrize("ablations", [(), ("no_dcc",), ("no_graph",), ("no_disent",)])
+def test_train_epoch_gradient_equals_one_backward_over_the_batch(ablations):
+    bags = sized_bags([5, 11, 3, 8, 6])
+    adj = adjacency_of(bags)
+    cfg = TrainConfig(batch_size=len(bags), ablations=ablations)
+    model = fresh_model(bags)
+    optimizer = AdamW(model.theta, lr=0.0, weight_decay=0.0)
+    term_means, _ = train_epoch(model, bags, adj, cfg, optimizer, 0, np.random.default_rng(3))
+
+    twin = fresh_model(bags)
+    batch = [bags[i] for i in np.random.default_rng(3).permutation(len(bags))]
+    schedule = CurriculumSchedule(cfg.dcc_top_m, cfg.dcc_decay, cfg.dcc_decay_every)
+    top_m = curriculum_m(0, schedule, max(b.feats_high.shape[0] for b in batch))
+    forwards = [twin.forward(b, adj, ablations) for b in batch]
+    loss, values = batch_loss(forwards, batch, cfg, top_m)
+    ad.backward(loss)
+
+    np.testing.assert_array_equal(model.theta, twin.theta)
+    np.testing.assert_allclose(model.gradient_set(), twin.gradient_set(), rtol=1e-12, atol=1e-15)
+    assert term_means == values
+
+
+def _step_peak_bytes(bags, adj, cfg) -> int:
+    """tracemalloc peak above the starting level over one train_epoch step."""
+    model = fresh_model(bags)
+    optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    order_rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_epoch(model, bags, adj, cfg, optimizer, 0, order_rng)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_step_keeps_one_bag_graph_alive():
+    bags = sized_bags([64] * 6, feat_dim=16)
+    adj = adjacency_of(bags)
+    cfg = TrainConfig(batch_size=6)
+    _step_peak_bytes(bags[:1], adj, cfg)  # warm-up: one-time allocations
+    one = _step_peak_bytes(bags[:1], adj, cfg)
+    six = _step_peak_bytes(bags, adj, cfg)
+    assert six <= 1.5 * one, (six, one)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,8 @@ def _cmd_eval(args) -> int:
     if args.split != "all":
         train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
         bags = train_bags if args.split == "train" else val_bags
+    if not bags:
+        raise DatasetError(f"{args.data}: the {args.split} split holds no case to score")
     predictions, _ = evaluate(model, bags, cooc.a, cfg.ablations)
     report = compute_metrics(predictions)
     print(report_text(report, title=f"metrics on {args.split} cases ({len(bags)})"))
@@ -165,6 +167,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--model-seeds", args.model_seeds, 0), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     ok, lines, secs = run_suite(trials=args.trials, model_seeds=args.model_seeds,
                                 seed=args.seed)
     print(format_lines(lines))

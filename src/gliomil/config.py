@@ -157,6 +157,8 @@ def validate(cfg) -> None:
             v = getattr(cfg, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+        if not math.isfinite(cfg.signal_strength):
+            raise ConfigError(f"signal_strength must be finite, got {cfg.signal_strength}")
     elif isinstance(cfg, TrainConfig):
         if cfg.epochs < 1 or cfg.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -166,6 +168,8 @@ def validate(cfg) -> None:
             raise ConfigError("val_fraction must lie in (0, 1)")
         if cfg.dcc_top_m < 1 or cfg.dcc_decay_every < 1:
             raise ConfigError("dcc_top_m and dcc_decay_every must be >= 1")
+        if not 0.0 < cfg.dcc_decay <= 1.0:  # top-M shrinks by this factor each period
+            raise ConfigError(f"dcc_decay must lie in (0, 1], got {cfg.dcc_decay}")
         if not 0.0 <= cfg.graph_alpha <= 1.0:
             raise ConfigError("graph_alpha must lie in [0, 1]")
         t = cfg.dcc_temperature

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .disentangle import DisentangledFeatures, disentangle, disentangle_loss, init_disentangler
+from .disentangle import DisentangledFeatures, disentangle, init_disentangler
 from .heads import (
     HISTOLOGY_BLOCK_COUNT,
     BranchState,
     MolecularState,
-    correlation_loss,
     fusion_classify,
     histology_forward,
     init_branch,
@@ -56,8 +55,6 @@ class BagForward:
     glioma_logits: Tensor        # (1, 4)
     conf_wt: ConfidenceVector    # molecular confidence toward IDH-wildtype
     conf_nmp: ConfidenceVector   # histology confidence toward lesion presence
-    disent_loss: Tensor
-    corr_loss: Tensor
 
 
 def _walk(obj, prefix, out):
@@ -159,6 +156,4 @@ class Model:
             glioma_logits=glioma_logits,
             conf_wt=conf_wt,
             conf_nmp=conf_nmp,
-            disent_loss=disentangle_loss(d),
-            corr_loss=correlation_loss(mol_state.feats_out, adjacency),
         )

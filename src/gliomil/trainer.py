@@ -1,15 +1,16 @@
 """Training loop: multi-term loss, modulated optimization, evaluation.
 
-One step minimizes the weighted batch mean of eight per-bag loss terms.
-It runs forward, loss and backward for one bag at a time, each bag's
-loss scaled by 1/batch, so the leaves' ``.grad`` add up to the gradient
-of the batch mean while only one bag's graph is alive. Then (unless
-ablated) it modulates one parameter group's summed gradient against the
-other according to the batch's majority histology finding, and finally
-applies an AdamW update.
+``batch_loss`` builds one bag's objective: eight loss terms and their
+weighted sum. A step owns the batch mean: it runs forward, loss and
+backward for one bag at a time, each bag's loss scaled by 1/batch, so
+the leaves' ``.grad`` add up to the gradient of the batch mean while
+only one bag's graph is alive. Then (unless ablated) it modulates one
+parameter group's summed gradient against the other according to the
+batch's majority histology finding, and finally applies an AdamW update.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ from .config import (
     validate,
     with_ablations,
 )
+from .dataio import DatasetError
+from .disentangle import disentangle_loss
+from .heads import correlation_loss
 from .interaction import (
     CurriculumSchedule,
     cmg_modulate,
@@ -90,49 +94,34 @@ def term_values(means: dict, cfg: TrainConfig) -> dict:
         if not np.isfinite(value):
             raise LossError(f"loss term {name!r} is not finite ({value})")
     weights = loss_weights(cfg)
-    total = None
-    for name in LOSS_TERMS:
-        if weights[name] == 0.0:
-            continue
-        term = means[name] * weights[name]
-        total = term if total is None else total + term
-    if total is None:
-        raise LossError("every loss term is disabled; nothing to optimize")
+    total = sum(means[name] * w for name, w in weights.items() if w != 0.0)
     if not np.isfinite(total):
         raise LossError("loss term 'total' is not finite")
     return {**means, "total": total}
 
 
-def batch_loss(forwards, bags, cfg: TrainConfig, top_m: int):
-    """Weighted batch-mean loss and the per-term values that went into it."""
-    n = len(bags)
-    sums = {}
+def batch_loss(fwd, bag, adjacency, cfg: TrainConfig, top_m: int):
+    """One bag's share of the batch loss, before the step's 1/batch scale.
 
-    def tally(name, tensor):
-        sums[name] = tensor if name not in sums else ad.add(sums[name], tensor)
-
-    for fwd, bag in zip(forwards, bags):
-        m = bag.markers
-        tally("glioma", ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class))
-        tally("idh", ad.softmax_cross_entropy(fwd.mol.logits[0], m.idh_mut))
-        tally("codel", ad.softmax_cross_entropy(fwd.mol.logits[1], m.codel_1p19q))
-        tally("cdkn", ad.softmax_cross_entropy(fwd.mol.logits[2], m.cdkn_homdel))
-        tally("nmp", ad.softmax_cross_entropy(fwd.his.logits, m.nmp))
-        tally("disent", fwd.disent_loss)
-        tally("lc", fwd.corr_loss)
-        m_eff = min(top_m, fwd.conf_wt.values.size)
-        tally("dcc", dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, m_eff, cfg.dcc_temperature))
-
-    means = {name: ad.scale(t, 1.0 / n) for name, t in sums.items()}
-    values = term_values({name: float(t.data) for name, t in means.items()}, cfg)
-    weights = loss_weights(cfg)
-    total = None
-    for name in LOSS_TERMS:
-        if weights[name] == 0.0:
-            continue
-        term = ad.scale(means[name], weights[name])
-        total = term if total is None else ad.add(total, term)
-    return total, values
+    Builds the bag's eight ``LOSS_TERMS`` and returns the weighted sum of
+    those whose weight is non-zero, plus every term's float value.
+    """
+    m = bag.markers
+    m_eff = min(top_m, fwd.conf_wt.values.size)
+    terms = {
+        "glioma": ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class),
+        "idh": ad.softmax_cross_entropy(fwd.mol.logits[0], m.idh_mut),
+        "codel": ad.softmax_cross_entropy(fwd.mol.logits[1], m.codel_1p19q),
+        "cdkn": ad.softmax_cross_entropy(fwd.mol.logits[2], m.cdkn_homdel),
+        "nmp": ad.softmax_cross_entropy(fwd.his.logits, m.nmp),
+        "disent": disentangle_loss(fwd.disent),
+        "lc": correlation_loss(fwd.mol.feats_out, adjacency),
+        "dcc": dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, m_eff, cfg.dcc_temperature),
+    }
+    weighted = [ad.scale(terms[name], w) for name, w in loss_weights(cfg).items() if w != 0.0]
+    if not weighted:
+        raise LossError("every loss term is disabled; nothing to optimize")
+    return functools.reduce(ad.add, weighted), {name: float(t.data) for name, t in terms.items()}
 
 
 def evaluate(model: Model, bags, adjacency, ablations=()):
@@ -178,17 +167,15 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
         model.zero_grads()
         top_m = curriculum_m(epoch, schedule, max(b.feats_high.shape[0] for b in batch))
         inv_n = 1.0 / len(batch)
-        sums = {}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for bag in batch:
             fwd = model.forward(bag, adjacency, cfg.ablations)
-            # a mean over one bag is the bag's own term values
-            loss, bag_values = batch_loss([fwd], [bag], cfg, top_m)
+            loss, bag_values = batch_loss(fwd, bag, adjacency, cfg, top_m)
             ad.backward(ad.scale(loss, inv_n))
             m_eff = min(top_m, fwd.conf_wt.values.size)
             overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, m_eff)
-            for name in LOSS_TERMS:
-                v = bag_values[name]
-                sums[name] = v if name not in sums else sums[name] + v
+            for name, v in bag_values.items():
+                sums[name] += v
             del fwd, loss  # the bag's activations go before the next bag's forward
         values = term_values({name: v * inv_n for name, v in sums.items()}, cfg)
         grads = model.gradient_set()
@@ -216,6 +203,8 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
     validate(cfg)
     t0 = time.time()
     train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
+    if not val_bags:
+        raise DatasetError("a dataset of one case leaves none to hold out; training needs 2")
     cooc = estimate_cooccurrence(marker_table(train_bags))
     feat_dim = bags[0].feats_high.shape[1]
     model = Model(

@@ -10,6 +10,7 @@ sampled-coordinate check through the complete training loss.
 """
 from __future__ import annotations
 
+import functools
 import time
 import zlib
 from dataclasses import dataclass
@@ -174,10 +175,10 @@ def check_model(seeds: int = 3, coords_per_param: int = 2, base_seed: int = 0):
         batch = bags[:2]
         cfg = TrainConfig(seed=1000 + k)
 
-        def f():
-            forwards = [model.forward(bag, adjacency) for bag in batch]
-            loss, _ = batch_loss(forwards, batch, cfg, top_m=2)
-            return loss
+        def f():  # the batch mean as a step backpropagates it: each bag's loss over B, summed
+            losses = [batch_loss(model.forward(b, adjacency), b, adjacency, cfg, 2)[0]
+                      for b in batch]
+            return functools.reduce(ad.add, [ad.scale(x, 1.0 / len(batch)) for x in losses])
 
         coords = {
             name: sorted(

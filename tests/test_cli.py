@@ -87,6 +87,14 @@ def test_gen_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gen_rejects_non_finite_signal_strength(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path / "g.cfg", f"n_cases = 4\nsignal_strength = {value}\n")
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    _one_error_line(capsys.readouterr().err, "signal_strength")
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -206,6 +214,7 @@ BAD_TRAIN_VALUES = (
     + [(w, v) for w in ("w_glioma", "w_molecular", "w_histology", "w_disent", "w_lc", "w_dcc")
        for v in ("-1", "nan")]
     + [("w_dcc", "inf")]
+    + [("dcc_decay", v) for v in ("nan", "1e308", "0", "-0.5", "1.5")]
 )
 
 
@@ -344,11 +353,12 @@ def test_eval_rejects_negative_dataset_blob_offset(tmp_path, trained_run, capsys
 NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
-def _mutate(lines, data):
-    """One drawn edit of one manifest line: duplicate, delete, swap tokens or replace a number."""
+def _mutate(lines, data, edits=("duplicate", "delete", "swap", "number"),
+            values=("x", "-1", str(10**12))):
+    """One drawn edit of one line: duplicate, delete, swap tokens or replace a number."""
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
-    how = data.draw(st.sampled_from(["duplicate", "delete", "swap", "number"]), label="edit")
+    how = data.draw(st.sampled_from(list(edits)), label="edit")
     if how == "duplicate":
         lines.insert(i + 1, lines[i])
     elif how == "delete":
@@ -362,7 +372,7 @@ def _mutate(lines, data):
         spans = [m.span() for m in NUMBER.finditer(lines[i])]
         if spans:
             lo, hi = data.draw(st.sampled_from(spans), label="number")
-            new = data.draw(st.sampled_from(["x", "-1", str(10**12)]), label="value")
+            new = data.draw(st.sampled_from(list(values)), label="value")
             lines[i] = lines[i][:lo] + new + lines[i][hi:]
     return lines
 
@@ -375,19 +385,95 @@ def fuzz_ckpt(trained_run, tmp_path_factory):
     return ckpt
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+def _exits_0_or_2(argv) -> None:
+    """Run the CLI quietly; it must succeed or fail with one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        _one_error_line(err.getvalue(), "error:")
+
+
+FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@FUZZ
 @given(data=st.data())
 def test_eval_on_a_mutated_manifest_exits_0_or_2(trained_run, fuzz_ckpt, data):
     data_dir, run = trained_run
     lines = _mutate((run / "checkpoint.manifest").read_text().splitlines(), data)
     (fuzz_ckpt / "checkpoint.manifest").write_text("\n".join(lines) + "\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--data", str(data_dir), "--checkpoint", str(fuzz_ckpt),
-                     "--split", "all"])
-    assert code in (0, 2), err.getvalue()
-    if code == 2:
-        _one_error_line(err.getvalue(), "error:")
+    _exits_0_or_2(["eval", "--data", str(data_dir), "--checkpoint", str(fuzz_ckpt),
+                   "--split", "all"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    """A scratch dataset directory the dataset fuzz tests overwrite."""
+    return tmp_path_factory.mktemp("fuzz_data")
+
+
+@FUZZ
+@given(data=st.data())
+def test_eval_on_a_mutated_dataset_manifest_exits_0_or_2(trained_run, fuzz_data, data):
+    data_dir, run = trained_run
+    lines = _mutate((data_dir / "dataset.manifest").read_text().splitlines(), data)
+    (fuzz_data / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    (fuzz_data / "dataset.blob").write_bytes((data_dir / "dataset.blob").read_bytes())
+    _exits_0_or_2(["eval", "--data", str(fuzz_data), "--checkpoint", str(run),
+                   "--split", "all"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_eval_on_a_damaged_dataset_blob_exits_0_or_2(trained_run, fuzz_data, data):
+    data_dir, run = trained_run
+    blob = bytearray((data_dir / "dataset.blob").read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    (fuzz_data / "dataset.manifest").write_text((data_dir / "dataset.manifest").read_text())
+    (fuzz_data / "dataset.blob").write_bytes(bytes(blob))
+    _exits_0_or_2(["eval", "--data", str(fuzz_data), "--checkpoint", str(run),
+                   "--split", "all"])
+
+
+# small values only: a drawn config must never ask for a long run
+CONFIG_VALUES = ("x", "", "-1", "0", "0.5", "nan", "inf", "1e400")
+GEN_LINES = ["n_cases = 3", "n_patches = 2", "feat_dim = 2", "signal_strength = 5.0",
+             "p_idh_mut = 0.5", "seed = 4"]
+TRAIN_LINES = ["epochs = 1", "batch_size = 2", "lr = 0.01", "dcc_top_m = 2", "dcc_decay = 0.5",
+               "dcc_temperature = 1.0", "val_fraction = 0.3", "seed = 1", "ablations = no_cmg"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_cfg")
+    cfg = write_cfg(root / "tiny.cfg", "n_cases = 4\nn_patches = 2\nfeat_dim = 2\nseed = 2\n")
+    assert main(["gen", "--config", cfg, "--out", str(root / "data")]) == 0
+    return root
+
+
+@FUZZ
+@given(data=st.data())
+def test_gen_on_a_mutated_config_exits_0_or_2(fuzz_root, data):
+    lines = _mutate(GEN_LINES, data, values=CONFIG_VALUES)
+    cfg = write_cfg(fuzz_root / "gen.cfg", "\n".join(lines))
+    _exits_0_or_2(["gen", "--config", cfg, "--out", str(fuzz_root / "gen")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_on_a_mutated_config_exits_0_or_2(fuzz_root, data):
+    # no deletions: a deleted line falls back to its default, and epochs = 50 is a long run
+    lines = _mutate(TRAIN_LINES, data, edits=("duplicate", "swap", "number"), values=CONFIG_VALUES)
+    cfg = write_cfg(fuzz_root / "train.cfg", "\n".join(lines))
+    _exits_0_or_2(["train", "--data", str(fuzz_root / "data"), "--config", cfg,
+                   "--out", str(fuzz_root / "run")])
 
 
 def test_eval_rejects_non_finite_checkpoint_value(tmp_path, trained_run, capsys):
@@ -464,6 +550,40 @@ def test_rejects_malformed_dataset(tmp_path, trained_run, capsys, case, command)
     assert main(argv) == 2
     _one_error_line(capsys.readouterr().err, key)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def one_case_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one_case")
+    cfg = write_cfg(root / "gen.cfg", "n_cases = 1\nn_patches = 4\nfeat_dim = 4\nseed = 3\n")
+    assert main(["gen", "--config", cfg, "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_one_case_dataset_is_refused_before_training(tmp_path, one_case_data, capsys, command):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--data", str(one_case_data), "--config", quick_train_cfg(tmp_path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "one case")
+    assert "epoch" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split,code", [("val", 2), ("train", 0), ("all", 0)])
+def test_eval_on_one_case_dataset_scores_or_names_the_empty_split(trained_run, one_case_data,
+                                                                  capsys, split, code):
+    _, run = trained_run
+    capsys.readouterr()
+    assert main(["eval", "--data", str(one_case_data), "--checkpoint", str(run),
+                 "--split", split]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        _one_error_line(captured.err, "val split")
+    else:
+        assert f"metrics on {split} cases (1)" in captured.out
 
 
 def test_eval_rejects_dataset_wider_than_checkpoint(tmp_path, trained_run, capsys):
@@ -563,6 +683,15 @@ def test_gradcheck_passes_quick(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "matmul" in out and "model_seed" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--model-seeds", "-1"),
+                                        ("--seed", "-1")])
+def test_gradcheck_rejects_bad_argument(capsys, flag, value):
+    assert main(["gradcheck", flag, value]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, flag)
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

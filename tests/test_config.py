@@ -46,7 +46,7 @@ train_configs = st.builds(
     lr=nonneg, weight_decay=nonneg,
     w_glioma=nonneg, w_molecular=nonneg, w_histology=nonneg,
     w_disent=nonneg, w_lc=nonneg, w_dcc=nonneg,
-    dcc_top_m=count, dcc_decay=real, dcc_decay_every=count,
+    dcc_top_m=count, dcc_decay=st.floats(0.0, 1.0, exclude_min=True), dcc_decay_every=count,
     dcc_temperature=st.floats(0.0, 1e6, exclude_min=True),
     graph_alpha=unit,
     val_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

@@ -1,13 +1,21 @@
 """Training-loop behavior: splits, loss assembly, the bag-by-bag step, the
 optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gliomil import autodiff as ad
-from gliomil.config import ABLATION_FLAGS, ConfigError, GenConfig, TrainConfig
+from gliomil.config import (
+    ABLATION_FLAGS,
+    LOSS_TERMS,
+    ConfigError,
+    GenConfig,
+    TrainConfig,
+    loss_weights,
+)
 from gliomil.interaction import CurriculumSchedule, curriculum_m
 from gliomil.metrics import compute_metrics, report_text
 from gliomil.model import Model, ModelConfig
@@ -28,6 +36,7 @@ from gliomil.trainer import (
     evaluate,
     run_ablation,
     split_dataset,
+    term_values,
     train_epoch,
     train_model,
 )
@@ -82,68 +91,74 @@ def test_split_deterministic_and_seed_sensitive():
 # loss assembly
 
 
-def test_total_is_weighted_sum_of_terms():
-    bags = small_bags(6)
+def bag_losses(bags, cfg, top_m):
+    """``batch_loss`` of every bag: [(loss, values), ...]."""
     adj = adjacency_of(bags)
     model = fresh_model(bags)
+    return [batch_loss(model.forward(b, adj, cfg.ablations), b, adj, cfg, top_m) for b in bags]
+
+
+def test_total_is_weighted_sum_of_terms():
     cfg = TrainConfig(w_molecular=0.5, w_disent=2.0, w_dcc=0.25)
-    forwards = [model.forward(b, adj) for b in bags]
-    _, values = batch_loss(forwards, bags, cfg, top_m=3)
-    expect = (
-        values["glioma"]
-        + 0.5 * (values["idh"] + values["codel"] + values["cdkn"])
-        + values["nmp"]
-        + 2.0 * values["disent"]
-        + values["lc"]
-        + 0.25 * values["dcc"]
-    )
-    assert values["total"] == pytest.approx(expect, rel=1e-12)
+    for loss, values in bag_losses(small_bags(6), cfg, top_m=3):
+        assert tuple(values) == LOSS_TERMS
+        expect = (
+            values["glioma"]
+            + 0.5 * (values["idh"] + values["codel"] + values["cdkn"])
+            + values["nmp"]
+            + 2.0 * values["disent"]
+            + values["lc"]
+            + 0.25 * values["dcc"]
+        )
+        assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
 
 def test_glioma_term_is_plain_cross_entropy():
     bags = small_bags(4)
     adj = adjacency_of(bags)
     model = fresh_model(bags)
-    forwards = [model.forward(b, adj) for b in bags]
-    _, values = batch_loss(forwards, bags, TrainConfig(), top_m=2)
-    with ad.no_grad():
-        expect = np.mean([
-            float(ad.softmax_cross_entropy(f.glioma_logits, b.glioma_class).data)
-            for f, b in zip(forwards, bags)
-        ])
-    assert values["glioma"] == pytest.approx(expect, rel=1e-12)
+    for bag in bags:
+        fwd = model.forward(bag, adj)
+        _, values = batch_loss(fwd, bag, adj, TrainConfig(), top_m=2)
+        expect = float(ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class).data)
+        assert values["glioma"] == expect
 
 
 def test_ablation_flags_drop_terms_from_total():
-    bags = small_bags(5)
-    adj = adjacency_of(bags)
-    model = fresh_model(bags)
     cfg = TrainConfig(ablations=("no_disent", "no_lc", "no_dcc"))
-    forwards = [model.forward(b, adj, cfg.ablations) for b in bags]
-    _, values = batch_loss(forwards, bags, cfg, top_m=2)
-    expect = sum(values[k] for k in ("glioma", "idh", "codel", "cdkn", "nmp"))
-    assert values["total"] == pytest.approx(expect, rel=1e-12)
+    for loss, values in bag_losses(small_bags(5), cfg, top_m=2):
+        expect = sum(values[k] for k in ("glioma", "idh", "codel", "cdkn", "nmp"))
+        assert float(loss.data) == pytest.approx(expect, rel=1e-12)
+        assert all(np.isfinite(values[k]) for k in ("disent", "lc", "dcc"))
+
+
+def test_train_epoch_total_is_weighted_sum_of_term_means():
+    bags = small_bags(6)
+    cfg = TrainConfig(batch_size=3, w_molecular=0.5, w_disent=2.0, w_dcc=0.25)
+    model = fresh_model(bags)
+    optimizer = AdamW(model.theta, lr=0.0, weight_decay=0.0)
+    means, _ = train_epoch(model, bags, adjacency_of(bags), cfg, optimizer, 0,
+                           np.random.default_rng(0))
+    expect = sum(means[k] * w for k, w in loss_weights(cfg).items())
+    assert means["total"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_nan_loss_raises_named_error():
     bags = small_bags(3)
-    adj = adjacency_of(bags)
     model = fresh_model(bags)
     model.params["fusion.w"].data[:] = np.nan
-    forwards = [model.forward(b, adj) for b in bags]
+    optimizer = AdamW(model.theta, lr=0.0, weight_decay=0.0)
     with pytest.raises(LossError, match="glioma"):
-        batch_loss(forwards, bags, TrainConfig(), top_m=2)
+        train_epoch(model, bags, adjacency_of(bags), TrainConfig(), optimizer, 0,
+                    np.random.default_rng(0))
 
 
 def test_all_terms_disabled_raises():
     bags = small_bags(2)
-    adj = adjacency_of(bags)
-    model = fresh_model(bags)
     cfg = TrainConfig(w_glioma=0.0, w_molecular=0.0, w_histology=0.0,
                       ablations=("no_disent", "no_lc", "no_dcc"))
-    forwards = [model.forward(b, adj, cfg.ablations) for b in bags]
     with pytest.raises(LossError, match="disabled"):
-        batch_loss(forwards, bags, cfg, top_m=2)
+        bag_losses(bags, cfg, top_m=2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +188,18 @@ def test_train_epoch_gradient_equals_one_backward_over_the_batch(ablations):
     batch = [bags[i] for i in np.random.default_rng(3).permutation(len(bags))]
     schedule = CurriculumSchedule(cfg.dcc_top_m, cfg.dcc_decay, cfg.dcc_decay_every)
     top_m = curriculum_m(0, schedule, max(b.feats_high.shape[0] for b in batch))
-    forwards = [twin.forward(b, adj, ablations) for b in batch]
-    loss, values = batch_loss(forwards, batch, cfg, top_m)
-    ad.backward(loss)
+    inv_n = 1.0 / len(batch)
+    shares, sums = [], dict.fromkeys(LOSS_TERMS, 0.0)
+    for b in batch:
+        loss, values = batch_loss(twin.forward(b, adj, ablations), b, adj, cfg, top_m)
+        shares.append(ad.scale(loss, inv_n))
+        for name, v in values.items():
+            sums[name] += v
+    ad.backward(functools.reduce(ad.add, shares))  # one backward over every bag's graph
 
     np.testing.assert_array_equal(model.theta, twin.theta)
     np.testing.assert_allclose(model.gradient_set(), twin.gradient_set(), rtol=1e-12, atol=1e-15)
-    assert term_means == values
+    assert term_means == term_values({name: v * inv_n for name, v in sums.items()}, cfg)
 
 
 def _step_peak_bytes(bags, adj, cfg) -> int:

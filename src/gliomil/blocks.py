@@ -34,24 +34,27 @@ class BlockParams:
     ffn_b2: Tensor
 
 
-def init_block(rng: np.random.Generator, k: int, make) -> BlockParams:
+def init_block(rng: np.random.Generator, k: int) -> BlockParams:
     def w(rows, cols):
         std = math.sqrt(2.0 / (rows + cols))
-        return make(rng.normal(scale=std, size=(rows, cols)))
+        return Tensor(rng.normal(scale=std, size=(rows, cols)), requires_grad=True)
+
+    def const(value, cols):
+        return Tensor(np.full((1, cols), value), requires_grad=True)
 
     return BlockParams(
-        ln1_gain=make(np.ones((1, k))),
-        ln1_bias=make(np.zeros((1, k))),
+        ln1_gain=const(1.0, k),
+        ln1_bias=const(0.0, k),
         wq=w(k, k),
         wk=w(k, k),
         wv=w(k, k),
         wo=w(k, k),
-        ln2_gain=make(np.ones((1, k))),
-        ln2_bias=make(np.zeros((1, k))),
+        ln2_gain=const(1.0, k),
+        ln2_bias=const(0.0, k),
         ffn_w1=w(k, 2 * k),
-        ffn_b1=make(np.zeros((1, 2 * k))),
+        ffn_b1=const(0.0, 2 * k),
         ffn_w2=w(2 * k, k),
-        ffn_b2=make(np.zeros((1, k))),
+        ffn_b2=const(0.0, k),
     )
 
 
@@ -72,16 +75,15 @@ def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
 
 @dataclass
 class AttnPoolParams:
-    v: Tensor  # (L, K) scoring basis
-    w: Tensor  # (L, 1) scoring weights
+    v: Tensor  # (K, K) scoring basis
+    w: Tensor  # (K, 1) scoring weights
 
 
-def init_pool(rng: np.random.Generator, k: int, make, hidden: int | None = None) -> AttnPoolParams:
-    hidden = k if hidden is None else hidden
-    std = math.sqrt(2.0 / (hidden + k))
+def init_pool(rng: np.random.Generator, k: int) -> AttnPoolParams:
+    std = math.sqrt(1.0 / k)
     return AttnPoolParams(
-        v=make(rng.normal(scale=std, size=(hidden, k))),
-        w=make(rng.normal(scale=std, size=(hidden, 1))),
+        v=Tensor(rng.normal(scale=std, size=(k, k)), requires_grad=True),
+        w=Tensor(rng.normal(scale=std, size=(k, 1)), requires_grad=True),
     )
 
 

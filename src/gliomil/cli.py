@@ -152,15 +152,14 @@ def _cmd_eval(args) -> int:
     width = bags[0].feats_high.shape[1]
     if width != feat_dim:
         raise DatasetError(f"{args.data}: feature width {width} != checkpoint feat_dim {feat_dim}")
-    model = Model(ModelConfig(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha),
-                  np.random.default_rng(0))
+    model = Model(ModelConfig.of(feat_dim, cfg), np.random.default_rng(0))
     model.load_state(params)
     if args.split != "all":
         train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
         bags = train_bags if args.split == "train" else val_bags
     if not bags:
         raise DatasetError(f"{args.data}: the {args.split} split holds no case to score")
-    predictions, _ = evaluate(model, bags, cooc.a, cfg.ablations)
+    predictions, _ = evaluate(model, bags, cooc.a)
     report = compute_metrics(predictions)
     print(report_text(report, title=f"metrics on {args.split} cases ({len(bags)})"))
     return 0

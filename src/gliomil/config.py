@@ -18,7 +18,9 @@ class ConfigError(ValueError):
     pass
 
 
-LOSS_TERMS = ("glioma", "idh", "codel", "cdkn", "nmp", "disent", "lc", "dcc")
+# one cross-entropy term per finding, in ``MarkerTuple`` order (IDH, 1p/19q, CDKN, histology)
+FINDING_TERMS = ("idh", "codel", "cdkn", "nmp")
+LOSS_TERMS = ("glioma", *FINDING_TERMS, "disent", "lc", "dcc")
 
 ABLATION_FLAGS = (
     "no_graph",    # bypass the marker-correlation graph layer

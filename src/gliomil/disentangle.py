@@ -43,30 +43,29 @@ class DisentanglerParams:
     fuse_his_b: Tensor
 
 
-def init_disentangler(rng: np.random.Generator, k: int, make) -> DisentanglerParams:
+def init_disentangler(rng: np.random.Generator, k: int) -> DisentanglerParams:
     def w(rows, cols):
         std = math.sqrt(2.0 / (rows + cols))
-        return make(rng.normal(scale=std, size=(rows, cols)))
+        return Tensor(rng.normal(scale=std, size=(rows, cols)), requires_grad=True)
+
+    def zeros(cols):
+        return Tensor(np.zeros((1, cols)), requires_grad=True)
 
     def head():
-        return HeadMlpParams(
-            w1=w(k, 2 * k), b1=make(np.zeros((1, 2 * k))),
-            w2=w(2 * k, k), b2=make(np.zeros((1, k))),
-        )
+        return HeadMlpParams(w1=w(k, 2 * k), b1=zeros(2 * k), w2=w(2 * k, k), b2=zeros(k))
 
     return DisentanglerParams(
-        scale_low=make(np.asarray(1.0)),
-        scale_high=make(np.asarray(1.0)),
-        base_w=w(2 * k, k), base_b=make(np.zeros((1, k))),
+        scale_low=Tensor(1.0, requires_grad=True),
+        scale_high=Tensor(1.0, requires_grad=True),
+        base_w=w(2 * k, k), base_b=zeros(k),
         shared_mol=head(), indep_mol=head(), shared_his=head(), indep_his=head(),
-        fuse_mol_w=w(2 * k, k), fuse_mol_b=make(np.zeros((1, k))),
-        fuse_his_w=w(2 * k, k), fuse_his_b=make(np.zeros((1, k))),
+        fuse_mol_w=w(2 * k, k), fuse_mol_b=zeros(k),
+        fuse_his_w=w(2 * k, k), fuse_his_b=zeros(k),
     )
 
 
 @dataclass
 class DisentangledFeatures:
-    base: Tensor        # (N, K) mixed-magnification features
     shared_mol: Tensor  # (N, K)
     indep_mol: Tensor
     shared_his: Tensor
@@ -94,7 +93,6 @@ def disentangle(feats_low: Tensor, feats_high: Tensor, p: DisentanglerParams) ->
     fused_mol = ad.linear(ad.concat([shared_mol, indep_mol], axis=1), p.fuse_mol_w, p.fuse_mol_b)
     fused_his = ad.linear(ad.concat([shared_his, indep_his], axis=1), p.fuse_his_w, p.fuse_his_b)
     return DisentangledFeatures(
-        base=base,
         shared_mol=shared_mol, indep_mol=indep_mol,
         shared_his=shared_his, indep_his=indep_his,
         fused_mol=fused_mol, fused_his=fused_his,

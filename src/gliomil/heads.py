@@ -6,7 +6,11 @@ event, then 1p/19q on IDH's output, then CDKN on 1p/19q's -- so each
 later branch sees the earlier ones' refinements. Their stacked outputs
 pass through one graph convolution whose (fixed) adjacency is the
 marker co-occurrence estimated from training labels, blended back into
-the input by a residual coefficient.
+the input by a residual coefficient; a model built without the graph
+(``ModelConfig.use_graph``) reads the refined rows out directly.
+
+Every finding's branch, marker or histology, ends in the same
+``BranchState``: the patch rows it pooled, their summary and its logits.
 """
 from __future__ import annotations
 
@@ -33,21 +37,22 @@ class BranchParams:
     clf_b: Tensor  # (1, 2)
 
 
-def init_branch(rng: np.random.Generator, k: int, n_blocks: int, make) -> BranchParams:
+def init_branch(rng: np.random.Generator, k: int, n_blocks: int) -> BranchParams:
     std = math.sqrt(2.0 / (k + 2))
     return BranchParams(
-        blocks=[init_block(rng, k, make) for _ in range(n_blocks)],
-        pool=init_pool(rng, k, make),
-        clf_w=make(rng.normal(scale=std, size=(k, 2))),
-        clf_b=make(np.zeros((1, 2))),
+        blocks=[init_block(rng, k) for _ in range(n_blocks)],
+        pool=init_pool(rng, k),
+        clf_w=Tensor(rng.normal(scale=std, size=(k, 2)), requires_grad=True),
+        clf_b=Tensor(np.zeros((1, 2)), requires_grad=True),
     )
 
 
 @dataclass
 class BranchState:
-    feats: Tensor   # (N, K) refined patch features
+    """One finding's branch output: the rows it pooled, their summary, its logits."""
+
+    feats: Tensor   # (N, K) patch rows; a marker branch's are the post-graph rows
     pooled: Tensor  # (1, K)
-    attn: Tensor    # (N, 1)
     logits: Tensor  # (1, 2)
 
 
@@ -60,8 +65,8 @@ def refine(h: Tensor, p: BranchParams) -> Tensor:
 
 def readout(f: Tensor, p: BranchParams) -> BranchState:
     """Pool a branch's patch rows and classify the (1, K) summary."""
-    z, a = attention_pool(f, p.pool)
-    return BranchState(feats=f, pooled=z, attn=a, logits=ad.linear(z, p.clf_w, p.clf_b))
+    z, _ = attention_pool(f, p.pool)
+    return BranchState(feats=f, pooled=z, logits=ad.linear(z, p.clf_w, p.clf_b))
 
 
 @dataclass
@@ -72,22 +77,13 @@ class MolecularParams:
     graph_w: Tensor  # (K, K)
 
 
-def init_molecular(rng: np.random.Generator, k: int, make) -> MolecularParams:
+def init_molecular(rng: np.random.Generator, k: int) -> MolecularParams:
     return MolecularParams(
-        idh=init_branch(rng, k, MARKER_BLOCK_COUNTS["idh_mut"], make),
-        codel=init_branch(rng, k, MARKER_BLOCK_COUNTS["codel_1p19q"], make),
-        cdkn=init_branch(rng, k, MARKER_BLOCK_COUNTS["cdkn_homdel"], make),
-        graph_w=make(rng.normal(scale=math.sqrt(1.0 / k), size=(k, k))),
+        idh=init_branch(rng, k, MARKER_BLOCK_COUNTS["idh_mut"]),
+        codel=init_branch(rng, k, MARKER_BLOCK_COUNTS["codel_1p19q"]),
+        cdkn=init_branch(rng, k, MARKER_BLOCK_COUNTS["cdkn_homdel"]),
+        graph_w=Tensor(rng.normal(scale=math.sqrt(1.0 / k), size=(k, k)), requires_grad=True),
     )
-
-
-@dataclass
-class MolecularState:
-    feats_in: tuple    # three (N, K) tensors, pre-graph
-    feats_out: tuple   # three (N, K) tensors, post-graph residual blend
-    pooled: tuple      # three (1, K) summaries
-    attn: tuple        # three (N, 1) attention columns
-    logits: tuple      # three (1, 2) marker logits
 
 
 def graph_mix(feats_in, adjacency: np.ndarray, graph_w: Tensor, alpha: float):
@@ -112,25 +108,20 @@ def molecular_forward(
     p: MolecularParams,
     alpha: float,
     use_graph: bool = True,
-) -> MolecularState:
+) -> tuple:
+    """The three marker branches' states, in ``MarkerTuple`` order."""
     branches = (p.idh, p.codel, p.cdkn)
     h = feats
-    per_branch = []
+    refined = []
     for branch in branches:
         h = refine(h, branch)
-        per_branch.append(h)
-    feats_in = tuple(per_branch)
-    feats_out = graph_mix(feats_in, adjacency, p.graph_w, alpha) if use_graph else feats_in
-    states = [readout(f, branch) for branch, f in zip(branches, feats_out)]
-    return MolecularState(
-        feats_in=feats_in, feats_out=feats_out,
-        pooled=tuple(s.pooled for s in states),
-        attn=tuple(s.attn for s in states),
-        logits=tuple(s.logits for s in states),
-    )
+        refined.append(h)
+    if use_graph:
+        refined = graph_mix(refined, adjacency, p.graph_w, alpha)
+    return tuple(readout(f, branch) for branch, f in zip(branches, refined))
 
 
-def correlation_loss(feats_out, adjacency: np.ndarray) -> Tensor:
+def correlation_loss(feats, adjacency: np.ndarray) -> Tensor:
     """Mean squared gap between label co-occurrence and feature cosines.
 
     The feature side is the 3x3 matrix of flattened (Frobenius) cosine
@@ -141,7 +132,7 @@ def correlation_loss(feats_out, adjacency: np.ndarray) -> Tensor:
     terms = []
     for i in range(3):
         for j in range(3):
-            gap = ad.sub(ad.cosine(feats_out[i], feats_out[j]), float(a[i, j]))
+            gap = ad.sub(ad.cosine(feats[i], feats[j]), float(a[i, j]))
             terms.append(ad.mul(gap, gap))
     total = terms[0]
     for t in terms[1:]:

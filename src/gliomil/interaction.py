@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 
 _TINY_NORM = 1e-12
 
@@ -64,22 +65,19 @@ def confidence_weights(feats: Tensor, pooled: Tensor, class_col: Tensor) -> Conf
 # ---------------------------------------------------------------------------
 # top-M agreement
 
-@dataclass
-class CurriculumSchedule:
-    start: int          # initial top-M
-    decay: float        # multiplier applied every `every` epochs
-    every: int          # epochs per decay step
+def curriculum_m(epoch: int, cfg: TrainConfig) -> int:
+    """Top-M for ``epoch``: ``dcc_top_m`` decayed every ``dcc_decay_every`` epochs, floored, >= 1.
 
-
-def curriculum_m(epoch: int, schedule: CurriculumSchedule, n_patches: int) -> int:
-    """Scheduled top-M, floored to an int and clamped into [1, n_patches]."""
-    raw = schedule.start * schedule.decay ** (epoch // schedule.every)
-    return int(np.clip(int(raw), 1, n_patches))
+    A bag with fewer patches takes all of them: ``ConfidenceVector.top``
+    slices to at most N.
+    """
+    return max(int(cfg.dcc_top_m * cfg.dcc_decay ** (epoch // cfg.dcc_decay_every)), 1)
 
 
 def dcc_overlap(a: ConfidenceVector, b: ConfidenceVector, m: int) -> float:
-    """Fraction of the two top-M patch sets that coincide."""
-    return len(np.intersect1d(a.top(m), b.top(m))) / m
+    """Fraction of the two top-M patch sets that coincide; each holds min(M, N) patches."""
+    top_a = a.top(m)
+    return len(np.intersect1d(top_a, b.top(m))) / top_a.size
 
 
 def dcc_surrogate(a: ConfidenceVector, b: ConfidenceVector, m: int, temperature: float) -> Tensor:

@@ -10,7 +10,8 @@ is one contiguous slice of ``theta`` (``Model.groups``) -- the two
 slices gradient modulation acts on. The disentangler and the fusion
 classifier follow and are never modulated. Both groups begin with a
 structurally identical branch (blocks, pool, classifier), the molecular
-group leading with its IDH branch.
+group leading with its IDH branch. The ``ModelConfig`` fixes the
+structure when the model is built, the marker graph included.
 """
 from __future__ import annotations
 
@@ -21,11 +22,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .disentangle import DisentangledFeatures, disentangle, init_disentangler
 from .heads import (
     HISTOLOGY_BLOCK_COUNT,
-    BranchState,
-    MolecularState,
     fusion_classify,
     histology_forward,
     init_branch,
@@ -45,13 +45,19 @@ LESION_COL = 1    # histology branch: lesion present = label 1
 class ModelConfig:
     feat_dim: int
     graph_alpha: float = 0.5
+    use_graph: bool = True  # run the marker graph between the marker branches and their pools
+
+    @classmethod
+    def of(cls, feat_dim: int, cfg: TrainConfig) -> ModelConfig:
+        """The model ``cfg`` trains on ``feat_dim``-wide features; reads ``no_graph``."""
+        return cls(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha,
+                   use_graph="no_graph" not in cfg.ablations)
 
 
 @dataclass
 class BagForward:
     disent: DisentangledFeatures
-    mol: MolecularState
-    his: BranchState
+    branches: tuple              # four BranchStates: IDH, 1p/19q, CDKN, histology
     glioma_logits: Tensor        # (1, 4)
     conf_wt: ConfidenceVector    # molecular confidence toward IDH-wildtype
     conf_nmp: ConfidenceVector   # histology confidence toward lesion presence
@@ -72,16 +78,12 @@ class Model:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         k = cfg.feat_dim
-
-        def make(arr):
-            return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
-
-        self.disent = init_disentangler(rng, k, make)
-        self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT, make)
-        self.mol = init_molecular(rng, k, make)
+        self.disent = init_disentangler(rng, k)
+        self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT)
+        self.mol = init_molecular(rng, k)
         std = np.sqrt(2.0 / (2 * k + 4))
-        self.fusion_w = make(rng.normal(scale=std, size=(2 * k, 4)))
-        self.fusion_b = make(np.zeros((1, 4)))
+        self.fusion_w = Tensor(rng.normal(scale=std, size=(2 * k, 4)), requires_grad=True)
+        self.fusion_b = Tensor(np.zeros((1, 4)), requires_grad=True)
 
         his: dict = {}
         mol: dict = {}
@@ -126,33 +128,26 @@ class Model:
             for t in self.params.values()
         ])
 
-    def forward(self, bag: PatchBag, adjacency: np.ndarray, ablations=()) -> BagForward:
+    def forward(self, bag: PatchBag, adjacency: np.ndarray) -> BagForward:
         d = disentangle(Tensor(bag.feats_low), Tensor(bag.feats_high), self.disent)
-        mol_state = molecular_forward(
-            d.fused_mol,
-            adjacency,
-            self.mol,
-            alpha=self.cfg.graph_alpha,
-            use_graph="no_graph" not in ablations,
+        markers = molecular_forward(
+            d.fused_mol, adjacency, self.mol,
+            alpha=self.cfg.graph_alpha, use_graph=self.cfg.use_graph,
         )
-        his_state = histology_forward(d.fused_his, self.his)
+        his = histology_forward(d.fused_his, self.his)
         glioma_logits = fusion_classify(
-            his_state.pooled, mol_state.pooled, self.fusion_w, self.fusion_b
+            his.pooled, [s.pooled for s in markers], self.fusion_w, self.fusion_b
         )
+        idh = markers[0]
         conf_wt = confidence_weights(
-            mol_state.feats_out[0],
-            mol_state.pooled[0],
-            ad.narrow(self.mol.idh.clf_w, 1, WILDTYPE_COL, 1),
+            idh.feats, idh.pooled, ad.narrow(self.mol.idh.clf_w, 1, WILDTYPE_COL, 1)
         )
         conf_nmp = confidence_weights(
-            his_state.feats,
-            his_state.pooled,
-            ad.narrow(self.his.clf_w, 1, LESION_COL, 1),
+            his.feats, his.pooled, ad.narrow(self.his.clf_w, 1, LESION_COL, 1)
         )
         return BagForward(
             disent=d,
-            mol=mol_state,
-            his=his_state,
+            branches=(*markers, his),
             glioma_logits=glioma_logits,
             conf_wt=conf_wt,
             conf_nmp=conf_nmp,

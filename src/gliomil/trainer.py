@@ -1,7 +1,11 @@
 """Training loop: multi-term loss, modulated optimization, evaluation.
 
 ``batch_loss`` builds one bag's objective: eight loss terms and their
-weighted sum. A step owns the batch mean: it runs forward, loss and
+weighted sum. The four findings (IDH, 1p/19q, CDKN, histology) each
+have one branch in ``BagForward.branches``, in ``MarkerTuple`` order, so
+the loss and ``evaluate`` take them in one loop; the model itself says
+whether the marker graph runs (``ModelConfig.use_graph``), so neither
+takes the ablations. A step owns the batch mean: it runs forward, loss and
 backward for one bag at a time, each bag's loss scaled by 1/batch, so
 the leaves' ``.grad`` add up to the gradient of the batch mean while
 only one bag's graph is alive. Then (unless ablated) it modulates one
@@ -19,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import (
     ABLATION_FLAGS,
+    FINDING_TERMS,
     LOSS_TERMS,
     TrainConfig,
     loss_weights,
@@ -29,17 +34,20 @@ from .dataio import DatasetError
 from .disentangle import disentangle_loss
 from .heads import correlation_loss
 from .interaction import (
-    CurriculumSchedule,
     cmg_modulate,
     curriculum_m,
     dcc_overlap,
     dcc_surrogate,
     majority_vote,
 )
-from .metrics import CasePrediction, MetricReport, compute_metrics
+from .metrics import TASKS, CasePrediction, MetricReport, compute_metrics
 from .model import Model, ModelConfig
 from .optim import AdamW
 from .synth import CooccurrenceMatrix, estimate_cooccurrence, marker_table
+
+
+# short name of each metrics.TASKS entry: the findings' loss terms, then the tumour class
+ACCURACY_KEYS = FINDING_TERMS + ("glioma",)
 
 
 class LossError(RuntimeError):
@@ -51,7 +59,7 @@ class EpochRow:
     epoch: int
     losses: dict           # term name -> batch-averaged value, plus "total"
     dcc_overlap: float     # mean top-M agreement across training bags
-    accuracies: dict       # task name -> held-out accuracy
+    accuracies: dict       # ACCURACY_KEYS name -> held-out accuracy
 
 
 @dataclass
@@ -104,19 +112,16 @@ def batch_loss(fwd, bag, adjacency, cfg: TrainConfig, top_m: int):
     """One bag's share of the batch loss, before the step's 1/batch scale.
 
     Builds the bag's eight ``LOSS_TERMS`` and returns the weighted sum of
-    those whose weight is non-zero, plus every term's float value.
+    those whose weight is non-zero, plus every term's float value. The
+    four finding terms are each branch's cross-entropy against its label.
     """
-    m = bag.markers
-    m_eff = min(top_m, fwd.conf_wt.values.size)
     terms = {
         "glioma": ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class),
-        "idh": ad.softmax_cross_entropy(fwd.mol.logits[0], m.idh_mut),
-        "codel": ad.softmax_cross_entropy(fwd.mol.logits[1], m.codel_1p19q),
-        "cdkn": ad.softmax_cross_entropy(fwd.mol.logits[2], m.cdkn_homdel),
-        "nmp": ad.softmax_cross_entropy(fwd.his.logits, m.nmp),
+        **{name: ad.softmax_cross_entropy(state.logits, label)
+           for name, state, label in zip(FINDING_TERMS, fwd.branches, bag.markers.as_array())},
         "disent": disentangle_loss(fwd.disent),
-        "lc": correlation_loss(fwd.mol.feats_out, adjacency),
-        "dcc": dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, m_eff, cfg.dcc_temperature),
+        "lc": correlation_loss([state.feats for state in fwd.branches[:3]], adjacency),
+        "dcc": dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, top_m, cfg.dcc_temperature),
     }
     weighted = [ad.scale(terms[name], w) for name, w in loss_weights(cfg).items() if w != 0.0]
     if not weighted:
@@ -124,19 +129,15 @@ def batch_loss(fwd, bag, adjacency, cfg: TrainConfig, top_m: int):
     return functools.reduce(ad.add, weighted), {name: float(t.data) for name, t in terms.items()}
 
 
-def evaluate(model: Model, bags, adjacency, ablations=()):
+def evaluate(model: Model, bags, adjacency):
     """Forward every bag without recording; returns predictions + confidences."""
     predictions = []
     confidences = []
     with ad.no_grad():
         for bag in bags:
-            fwd = model.forward(bag, adjacency, ablations)
-            marker_probs = np.array([
-                ad.softmax(fwd.mol.logits[0], axis=1).data.ravel()[1],
-                ad.softmax(fwd.mol.logits[1], axis=1).data.ravel()[1],
-                ad.softmax(fwd.mol.logits[2], axis=1).data.ravel()[1],
-                ad.softmax(fwd.his.logits, axis=1).data.ravel()[1],
-            ])
+            fwd = model.forward(bag, adjacency)
+            marker_probs = np.array([ad.softmax(state.logits, axis=1).data.ravel()[1]
+                                     for state in fwd.branches])
             glioma_probs = ad.softmax(fwd.glioma_logits, axis=1).data.ravel()
             predictions.append(
                 CasePrediction(
@@ -157,7 +158,7 @@ def evaluate(model: Model, bags, adjacency, ablations=()):
 def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch,
                 order_rng, modulation_hook=None):
     """One pass over the training bags; returns (term means, mean overlap)."""
-    schedule = CurriculumSchedule(cfg.dcc_top_m, cfg.dcc_decay, cfg.dcc_decay_every)
+    top_m = curriculum_m(epoch, cfg)
     order = order_rng.permutation(len(train_bags))
     term_sums = {name: 0.0 for name in LOSS_TERMS + ("total",)}
     overlap_sum = 0.0
@@ -165,15 +166,13 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
     for start in range(0, len(order), cfg.batch_size):
         batch = [train_bags[i] for i in order[start: start + cfg.batch_size]]
         model.zero_grads()
-        top_m = curriculum_m(epoch, schedule, max(b.feats_high.shape[0] for b in batch))
         inv_n = 1.0 / len(batch)
         sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for bag in batch:
-            fwd = model.forward(bag, adjacency, cfg.ablations)
+            fwd = model.forward(bag, adjacency)
             loss, bag_values = batch_loss(fwd, bag, adjacency, cfg, top_m)
             ad.backward(ad.scale(loss, inv_n))
-            m_eff = min(top_m, fwd.conf_wt.values.size)
-            overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, m_eff)
+            overlap_sum += dcc_overlap(fwd.conf_wt, fwd.conf_nmp, top_m)
             for name, v in bag_values.items():
                 sums[name] += v
             del fwd, loss  # the bag's activations go before the next bag's forward
@@ -199,16 +198,21 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
     return term_means, mean_overlap
 
 
-def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> TrainResult:
-    validate(cfg)
-    t0 = time.time()
+def training_split(bags, cfg: TrainConfig):
+    """``cfg``'s (train, held-out) split of ``bags``; a split with no held-out case is refused."""
     train_bags, val_bags = split_dataset(bags, cfg.val_fraction, cfg.seed)
     if not val_bags:
         raise DatasetError("a dataset of one case leaves none to hold out; training needs 2")
+    return train_bags, val_bags
+
+
+def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> TrainResult:
+    validate(cfg)
+    t0 = time.time()
+    train_bags, val_bags = training_split(bags, cfg)
     cooc = estimate_cooccurrence(marker_table(train_bags))
-    feat_dim = bags[0].feats_high.shape[1]
     model = Model(
-        ModelConfig(feat_dim=feat_dim, graph_alpha=cfg.graph_alpha),
+        ModelConfig.of(bags[0].feats_high.shape[1], cfg),
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))),
     )
     optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -224,15 +228,9 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
         # the last epoch scores every bag once: its held-out subset gives the
         # epoch row and the final report, the whole pass the confidences
         scored = bags if epoch == cfg.epochs - 1 else val_bags
-        preds, confidences = evaluate(model, scored, cooc.a, cfg.ablations)
+        preds, confidences = evaluate(model, scored, cooc.a)
         report = compute_metrics([p for b, p in zip(scored, preds) if id(b) in held_out])
-        accuracies = {
-            "idh": report.idh_mut.accuracy,
-            "codel": report.codel_1p19q.accuracy,
-            "cdkn": report.cdkn_homdel.accuracy,
-            "nmp": report.nmp.accuracy,
-            "glioma": report.glioma.accuracy,
-        }
+        accuracies = {key: report.task(task).accuracy for key, task in zip(ACCURACY_KEYS, TASKS)}
         rows.append(EpochRow(epoch=epoch, losses=term_means,
                              dcc_overlap=overlap, accuracies=accuracies))
         if log:
@@ -257,11 +255,13 @@ def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
     """Train the full model plus one single-flag variant per flag.
 
     Every variant shares the base config's seed (and therefore the same
-    split and init stream). Every variant's config is validated before the
-    first one trains. Returns [(variant_name, TrainResult), ...]; each
-    result carries the config its variant trained with.
+    split and init stream). Every variant's config, and the split they
+    share, is checked before the first one trains. Returns
+    [(variant_name, TrainResult), ...]; each result carries the config its
+    variant trained with.
     """
     variants = [("full", cfg)] + [(flag, with_ablations(cfg, (flag,))) for flag in flags]
+    training_split(bags, cfg)
     results = []
     for name, variant_cfg in variants:
         if log:
@@ -276,7 +276,8 @@ def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
 EPOCH_COLUMNS = (
     ["epoch", "loss_total"]
     + [f"loss_{name}" for name in LOSS_TERMS]
-    + ["dcc_overlap", "acc_idh", "acc_codel", "acc_cdkn", "acc_nmp", "acc_glioma"]
+    + ["dcc_overlap"]
+    + [f"acc_{key}" for key in ACCURACY_KEYS]
 )
 
 
@@ -286,7 +287,7 @@ def epochs_csv(rows) -> str:
         cells = [str(row.epoch), f"{row.losses['total']:.6f}"]
         cells += [f"{row.losses[name]:.6f}" for name in LOSS_TERMS]
         cells.append(f"{row.dcc_overlap:.6f}")
-        cells += [f"{row.accuracies[k]:.6f}" for k in ("idh", "codel", "cdkn", "nmp", "glioma")]
+        cells += [f"{row.accuracies[key]:.6f}" for key in ACCURACY_KEYS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -14,12 +14,7 @@ from gliomil.autodiff import Tensor
 from gliomil.cli import main
 from gliomil.config import ABLATION_FLAGS, GenConfig, TrainConfig
 from gliomil.heads import correlation_loss, graph_mix
-from gliomil.interaction import (
-    ConfidenceVector,
-    CurriculumSchedule,
-    curriculum_m,
-    dcc_overlap,
-)
+from gliomil.interaction import ConfidenceVector, curriculum_m, dcc_overlap
 from gliomil.metrics import micro_multiclass_metrics, rank_auc
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
@@ -69,7 +64,7 @@ def test_c2_modulation_invariants_over_five_epochs():
     train_bags, _ = split_dataset(bags, cfg.val_fraction, cfg.seed)
     cooc = estimate_cooccurrence(marker_table(train_bags))
     model = Model(
-        ModelConfig(feat_dim=8, graph_alpha=cfg.graph_alpha),
+        ModelConfig.of(8, cfg),
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))),
     )
     optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -175,8 +170,8 @@ def test_c4_correlation_loss_overlap_and_curriculum():
         if dcc_overlap(ca, cb, m) != expect:
             overlap_ok = False
 
-    schedule = CurriculumSchedule(start=8, decay=0.5, every=10)
-    table = [curriculum_m(e, schedule, 32) for e in range(30)]
+    schedule = TrainConfig(dcc_top_m=8, dcc_decay=0.5, dcc_decay_every=10)
+    table = [curriculum_m(e, schedule) for e in range(30)]
     curriculum_ok = table == [8] * 10 + [4] * 10 + [2] * 10
     _check(
         "correlation loss zero case, overlap oracle x1000, curriculum 8/4/2",

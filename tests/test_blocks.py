@@ -15,11 +15,9 @@ from gliomil.blocks import (
 from gliomil.gradcheck import grad_check
 from gliomil.model import _walk
 
-from helpers import make_param
-
 
 def block(seed, k):
-    return init_block(np.random.default_rng(seed), k, make_param)
+    return init_block(np.random.default_rng(seed), k)
 
 
 class TestTransformerBlock:
@@ -82,7 +80,7 @@ class TestAttentionPool:
 
     def test_weights_positive_and_sum_to_one(self):
         rng = np.random.default_rng(11)
-        p = init_pool(rng, 6, make_param)
+        p = init_pool(rng, 6)
         for _ in range(20):
             x = Tensor(rng.normal(scale=3.0, size=(13, 6)))
             _, a = attention_pool(x, p)
@@ -90,14 +88,14 @@ class TestAttentionPool:
             assert abs(a.data.sum() - 1.0) < 1e-12
 
     def test_single_patch_passes_through(self):
-        p = init_pool(np.random.default_rng(12), 4, make_param)
+        p = init_pool(np.random.default_rng(12), 4)
         x = np.random.default_rng(13).normal(size=(1, 4))
         z, a = attention_pool(Tensor(x), p)
         assert a.data.ravel()[0] == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(z.data, x, atol=1e-15)
 
     def test_identical_rows_pool_to_that_row(self):
-        p = init_pool(np.random.default_rng(14), 5, make_param)
+        p = init_pool(np.random.default_rng(14), 5)
         row = np.random.default_rng(15).normal(size=5)
         x = Tensor(np.tile(row, (8, 1)))
         z, a = attention_pool(x, p)
@@ -106,7 +104,7 @@ class TestAttentionPool:
 
     def test_summary_in_convex_hull(self):
         rng = np.random.default_rng(16)
-        p = init_pool(rng, 3, make_param)
+        p = init_pool(rng, 3)
         x = rng.normal(size=(10, 3))
         z, _ = attention_pool(Tensor(x), p)
         assert np.all(z.data.ravel() <= x.max(axis=0) + 1e-12)
@@ -114,7 +112,7 @@ class TestAttentionPool:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
-        p = init_pool(rng, 4, make_param)
+        p = init_pool(rng, 4)
         x = Tensor(rng.uniform(-2, 2, size=(6, 4)), requires_grad=True)
         params = {}
         _walk(p, "p", params)

@@ -12,8 +12,6 @@ from gliomil.disentangle import (
 from gliomil.gradcheck import grad_check
 from gliomil.model import _walk
 
-from helpers import make_param
-
 
 def features(seed, n=5, k=4):
     rng = np.random.default_rng(seed)
@@ -23,19 +21,19 @@ def features(seed, n=5, k=4):
 class TestDisentangle:
     def test_output_shapes(self):
         low, high = features(0)
-        d = disentangle(low, high, init_disentangler(np.random.default_rng(1), 4, make_param))
-        for f in (d.base, d.shared_mol, d.indep_mol, d.shared_his, d.indep_his,
+        d = disentangle(low, high, init_disentangler(np.random.default_rng(1), 4))
+        for f in (d.shared_mol, d.indep_mol, d.shared_his, d.indep_his,
                   d.fused_mol, d.fused_his):
             assert f.data.shape == (5, 4)
 
     def test_rejects_mismatched_magnifications(self):
-        p = init_disentangler(np.random.default_rng(2), 4, make_param)
+        p = init_disentangler(np.random.default_rng(2), 4)
         with pytest.raises(ad.ShapeError):
             disentangle(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), p)
 
     def test_gradients_match_finite_differences(self):
         low, high = features(3)
-        p = init_disentangler(np.random.default_rng(4), 4, make_param)
+        p = init_disentangler(np.random.default_rng(4), 4)
         params = {}
         _walk(p, "p", params)
         rng = np.random.default_rng(5)
@@ -59,7 +57,6 @@ class TestDisentangleLoss:
             return Tensor(np.array([[norm, 0.0]]))
 
         return DisentangledFeatures(
-            base=z,
             shared_mol=vec(shared_gap), shared_his=z,
             indep_mol=vec(indep_gap), indep_his=z,
             fused_mol=vec(indep_gap - fuse_gap_mol), fused_his=vec(-fuse_gap_his),
@@ -72,10 +69,9 @@ class TestDisentangleLoss:
 
     def test_identical_shared_components_give_zero(self):
         low, high = features(6)
-        p = init_disentangler(np.random.default_rng(7), 4, make_param)
+        p = init_disentangler(np.random.default_rng(7), 4)
         d = disentangle(low, high, p)
         d = DisentangledFeatures(
-            base=d.base,
             shared_mol=d.shared_mol, shared_his=d.shared_mol,
             indep_mol=d.indep_mol, indep_his=d.indep_his,
             fused_mol=d.fused_mol, fused_his=d.fused_his,
@@ -85,13 +81,13 @@ class TestDisentangleLoss:
     def test_nonnegative_on_random_inputs(self):
         for seed in range(20):
             low, high = features(100 + seed)
-            p = init_disentangler(np.random.default_rng(200 + seed), 4, make_param)
+            p = init_disentangler(np.random.default_rng(200 + seed), 4)
             assert disentangle_loss(disentangle(low, high, p)).item() >= 0.0
 
     def test_descent_is_monotone_in_windows(self):
         """200 plain-gradient steps at lr 1e-3: non-increasing over any 10-step window."""
         low, high = features(8, n=6, k=4)
-        p = init_disentangler(np.random.default_rng(9), 4, make_param)
+        p = init_disentangler(np.random.default_rng(9), 4)
         params = {}
         _walk(p, "p", params)
         history = []

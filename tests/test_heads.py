@@ -6,6 +6,7 @@ from gliomil.autodiff import Tensor
 from gliomil.gradcheck import grad_check
 from gliomil.heads import (
     HISTOLOGY_BLOCK_COUNT,
+    BranchState,
     correlation_loss,
     fusion_classify,
     graph_mix,
@@ -13,11 +14,10 @@ from gliomil.heads import (
     init_branch,
     init_molecular,
     molecular_forward,
+    refine,
 )
 from gliomil.model import _walk
 from gliomil.synth import estimate_cooccurrence
-
-from helpers import make_param
 
 
 def rand_feats(seed, n=3, k=4, count=3):
@@ -111,48 +111,66 @@ class TestCorrelationLoss:
 
 class TestMolecularForward:
     def test_shapes_and_branch_count(self):
-        p = init_molecular(np.random.default_rng(8), 4, make_param)
+        p = init_molecular(np.random.default_rng(8), 4)
         feats = Tensor(np.random.default_rng(9).normal(size=(6, 4)))
-        state = molecular_forward(feats, np.eye(3), p, alpha=0.5)
-        assert len(state.feats_in) == len(state.feats_out) == 3
-        for f in state.feats_in + state.feats_out:
-            assert f.data.shape == (6, 4)
-        for z, a, lg in zip(state.pooled, state.attn, state.logits):
-            assert z.data.shape == (1, 4) and a.data.shape == (6, 1) and lg.data.shape == (1, 2)
+        states = molecular_forward(feats, np.eye(3), p, alpha=0.5)
+        assert len(states) == 3
+        for state in states:
+            assert isinstance(state, BranchState)
+            assert state.feats.data.shape == (6, 4)
+            assert state.pooled.data.shape == (1, 4) and state.logits.data.shape == (1, 2)
 
     def test_branches_consume_each_other_in_sequence(self):
         """Later branches run on earlier refinements, so corrupting the first
         branch's blocks must change the later branches' features too."""
         rng = np.random.default_rng(10)
-        p = init_molecular(rng, 4, make_param)
+        p = init_molecular(rng, 4)
         feats = Tensor(rng.normal(size=(5, 4)))
-        before = molecular_forward(feats, np.eye(3), p, alpha=0.5)
+        before = molecular_forward(feats, np.eye(3), p, alpha=0.5, use_graph=False)
         p.idh.blocks[0].wo.data += 1.0
-        after = molecular_forward(feats, np.eye(3), p, alpha=0.5)
+        after = molecular_forward(feats, np.eye(3), p, alpha=0.5, use_graph=False)
         for i in range(3):
-            assert not np.allclose(before.feats_in[i].data, after.feats_in[i].data)
+            assert not np.allclose(before[i].feats.data, after[i].feats.data)
+
+    def refined(self, feats, p):
+        """The three marker branches' refined rows, before any graph."""
+        out, h = [], feats
+        for branch in (p.idh, p.codel, p.cdkn):
+            h = refine(h, branch)
+            out.append(h)
+        return out
 
     def test_no_graph_passes_features_through(self):
         rng = np.random.default_rng(11)
-        p = init_molecular(rng, 4, make_param)
+        p = init_molecular(rng, 4)
         feats = Tensor(rng.normal(size=(5, 4)))
-        state = molecular_forward(feats, np.eye(3), p, alpha=0.5, use_graph=False)
-        for f_in, f_out in zip(state.feats_in, state.feats_out):
-            assert f_in is f_out
+        states = molecular_forward(feats, np.eye(3), p, alpha=0.5, use_graph=False)
+        for state, rows in zip(states, self.refined(feats, p)):
+            np.testing.assert_array_equal(state.feats.data, rows.data)
+
+    def test_graph_reads_out_the_blended_rows(self):
+        rng = np.random.default_rng(18)
+        p = init_molecular(rng, 4)
+        feats = Tensor(rng.normal(size=(5, 4)))
+        a = np.full((3, 3), 0.4) + 0.6 * np.eye(3)
+        states = molecular_forward(feats, a, p, alpha=0.5)
+        blended = graph_mix(self.refined(feats, p), a, p.graph_w, 0.5)
+        for state, rows in zip(states, blended):
+            np.testing.assert_array_equal(state.feats.data, rows.data)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
-        p = init_molecular(rng, 3, make_param)
+        p = init_molecular(rng, 3)
         feats = Tensor(rng.uniform(-1, 1, size=(4, 3)))
         a = np.full((3, 3), 0.4) + 0.6 * np.eye(3)
         params = {}
         _walk(p, "p", params)
 
         def f():
-            state = molecular_forward(feats, a, p, alpha=0.5)
-            loss = correlation_loss(state.feats_out, a)
-            for i, lg in enumerate(state.logits):
-                loss = ad.add(loss, ad.softmax_cross_entropy(lg, i % 2))
+            states = molecular_forward(feats, a, p, alpha=0.5)
+            loss = correlation_loss([s.feats for s in states], a)
+            for i, s in enumerate(states):
+                loss = ad.add(loss, ad.softmax_cross_entropy(s.logits, i % 2))
             return loss
 
         report = grad_check(f, params)
@@ -161,16 +179,15 @@ class TestMolecularForward:
 
 class TestHistologyAndFusion:
     def test_histology_shapes(self):
-        p = init_branch(np.random.default_rng(13), 4, HISTOLOGY_BLOCK_COUNT, make_param)
+        p = init_branch(np.random.default_rng(13), 4, HISTOLOGY_BLOCK_COUNT)
         state = histology_forward(Tensor(np.random.default_rng(14).normal(size=(7, 4))), p)
         assert state.feats.data.shape == (7, 4)
         assert state.pooled.data.shape == (1, 4)
-        assert state.attn.data.shape == (7, 1)
         assert state.logits.data.shape == (1, 2)
 
     def test_histology_permutation_invariant_summary(self):
         rng = np.random.default_rng(15)
-        p = init_branch(rng, 4, HISTOLOGY_BLOCK_COUNT, make_param)
+        p = init_branch(rng, 4, HISTOLOGY_BLOCK_COUNT)
         x = rng.normal(size=(6, 4))
         perm = rng.permutation(6)
         a = histology_forward(Tensor(x), p)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from gliomil import autodiff as ad
 from gliomil.autodiff import Tensor
+from gliomil.config import TrainConfig
 from gliomil.interaction import (
     ConfidenceVector,
-    CurriculumSchedule,
     cmg_modulate,
     confidence_weights,
     curriculum_m,
@@ -54,21 +54,30 @@ class TestConfidenceWeights:
             assert c.values[n] == pytest.approx(expect, abs=1e-12)
 
 
+def schedule(start, decay, every):
+    return TrainConfig(dcc_top_m=start, dcc_decay=decay, dcc_decay_every=every)
+
+
 class TestCurriculum:
     def test_halving_schedule(self):
-        s = CurriculumSchedule(start=8, decay=0.5, every=10)
-        assert curriculum_m(0, s, 32) == 8
-        assert curriculum_m(9, s, 32) == 8
-        assert curriculum_m(10, s, 32) == 4
-        assert curriculum_m(25, s, 32) == 2
+        s = schedule(start=8, decay=0.5, every=10)
+        assert curriculum_m(0, s) == 8
+        assert curriculum_m(9, s) == 8
+        assert curriculum_m(10, s) == 4
+        assert curriculum_m(25, s) == 2
 
     def test_clamped_below_by_one(self):
-        s = CurriculumSchedule(start=8, decay=0.5, every=1)
-        assert curriculum_m(50, s, 32) == 1
+        s = schedule(start=8, decay=0.5, every=1)
+        assert curriculum_m(50, s) == 1
 
-    def test_clamped_above_by_patch_count(self):
-        s = CurriculumSchedule(start=100, decay=0.5, every=10)
-        assert curriculum_m(0, s, 16) == 16
+    def test_m_above_patch_count_scores_as_patch_count(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5):
+            a, b = cv(rng.normal(size=n)), cv(rng.normal(size=n))
+            for m in (n + 1, 100):
+                assert dcc_overlap(a, b, m) == dcc_overlap(a, b, n)
+                assert (dcc_surrogate(a, b, m, temperature=0.7).item()
+                        == dcc_surrogate(a, b, n, temperature=0.7).item())
 
 
 class TestOverlap:

@@ -1,6 +1,7 @@
 """Training-loop behavior: splits, loss assembly, the bag-by-bag step, the
 optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
+import dataclasses
 import functools
 import tracemalloc
 
@@ -10,17 +11,19 @@ import pytest
 from gliomil import autodiff as ad
 from gliomil.config import (
     ABLATION_FLAGS,
+    FINDING_TERMS,
     LOSS_TERMS,
     ConfigError,
     GenConfig,
     TrainConfig,
     loss_weights,
 )
-from gliomil.interaction import CurriculumSchedule, curriculum_m
-from gliomil.metrics import compute_metrics, report_text
+from gliomil.interaction import curriculum_m
+from gliomil.metrics import TASKS, compute_metrics, report_text
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
 from gliomil.synth import (
+    MarkerTuple,
     estimate_cooccurrence,
     generate_bag,
     generate_dataset,
@@ -50,9 +53,9 @@ def adjacency_of(bags):
     return estimate_cooccurrence(marker_table(bags)).a
 
 
-def fresh_model(bags, seed=0):
+def fresh_model(bags, seed=0, cfg=TrainConfig()):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
-    return Model(ModelConfig(feat_dim=bags[0].feats_high.shape[1]), rng)
+    return Model(ModelConfig.of(bags[0].feats_high.shape[1], cfg), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +97,8 @@ def test_split_deterministic_and_seed_sensitive():
 def bag_losses(bags, cfg, top_m):
     """``batch_loss`` of every bag: [(loss, values), ...]."""
     adj = adjacency_of(bags)
-    model = fresh_model(bags)
-    return [batch_loss(model.forward(b, adj, cfg.ablations), b, adj, cfg, top_m) for b in bags]
+    model = fresh_model(bags, cfg=cfg)
+    return [batch_loss(model.forward(b, adj), b, adj, cfg, top_m) for b in bags]
 
 
 def test_total_is_weighted_sum_of_terms():
@@ -114,14 +117,33 @@ def test_total_is_weighted_sum_of_terms():
 
 
 def test_glioma_term_is_plain_cross_entropy():
+    """Every cross-entropy term, the glioma one and each finding's, is its
+    logits' plain cross-entropy against the label of the same name."""
     bags = small_bags(4)
     adj = adjacency_of(bags)
     model = fresh_model(bags)
+    # finding term -> (the branch that predicts it, its MarkerTuple field)
+    findings = {
+        "idh": (model.mol.idh, "idh_mut"),
+        "codel": (model.mol.codel, "codel_1p19q"),
+        "cdkn": (model.mol.cdkn, "cdkn_homdel"),
+        "nmp": (model.his, "nmp"),
+    }
+    fields = tuple(f.name for f in dataclasses.fields(MarkerTuple))
+    assert tuple(findings) == FINDING_TERMS
+    assert tuple(field for _, field in findings.values()) == fields
+    assert TASKS[:4] == fields
     for bag in bags:
         fwd = model.forward(bag, adj)
         _, values = batch_loss(fwd, bag, adj, TrainConfig(), top_m=2)
         expect = float(ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class).data)
         assert values["glioma"] == expect
+        assert len(fwd.branches) == len(findings)
+        for state, (term, (branch, field)) in zip(fwd.branches, findings.items()):
+            logits = ad.linear(state.pooled, branch.clf_w, branch.clf_b)
+            np.testing.assert_array_equal(state.logits.data, logits.data)
+            label = getattr(bag.markers, field)
+            assert values[term] == float(ad.softmax_cross_entropy(state.logits, label).data)
 
 
 def test_ablation_flags_drop_terms_from_total():
@@ -180,18 +202,18 @@ def test_train_epoch_gradient_equals_one_backward_over_the_batch(ablations):
     bags = sized_bags([5, 11, 3, 8, 6])
     adj = adjacency_of(bags)
     cfg = TrainConfig(batch_size=len(bags), ablations=ablations)
-    model = fresh_model(bags)
+    model = fresh_model(bags, cfg=cfg)
+    assert model.cfg.use_graph == ("no_graph" not in ablations)
     optimizer = AdamW(model.theta, lr=0.0, weight_decay=0.0)
     term_means, _ = train_epoch(model, bags, adj, cfg, optimizer, 0, np.random.default_rng(3))
 
-    twin = fresh_model(bags)
+    twin = fresh_model(bags, cfg=cfg)
     batch = [bags[i] for i in np.random.default_rng(3).permutation(len(bags))]
-    schedule = CurriculumSchedule(cfg.dcc_top_m, cfg.dcc_decay, cfg.dcc_decay_every)
-    top_m = curriculum_m(0, schedule, max(b.feats_high.shape[0] for b in batch))
+    top_m = curriculum_m(0, cfg)
     inv_n = 1.0 / len(batch)
     shares, sums = [], dict.fromkeys(LOSS_TERMS, 0.0)
     for b in batch:
-        loss, values = batch_loss(twin.forward(b, adj, ablations), b, adj, cfg, top_m)
+        loss, values = batch_loss(twin.forward(b, adj), b, adj, cfg, top_m)
         shares.append(ad.scale(loss, inv_n))
         for name, v in values.items():
             sums[name] += v
@@ -255,7 +277,7 @@ def test_weight_decay_is_decoupled_from_gradient():
     bags = small_bags(12)
     cfg = TrainConfig(epochs=1, batch_size=4, lr=0.01, weight_decay=0.5,
                       ablations=("no_graph",), seed=0)
-    init = fresh_model(bags, seed=0).params["mol.graph_w"].data.copy()
+    init = fresh_model(bags, seed=0, cfg=cfg).params["mol.graph_w"].data.copy()
     result = train_model(bags, cfg)
     n_steps = int(np.ceil(len(result.train_ids) / cfg.batch_size)) * cfg.epochs
     expect = init * (1.0 - cfg.lr * cfg.weight_decay) ** n_steps

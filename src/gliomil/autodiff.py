@@ -13,19 +13,28 @@ intermediate array is freed as soon as nothing else holds it. Only leaves
 second backward that reaches a consumed node raises ``GraphConsumedError``
 (rebuild the graph with a fresh forward instead).
 
+A backward reads its inputs' ``.data`` when it runs, not copies taken at
+forward time, so an op's inputs must not be changed in place between its
+forward and the backward that consumes it. An op keeps an array for its
+backward only if it cannot recompute it, bit for bit, from those inputs.
+
 Four fused ops each record one node in place of a chain of small ones.
 They evaluate the chain's numpy expressions in the same order, forward and
 backward, so they match it bit for bit, and keep only what their backward
 reads:
 
-- ``attention``: ``softmax(c * q @ k^T, rows) @ v``; keeps the (N, M)
-  probabilities.
+- ``attention``: ``softmax(c * q @ k^T, rows) @ v``; keeps nothing of its
+  own: backward recomputes the (N, M) probabilities from ``q`` and ``k``.
 - ``linear``: ``x @ w`` plus a (1, F) bias row, optionally through ReLU;
   keeps only its output (the ReLU mask is ``out > 0``).
 - ``affine_norm``: layer norm plus a per-feature (1, F) gain and bias;
-  keeps the normalised rows and the (N, 1) inverse deviations.
+  keeps nothing of its own: backward recomputes the normalised rows and
+  inverse deviations from ``x``.
 - ``graph_mix_row``: ``alpha * relu(sum_j c_j P_j) + R``; keeps the sign
   mask of the sum.
+
+``cosine_gram`` gives the (m, m) cosines of m blocks as one node, where
+``cosine`` records six nodes per pair.
 
 One order differs: a fused node hands its bias or gain row its gradient
 at once, where the chain's ``repeat_rows`` did so only after the input's
@@ -111,8 +120,10 @@ def _accum(t: Tensor, g) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g + 0.0 in one pass: the bits of g added onto zeros (a -0.0 lands as +0.0)
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
@@ -365,6 +376,14 @@ def softmax(a, axis: int) -> Tensor:
     return _make(y, (a,), bw)
 
 
+def _attention_probs(q, k, c: float):
+    """The transposed keys and the (N, M) row-softmax of ``c * q @ k^T``."""
+    k_t = k.T.copy()
+    scores = (q @ k_t) * c
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return k_t, e / e.sum(axis=1, keepdims=True)
+
+
 def attention(q, k, v, c: float) -> Tensor:
     """Single-head attention ``softmax(c * q @ k^T, rows) @ v`` as one node.
 
@@ -372,8 +391,9 @@ def attention(q, k, v, c: float) -> Tensor:
     ``matmul(softmax(scale(matmul(q, transpose(k)), c), axis=1), v)``,
     forward and backward, so values and gradients match it bit for bit
     (the composition's zero-initialised intermediate gradient buffers,
-    which this op skips, can only turn a -0.0 into +0.0). Only the (N, M)
-    probabilities are kept for backward, not the raw and scaled scores.
+    which this op skips, can only turn a -0.0 into +0.0). Nothing but the
+    inputs is kept for backward: it recomputes the (N, M) probabilities
+    with the forward's own expressions, so they come out bit-identical.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -386,12 +406,10 @@ def attention(q, k, v, c: float) -> Tensor:
             "need equal key widths and equal key/value rows"
         )
     c = float(c)
-    k_t = k.data.T.copy()
-    scores = (q.data @ k_t) * c
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    _, p = _attention_probs(q.data, k.data, c)
 
     def bw(g):
+        k_t, p = _attention_probs(q.data, k.data, c)
         gp = g @ v.data.T
         _accum(v, p.T @ g)
         gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
@@ -436,17 +454,18 @@ def affine_norm(x, gain, bias) -> Tensor:
 
     One node that evaluates the same numpy expressions in the same order as
     ``add(mul(layer_norm(x), repeat_rows(gain, N)), repeat_rows(bias, N))``,
-    forward and backward. Keeps the normalised rows and the (N, 1) inverse
-    deviations, not the tiled rows or the scaled product.
+    forward and backward. Keeps nothing but the inputs: backward normalises
+    ``x`` again, bit for bit as the forward did.
     """
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     if x.data.ndim != 2:
         raise ShapeError(f"affine_norm: expects a 2-d tensor, got {x.data.shape}")
     _check_row("affine_norm", "gain", gain, x.data.shape[1])
     _check_row("affine_norm", "bias", bias, x.data.shape[1])
-    y, inv = _normalize(x.data, -1, _NORM_EPS)
+    y, _ = _normalize(x.data, -1, _NORM_EPS)
 
     def bw(g):
+        y, inv = _normalize(x.data, -1, _NORM_EPS)
         _accum(x, _normalize_grad(g * gain.data, y, inv, -1))
         _accum(gain, (g * y).sum(axis=0, keepdims=True))
         _accum(bias, g.sum(axis=0, keepdims=True))
@@ -535,6 +554,40 @@ def cosine(a, b) -> Tensor:
     if float(na.data) == 0.0 or float(nb.data) == 0.0:
         return Tensor(0.0)
     return div(sum_all(mul(a, b)), mul(na, nb))
+
+
+def _unit_rows(blocks):
+    """Each block flattened to one row, scaled to unit norm (zero rows stay zero),
+    and the inverse norms (0 for a zero row)."""
+    x = np.stack([b.data.ravel() for b in blocks])
+    norms = np.sqrt((x * x).sum(axis=1))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return x * inv[:, None], inv
+
+
+def cosine_gram(blocks) -> Tensor:
+    """The (m, m) flattened (Frobenius) cosines of m same-shaped blocks, as one node.
+
+    A zero-norm block has cosine 0 with every block, itself included, and
+    no gradient flows through its entries, as with ``cosine``. Nothing but
+    the inputs is kept for backward; it rebuilds the unit rows from them.
+    """
+    blocks = [_coerce(b) for b in blocks]
+    for b in blocks[1:]:
+        if b.data.shape != blocks[0].data.shape:
+            raise ShapeError(
+                f"cosine_gram: block shapes {blocks[0].data.shape} and {b.data.shape} differ"
+            )
+    u, _ = _unit_rows(blocks)
+
+    def bw(g):
+        u, inv = _unit_rows(blocks)
+        gu = (g + g.T) @ u
+        gx = (gu - (gu * u).sum(axis=1, keepdims=True) * u) * inv[:, None]
+        for b, row in zip(blocks, gx):
+            _accum(b, row.reshape(b.data.shape))
+
+    return _make(u @ u.T, tuple(blocks), bw)
 
 
 def mse(a, b) -> Tensor:

@@ -192,11 +192,27 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+def _read_run_csv(path: Path) -> list:
+    """A run file's rows of cells, each row as wide as the header.
+
+    An empty file or a row of another width raises ``DatasetError``.
+    """
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    if not rows:
+        raise DatasetError(f"{path}: empty file")
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise DatasetError(
+                f"{path}: line {n} has {len(row)} fields, the header has {len(rows[0])}"
+            )
+    return rows
+
+
 def _cmd_report(args) -> int:
     run = Path(args.run)
     ablation = run / ABLATION_FILE
     if ablation.exists():
-        rows = [line.split(",") for line in ablation.read_text().strip().splitlines()]
+        rows = _read_run_csv(ablation)
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
@@ -204,10 +220,13 @@ def _cmd_report(args) -> int:
     epochs = run / EPOCHS_FILE
     if not epochs.exists():
         raise FileNotFoundError(f"no {ABLATION_FILE} or {EPOCHS_FILE} in {run}")
-    rows = [line.split(",") for line in epochs.read_text().strip().splitlines()]
+    rows = _read_run_csv(epochs)
     header = rows[0]
-    keep = [header.index(c) for c in
-            ("epoch", "loss_total", "loss_dcc", "dcc_overlap", "acc_idh", "acc_glioma")]
+    columns = ("epoch", "loss_total", "loss_dcc", "dcc_overlap", "acc_idh", "acc_glioma")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DatasetError(f"{epochs}: missing columns {', '.join(map(repr, missing))}")
+    keep = [header.index(c) for c in columns]
     for row in rows:
         print("  ".join(f"{row[i]:>12s}" for i in keep))
     report = run / REPORT_FILE

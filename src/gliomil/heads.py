@@ -125,19 +125,12 @@ def correlation_loss(feats, adjacency: np.ndarray) -> Tensor:
     """Mean squared gap between label co-occurrence and feature cosines.
 
     The feature side is the 3x3 matrix of flattened (Frobenius) cosine
-    similarities between marker feature blocks; a zero-norm block makes
-    its pairs' cosines 0.
+    similarities between marker feature blocks (``ad.cosine_gram``); a
+    zero-norm block makes its pairs' cosines 0.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    terms = []
-    for i in range(3):
-        for j in range(3):
-            gap = ad.sub(ad.cosine(feats[i], feats[j]), float(a[i, j]))
-            terms.append(ad.mul(gap, gap))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / 9.0)
+    gap = ad.sub(ad.cosine_gram(feats), a)
+    return ad.scale(ad.sum_all(ad.mul(gap, gap)), 1.0 / 9.0)
 
 
 def histology_forward(feats: Tensor, p: BranchParams) -> BranchState:

@@ -90,6 +90,13 @@ def _cosine(rng):
     return {"a": a, "b": b}, lambda: ad.cosine(a, b)
 
 
+def _cosine_gram(rng):
+    shape = (4,) if rng.random() < 0.5 else (3, 4)  # blocks flatten either way
+    blocks = [_off_zero(*shape, low=0.2)(rng) for _ in range(3)]
+    params = {"a": blocks[0], "b": blocks[1], "c": blocks[2]}
+    return params, lambda: _scalarize(ad.cosine_gram(blocks))
+
+
 def _graph_mix_row(rng):
     ps, r = [_uniform(3, 4)(rng) for _ in range(3)], _uniform(3, 4)(rng)
     cs = _off_zero(3, low=0.2, high=1.0)(rng).data
@@ -136,6 +143,7 @@ OP_CASES = {
     "mean_all": _case(lambda x: ad.mean_all(ad.mul(x, x)), x=_uniform(3, 4)),
     "l2norm": _case(lambda x: ad.l2norm(x), x=_off_zero(3, 3, low=0.1)),
     "cosine": _cosine,
+    "cosine_gram": _cosine_gram,
     "mse": _case(lambda a, b: ad.mse(a, b), a=_uniform(3, 4), b=_uniform(3, 4)),
     "softmax_cross_entropy": _cross_entropy,
 }

@@ -405,3 +405,41 @@ class TestFusedRowOps:
             ad.graph_mix_row(p, [1.0, 1.0], Tensor(np.zeros((3, 4))), 0.5)
         with pytest.raises(ad.ShapeError, match="graph_mix_row"):
             ad.graph_mix_row(p, [1.0, 1.0, 1.0], Tensor(np.zeros((1, 4))), 0.5)
+
+
+class TestCosineGram:
+    def test_entries_match_pairwise_cosine(self):
+        rng = np.random.default_rng(30)
+        blocks = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]
+        gram = ad.cosine_gram(blocks).data
+        assert gram.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                cos = ad.cosine(blocks[i], blocks[j]).item()
+                assert gram[i, j] == pytest.approx(cos, abs=1e-15)
+
+    def test_zero_block_gives_zero_entries_and_no_gradient(self):
+        rng = np.random.default_rng(31)
+        arrays = [np.zeros((2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
+        weight = rng.normal(size=(3, 3))
+        blocks = [t(a) for a in arrays]
+        gram = ad.cosine_gram(blocks)
+        assert not np.any(gram.data[0]) and not np.any(gram.data[:, 0])
+        backward(ad.sum_all(ad.mul(gram, Tensor(weight))))
+        assert not np.any(blocks[0].grad)
+        # the other blocks get what the gram of the nonzero blocks alone gives them
+        rest = [t(a) for a in arrays[1:]]
+        backward(ad.sum_all(ad.mul(ad.cosine_gram(rest), Tensor(weight[1:, 1:]))))
+        for b, r in zip(blocks[1:], rest):
+            np.testing.assert_allclose(b.grad, r.grad, rtol=0, atol=1e-15)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ad.ShapeError, match="cosine_gram"):
+            ad.cosine_gram([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+
+
+def test_first_gradient_turns_negative_zero_into_zero():
+    # a leaf's first gradient is g + 0.0, so a -0.0 in g lands as +0.0
+    x = t([1.0, 2.0])
+    backward(ad.sum_all(ad.mul(x, Tensor([-0.0, -0.0]))))
+    assert np.array_equal(x.grad, [0.0, 0.0]) and not np.any(np.signbit(x.grad))

@@ -736,6 +736,22 @@ def test_report_on_empty_dir_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, text, named", [
+    ("epochs.csv", "epoch,loss_total,dcc_overlap,acc_idh,acc_glioma\n0,1.0,0.5,0.6,0.7\n",
+     "'loss_dcc'"),
+    ("ablation.csv", "variant,acc_idh,acc_glioma\nfull,0.9,0.8\nno_graph,0.9\n", "line 3"),
+    ("epochs.csv", "\n", "empty"),
+], ids=["missing_column", "short_row", "empty"])
+def test_report_on_a_malformed_run_file_exits_2(tmp_path, capsys, name, text, named):
+    (tmp_path / name).write_text(text)
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert name in lines[0] and named in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # argparse-level usage errors
 

@@ -109,6 +109,47 @@ class TestCorrelationLoss:
             assert 0.0 <= correlation_loss(feats, a).item() <= 4.0
 
 
+def _correlation_loss_by_cosines(feats, adjacency):
+    """The loss as nine ``cosine`` chains, one per ordered pair: the reference."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    terms = []
+    for i in range(3):
+        for j in range(3):
+            gap = ad.sub(ad.cosine(feats[i], feats[j]), float(a[i, j]))
+            terms.append(ad.mul(gap, gap))
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return ad.scale(total, 1.0 / 9.0)
+
+
+class TestCorrelationLossMatchesCosineChains:
+    @pytest.mark.parametrize("zero_block", [None, 0, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_gradients_within_1e12(self, seed, zero_block):
+        rng = np.random.default_rng(seed + 40)
+        arrays = [rng.normal(size=(7, 5)) for _ in range(3)]
+        if zero_block is not None:
+            arrays[zero_block][:] = 0.0
+        a = rng.uniform(0, 1, size=(3, 3))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, 1.0)
+
+        def run(loss_fn):
+            feats = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+            loss = loss_fn(feats, a)
+            value = loss.item()
+            ad.backward(loss)
+            return value, [f.grad if f.grad is not None else np.zeros_like(f.data)
+                           for f in feats]
+
+        value, grads = run(correlation_loss)
+        ref_value, ref_grads = run(_correlation_loss_by_cosines)
+        assert abs(value - ref_value) <= 1e-12
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+
 class TestMolecularForward:
     def test_shapes_and_branch_count(self):
         p = init_molecular(np.random.default_rng(8), 4)

@@ -1,11 +1,13 @@
-"""The flat parameter layout: every parameter is a view of ``Model.theta``."""
+"""The flat parameter layout, where every parameter is a view of ``Model.theta``,
+and what one bag's recorded graph holds."""
 import numpy as np
 
+from gliomil.autodiff import Tensor
 from gliomil.config import GenConfig, TrainConfig
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
 from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table
-from gliomil.trainer import train_epoch
+from gliomil.trainer import batch_loss, train_epoch
 
 
 def build(feat_dim=6, seed=0):
@@ -101,3 +103,56 @@ def test_train_epoch_moves_parameters_only_through_theta():
     assert not np.array_equal(model.theta, before)
     assert {n: id(t.data) for n, t in model.params.items()} == data_ids
     assert_views_of_theta(model)
+
+
+def _bag_graph_nodes(n, k):
+    """The recorded nodes of one (n, k) bag's training loss, before its backward."""
+    bags = generate_dataset(GenConfig(n_cases=4, n_patches=n, feat_dim=k, seed=0))
+    adjacency = estimate_cooccurrence(marker_table(bags)).a
+    cfg = TrainConfig(seed=0)
+    model = Model(ModelConfig.of(k, cfg), np.random.default_rng(0))
+    loss, _ = batch_loss(model.forward(bags[0], adjacency), bags[0], adjacency, cfg, 8)
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def _closure_arrays(fn):
+    """Every ndarray a backward closure holds, directly, in a list or tuple, or as a
+    tensor's data."""
+    found, stack = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, Tensor):
+            found.append(obj.data)
+    return found
+
+
+def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
+    # attention and affine_norm recompute their (N, N) probabilities and
+    # normalised rows in backward, from the inputs their nodes already hold
+    n = 64
+    nodes = _bag_graph_nodes(n, 8)
+    norms = [node for node in nodes if node._backward.__qualname__ == "affine_norm.<locals>.bw"]
+    assert len(norms) == 2 * 10  # two per transformer block, ten blocks
+    for node in norms:
+        assert not any(isinstance(c.cell_contents, np.ndarray)
+                       for c in node._backward.__closure__)
+    for node in nodes:
+        for arr in [node.data, *_closure_arrays(node._backward)]:
+            assert arr.shape != (n, n), node._backward.__qualname__
+
+
+def test_a_bag_records_at_most_230_nodes():
+    # the label-correlation loss is one cosine_gram plus four nodes
+    assert len(_bag_graph_nodes(32, 16)) <= 230

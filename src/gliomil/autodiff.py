@@ -23,29 +23,32 @@ They evaluate the chain's numpy expressions in the same order, forward and
 backward, so they match it bit for bit, and keep only what their backward
 reads:
 
-- ``attention``: ``softmax(c * q @ k^T, rows) @ v``; keeps nothing of its
-  own: backward recomputes the (N, M) probabilities from ``q`` and ``k``.
+- ``attention_sublayer``: a transformer block's pre-norm residual
+  attention, ``x + softmax(c * q @ k^T, rows) @ v @ wo`` with ``q, k, v``
+  projected from ``LN(x) * gain + bias``; keeps nothing of its own:
+  backward recomputes the normalised rows, the projections and the
+  (N, N) probabilities from its inputs.
+- ``ffn_sublayer``: the block's pre-norm residual feed-forward,
+  ``x + relu(h @ w1 + b1) @ w2 + b2``; keeps nothing of its own: backward
+  recomputes ``h`` and the ReLU rows.
 - ``linear``: ``x @ w`` plus a (1, F) bias row, optionally through ReLU;
   keeps only its output (the ReLU mask is ``out > 0``).
-- ``affine_norm``: layer norm plus a per-feature (1, F) gain and bias;
-  keeps nothing of its own: backward recomputes the normalised rows and
-  inverse deviations from ``x``.
 - ``graph_mix_row``: ``alpha * relu(sum_j c_j P_j) + R``; keeps the sign
   mask of the sum.
 
 ``cosine_gram`` gives the (m, m) cosines of m blocks as one node, where
 ``cosine`` records six nodes per pair.
 
-One order differs: a fused node hands its bias or gain row its gradient
-at once, where the chain's ``repeat_rows`` did so only after the input's
-subgraph. Gradients still match bit for bit unless that row also feeds
-another call inside its own input's subgraph; no layer of the model
-reuses a row that way.
+One order differs: a fused node hands each parameter it reads (a weight,
+bias or gain) its gradient at once, where the chain's nodes did so one
+by one, a ``repeat_rows`` row only after the input's subgraph. Gradients
+still match bit for bit unless a parameter also feeds another call inside
+its own input's subgraph; no layer of the model reuses one that way.
 
 Shape rules are strict: elementwise ops require identical shapes, except
 that a 0-d (scalar) tensor may combine with any shape. There is no other
-broadcasting: a (1, F) row enters only as the explicit bias or gain of
-``linear`` and ``affine_norm``, or tiled by ``repeat_rows``.
+broadcasting: a (1, F) row enters only as the explicit bias or gain of a
+fused op, or tiled by ``repeat_rows``.
 """
 from __future__ import annotations
 
@@ -223,9 +226,9 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bw)
 
 
-def _check_row(op: str, name: str, row: Tensor, width: int) -> None:
-    if row.data.shape != (1, width):
-        raise ShapeError(f"{op}: {name} must have shape (1, {width}), got {row.data.shape}")
+def _check_shape(op: str, name: str, t: Tensor, shape: tuple) -> None:
+    if t.data.shape != shape:
+        raise ShapeError(f"{op}: {name} must have shape {shape}, got {t.data.shape}")
 
 
 def linear(x, w, b, relu: bool = False) -> Tensor:
@@ -239,7 +242,7 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear: cannot multiply {x.data.shape} @ {w.data.shape}")
-    _check_row("linear", "bias", b, w.data.shape[1])
+    _check_shape("linear", "bias", b, (1, w.data.shape[1]))
     out = x.data @ w.data + b.data
     if relu:
         out = np.maximum(out, 0.0)
@@ -384,41 +387,6 @@ def _attention_probs(q, k, c: float):
     return k_t, e / e.sum(axis=1, keepdims=True)
 
 
-def attention(q, k, v, c: float) -> Tensor:
-    """Single-head attention ``softmax(c * q @ k^T, rows) @ v`` as one node.
-
-    Evaluates the same numpy expressions in the same order as
-    ``matmul(softmax(scale(matmul(q, transpose(k)), c), axis=1), v)``,
-    forward and backward, so values and gradients match it bit for bit
-    (the composition's zero-initialised intermediate gradient buffers,
-    which this op skips, can only turn a -0.0 into +0.0). Nothing but the
-    inputs is kept for backward: it recomputes the (N, M) probabilities
-    with the forward's own expressions, so they come out bit-identical.
-    """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(
-            f"attention: expects 2-d operands, got {q.data.shape}, {k.data.shape}, {v.data.shape}"
-        )
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(
-            f"attention: q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
-            "need equal key widths and equal key/value rows"
-        )
-    c = float(c)
-    _, p = _attention_probs(q.data, k.data, c)
-
-    def bw(g):
-        k_t, p = _attention_probs(q.data, k.data, c)
-        gp = g @ v.data.T
-        _accum(v, p.T @ g)
-        gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
-        _accum(q, gs @ k_t.T)
-        _accum(k, (q.data.T @ gs).T)
-
-    return _make(p @ v.data, (q, k, v), bw)
-
-
 _NORM_EPS = 1e-5
 
 
@@ -449,28 +417,121 @@ def layer_norm(a, axis: int = -1, eps: float = _NORM_EPS) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def affine_norm(x, gain, bias) -> Tensor:
-    """Layer norm over features, then the (1, F) per-feature ``gain`` and ``bias``.
+def _cols(t: Tensor) -> int:
+    """A matrix's column count; -1 for an array that is not 2-d."""
+    return t.data.shape[1] if t.data.ndim == 2 else -1
 
-    One node that evaluates the same numpy expressions in the same order as
-    ``add(mul(layer_norm(x), repeat_rows(gain, N)), repeat_rows(bias, N))``,
-    forward and backward. Keeps nothing but the inputs: backward normalises
-    ``x`` again, bit for bit as the forward did.
+
+def _check_sublayer(op: str, x: Tensor, weights) -> None:
+    """``x`` is (N, F) and each ``(name, tensor, shape)`` of ``weights`` has its shape.
+
+    Each shape may name the columns of an earlier tensor in ``weights``,
+    which is checked 2-d first, so no shape it reports holds a -1.
     """
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     if x.data.ndim != 2:
-        raise ShapeError(f"affine_norm: expects a 2-d tensor, got {x.data.shape}")
-    _check_row("affine_norm", "gain", gain, x.data.shape[1])
-    _check_row("affine_norm", "bias", bias, x.data.shape[1])
-    y, _ = _normalize(x.data, -1, _NORM_EPS)
+        raise ShapeError(f"{op}: expects a 2-d input, got {x.data.shape}")
+    for name, t, shape in weights:
+        if t.data.ndim != 2:
+            raise ShapeError(f"{op}: {name} must be 2-d, got {t.data.shape}")
+        _check_shape(op, name, t, shape)
+
+
+def _prenorm(x: Tensor, gain: Tensor, bias: Tensor):
+    """A sub-layer's pre-norm rows ``LN(x) * gain + bias``, the normalised rows
+    and their inverse deviations."""
+    y, inv = _normalize(x.data, -1, _NORM_EPS)
+    return y * gain.data + bias.data, y, inv
+
+
+def _prenorm_backward(x: Tensor, gain: Tensor, bias: Tensor, g, y, inv) -> None:
+    """Pass the pre-norm rows' gradient ``g`` on to ``x``, ``gain`` and ``bias``."""
+    _accum(x, _normalize_grad(g * gain.data, y, inv, -1))
+    _accum(gain, (g * y).sum(axis=0, keepdims=True))
+    _accum(bias, g.sum(axis=0, keepdims=True))
+
+
+def attention_sublayer(x, gain, bias, wq, wk, wv, wo, c: float) -> Tensor:
+    """A pre-norm residual attention sub-layer ``x + softmax(c * q @ k^T, rows) @ v @ wo``.
+
+    ``h = LN(x) * gain + bias`` with (1, F) rows ``gain`` and ``bias``, and
+    ``q, k, v = h @ wq, h @ wk, h @ wv``. One node that evaluates the same
+    numpy expressions in the same order as the chain it replaces (the
+    norm, the three projections, ``matmul(softmax(scale(matmul(q,
+    transpose(k)), c), axis=1), v)``, ``matmul(., wo)`` and the residual
+    ``add``), forward and backward. It keeps nothing but its inputs:
+    backward recomputes ``h``, ``q``, ``k``, ``v``, the (N, N)
+    probabilities and the attention rows, and sums the projections'
+    gradients into ``h`` in the chain's order, q, then k, then v.
+    """
+    x, gain, bias, wq, wk, wv, wo = (_coerce(t) for t in (x, gain, bias, wq, wk, wv, wo))
+    f, d, e = _cols(x), _cols(wq), _cols(wv)
+    _check_sublayer("attention_sublayer", x, (
+        ("gain", gain, (1, f)), ("bias", bias, (1, f)), ("wq", wq, (f, d)),
+        ("wk", wk, (f, d)), ("wv", wv, (f, e)), ("wo", wo, (e, f)),
+    ))
+    c = float(c)
+
+    def attend():
+        h, y, inv = _prenorm(x, gain, bias)
+        q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
+        k_t, p = _attention_probs(q, k, c)
+        return h, y, inv, q, k_t, v, p, p @ v
+
+    *_, a = attend()
 
     def bw(g):
-        y, inv = _normalize(x.data, -1, _NORM_EPS)
-        _accum(x, _normalize_grad(g * gain.data, y, inv, -1))
-        _accum(gain, (g * y).sum(axis=0, keepdims=True))
-        _accum(bias, g.sum(axis=0, keepdims=True))
+        h, y, inv, q, k_t, v, p, a = attend()
+        _accum(x, g)
+        ga = g @ wo.data.T
+        _accum(wo, a.T @ g)
+        gp = ga @ v.T
+        gv = p.T @ ga
+        gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
+        gq = gs @ k_t.T
+        gk = np.ascontiguousarray((q.T @ gs).T)  # the layout the chain's k.grad had
+        _accum(wq, h.T @ gq)
+        _accum(wk, h.T @ gk)
+        _accum(wv, h.T @ gv)
+        gh = gq @ wq.data.T + gk @ wk.data.T + gv @ wv.data.T
+        _prenorm_backward(x, gain, bias, gh, y, inv)
 
-    return _make(y * gain.data + bias.data, (x, gain, bias), bw)
+    return _make(x.data + a @ wo.data, (x, gain, bias, wq, wk, wv, wo), bw)
+
+
+def ffn_sublayer(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """A pre-norm residual feed-forward sub-layer ``x + relu(h @ w1 + b1) @ w2 + b2``.
+
+    ``h = LN(x) * gain + bias``; ``gain``, ``bias``, ``b1`` and ``b2`` are
+    (1, width) rows. One node that evaluates the same numpy expressions in
+    the same order as the chain it replaces (the norm, ``linear(relu=True)``,
+    ``linear`` and the residual ``add``), forward and backward. It keeps
+    nothing but its inputs: backward recomputes ``h`` and the ReLU rows,
+    whose mask is ``> 0`` exactly where the pre-activation was positive.
+    """
+    x, gain, bias, w1, b1, w2, b2 = (_coerce(t) for t in (x, gain, bias, w1, b1, w2, b2))
+    f, hidden = _cols(x), _cols(w1)
+    _check_sublayer("ffn_sublayer", x, (
+        ("gain", gain, (1, f)), ("bias", bias, (1, f)), ("w1", w1, (f, hidden)),
+        ("b1", b1, (1, hidden)), ("w2", w2, (hidden, f)), ("b2", b2, (1, f)),
+    ))
+
+    def expand():
+        h, y, inv = _prenorm(x, gain, bias)
+        return h, y, inv, np.maximum(h @ w1.data + b1.data, 0.0)
+
+    *_, r = expand()
+
+    def bw(g):
+        h, y, inv, r = expand()
+        _accum(x, g)
+        _accum(w2, r.T @ g)
+        _accum(b2, g.sum(axis=0, keepdims=True))
+        gr = (g @ w2.data.T) * (r > 0.0)
+        _accum(w1, h.T @ gr)
+        _accum(b1, gr.sum(axis=0, keepdims=True))
+        _prenorm_backward(x, gain, bias, gr @ w1.data.T, y, inv)
+
+    return _make(x.data + (r @ w2.data + b2.data), (x, gain, bias, w1, b1, w2, b2), bw)
 
 
 def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:

@@ -59,18 +59,10 @@ def init_block(rng: np.random.Generator, k: int) -> BlockParams:
 
 
 def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
-    k = x.data.shape[1]
-    h = ad.affine_norm(x, p.ln1_gain, p.ln1_bias)
-    q = ad.matmul(h, p.wq)
-    key = ad.matmul(h, p.wk)
-    v = ad.matmul(h, p.wv)
-    attn = ad.attention(q, key, v, 1.0 / math.sqrt(k))
-    x = ad.add(x, ad.matmul(attn, p.wo))
-    h2 = ad.affine_norm(x, p.ln2_gain, p.ln2_bias)
-    f = ad.linear(h2, p.ffn_w1, p.ffn_b1, relu=True)
-    f = ad.linear(f, p.ffn_w2, p.ffn_b2)
-    return ad.add(x, f)
+    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.)); two graph nodes."""
+    x = ad.attention_sublayer(x, p.ln1_gain, p.ln1_bias, p.wq, p.wk, p.wv, p.wo,
+                              1.0 / math.sqrt(x.data.shape[1]))
+    return ad.ffn_sublayer(x, p.ln2_gain, p.ln2_bias, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .config import (
     TrainConfig,
     load_gen_config,
     load_train_config,
+    read_utf8,
     with_ablations,
 )
 from .dataio import (
@@ -195,9 +196,9 @@ def _cmd_ablate(args) -> int:
 def _read_run_csv(path: Path) -> list:
     """A run file's rows of cells, each row as wide as the header.
 
-    An empty file or a row of another width raises ``DatasetError``.
+    An empty or non-UTF-8 file or a row of another width raises ``DatasetError``.
     """
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    rows = [line.split(",") for line in read_utf8(path, DatasetError).strip().splitlines()]
     if not rows:
         raise DatasetError(f"{path}: empty file")
     for n, row in enumerate(rows[1:], start=2):
@@ -226,13 +227,14 @@ def _cmd_report(args) -> int:
     missing = [c for c in columns if c not in header]
     if missing:
         raise DatasetError(f"{epochs}: missing columns {', '.join(map(repr, missing))}")
+    report = run / REPORT_FILE
+    summary = read_utf8(report, DatasetError) if report.exists() else None
     keep = [header.index(c) for c in columns]
     for row in rows:
         print("  ".join(f"{row[i]:>12s}" for i in keep))
-    report = run / REPORT_FILE
-    if report.exists():
+    if summary is not None:
         print()
-        print(report.read_text(), end="")
+        print(summary, end="")
     return 0
 
 

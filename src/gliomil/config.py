@@ -116,10 +116,18 @@ def format_config(cfg) -> dict:
             for k, v in dataclasses.asdict(cfg).items()}
 
 
+def read_utf8(path, error) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise ``error``, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _load(cls, path) -> object:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_utf8(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw = _parse_lines(text, path)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig, format_config, parse_config
+from .config import ConfigError, TrainConfig, format_config, parse_config, read_utf8
 from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, derive_glioma_class
 
 DATASET_MANIFEST = "dataset.manifest"
@@ -84,7 +84,7 @@ def read_dataset(data_dir) -> list:
         raise DatasetError(f"missing {manifest_path}")
     if not blob_path.exists():
         raise DatasetError(f"missing {blob_path}")
-    lines = manifest_path.read_text().splitlines()
+    lines = read_utf8(manifest_path, DatasetError).splitlines()
     if not lines or not lines[0].startswith(_DATASET_MAGIC):
         raise DatasetError(f"{manifest_path}: not a {_DATASET_MAGIC} manifest")
     header = lines[0].split()
@@ -192,7 +192,7 @@ def read_checkpoint(ckpt_dir):
     blob_path = ckpt_dir / CHECKPOINT_BLOB
     if not manifest_path.exists() or not blob_path.exists():
         raise CheckpointError(f"no checkpoint under {ckpt_dir}")
-    lines = manifest_path.read_text().splitlines()
+    lines = read_utf8(manifest_path, CheckpointError).splitlines()
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{manifest_path}: not a {_CHECKPOINT_MAGIC} manifest")
     blob = blob_path.read_bytes()

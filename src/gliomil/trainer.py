@@ -155,6 +155,27 @@ def evaluate(model: Model, bags, adjacency):
     return predictions, confidences
 
 
+def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, step) -> None:
+    """Modulate the batch's summed gradient (unless ablated), then take the AdamW step.
+
+    The flat gradient, its modulated copy and the modulation record are
+    this call's locals, so they are freed before the next step's forwards.
+    """
+    grads = model.gradient_set()
+    if "no_cmg" not in cfg.ablations:
+        vote = majority_vote([bag.markers.nmp for bag in batch])
+        grads, record = cmg_modulate(
+            grads,
+            model.groups,
+            vote,
+            guide="no_guide" not in cfg.ablations,
+            apply_rescale="no_rescale" not in cfg.ablations,
+        )
+        if modulation_hook is not None:
+            modulation_hook(epoch=epoch, step=step, record=record, grads=grads)
+    optimizer.step(grads)
+
+
 def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch,
                 order_rng, modulation_hook=None):
     """One pass over the training bags; returns (term means, mean overlap)."""
@@ -177,19 +198,7 @@ def train_epoch(model, train_bags, adjacency, cfg: TrainConfig, optimizer, epoch
                 sums[name] += v
             del fwd, loss  # the bag's activations go before the next bag's forward
         values = term_values({name: v * inv_n for name, v in sums.items()}, cfg)
-        grads = model.gradient_set()
-        if "no_cmg" not in cfg.ablations:
-            vote = majority_vote([bag.markers.nmp for bag in batch])
-            grads, record = cmg_modulate(
-                grads,
-                model.groups,
-                vote,
-                guide="no_guide" not in cfg.ablations,
-                apply_rescale="no_rescale" not in cfg.ablations,
-            )
-            if modulation_hook is not None:
-                modulation_hook(epoch=epoch, step=n_batches, record=record, grads=grads)
-        optimizer.step(grads)
+        _update(model, batch, cfg, optimizer, modulation_hook, epoch=epoch, step=n_batches)
         for name, v in values.items():
             term_sums[name] += v
         n_batches += 1

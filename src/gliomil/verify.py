@@ -42,6 +42,9 @@ def _uniform(*shape, low=-2.0, high=2.0):
     return lambda rng: Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
 
 
+_unit = functools.partial(_uniform, low=-1.0, high=1.0)
+
+
 def _off_zero(*shape, low, high=2.0):
     """Magnitudes in [low, high] with random signs: kept off 0 on both sides."""
     def draw(rng):
@@ -75,6 +78,18 @@ def _linear_relu(rng):
     while np.abs(x.data @ w.data + b.data).min() < 1e-3:
         b.data += 0.01  # keep every ReLU input off the kink
     return {"x": x, "w": w, "b": b}, lambda: _scalarize(ad.linear(x, w, b, relu=True))
+
+
+def _ffn_sublayer(rng):
+    params = {name: _uniform(*shape)(rng) for name, shape in (
+        ("x", (3, 4)), ("gain", (1, 4)), ("bias", (1, 4)),
+        ("w1", (4, 5)), ("b1", (1, 5)), ("w2", (5, 4)), ("b2", (1, 4)),
+    )}
+    x, gain, bias, w1, b1 = (params[name] for name in ("x", "gain", "bias", "w1", "b1"))
+    h = ad.layer_norm(x).data * gain.data + bias.data
+    while np.abs(h @ w1.data + b1.data).min() < 1e-2:
+        b1.data += 0.01  # keep every ReLU input off the kink
+    return params, lambda: _scalarize(ad.ffn_sublayer(*params.values()))
 
 
 def _concat(rng):
@@ -133,11 +148,13 @@ OP_CASES = {
     "log": _case(lambda x: ad.log(x), x=_uniform(3, 4, low=0.2)),
     "softmax": _case(lambda x: ad.softmax(x, axis=1), x=_uniform(3, 4)),
     "softmax_axis0": _case(lambda x: ad.softmax(x, axis=0), x=_uniform(5, 3)),
-    "attention": _case(lambda q, k, v: ad.attention(q, k, v, 0.5),
-                       q=_uniform(3, 4), k=_uniform(5, 4), v=_uniform(5, 2)),
+    # parameters in [-1, 1]: at +/-2 the loss reaches ~100, and its roundoff
+    # over a step of 1e-5 swamps query and key gradients of ~1e-5
+    "attention_sublayer": _case(lambda *ts: ad.attention_sublayer(*ts, 0.5),
+                                x=_uniform(4, 5), gain=_unit(1, 5), bias=_unit(1, 5),
+                                wq=_unit(5, 3), wk=_unit(5, 3), wv=_unit(5, 2), wo=_unit(2, 5)),
+    "ffn_sublayer": _ffn_sublayer,
     "layer_norm": _case(lambda x: ad.layer_norm(x), x=_uniform(4, 6)),
-    "affine_norm": _case(lambda x, gain, bias: ad.affine_norm(x, gain, bias),
-                         x=_uniform(4, 6), gain=_uniform(1, 6), bias=_uniform(1, 6)),
     "graph_mix_row": _graph_mix_row,
     "sum_all": _case(lambda x: ad.sum_all(ad.tanh(x)), x=_uniform(3, 4)),
     "mean_all": _case(lambda x: ad.mean_all(ad.mul(x, x)), x=_uniform(3, 4)),

@@ -196,53 +196,6 @@ class TestGraphRelease:
             backward(ad.sum_all(ad.tanh(y)))
 
 
-def _attention_by_five_ops(q, k, v, c):
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), c)
-    return ad.matmul(ad.softmax(scores, axis=1), v)
-
-
-class TestFusedAttention:
-    @pytest.mark.parametrize("n", [1, 3, 17])
-    def test_bitwise_equal_to_the_five_op_composition(self, n):
-        rng = np.random.default_rng(n)
-        arrays = rng.normal(size=(n, 5)), rng.normal(size=(n, 5)), rng.normal(size=(n, 3))
-        weight = Tensor(rng.normal(size=(n, 3)))
-        c = 1.0 / np.sqrt(5)
-
-        def run(attn):
-            q, k, v = (t(a.copy()) for a in arrays)
-            out = attn(q, k, v, c)
-            value = out.data.copy()
-            backward(ad.sum_all(ad.mul(out, weight)))
-            return value, q.grad, k.grad, v.grad
-
-        for fused, composed in zip(run(ad.attention), run(_attention_by_five_ops)):
-            assert np.array_equal(fused, composed)
-
-    def test_shared_input_accumulates_in_the_same_order(self):
-        rng = np.random.default_rng(4)
-        h_data = rng.normal(size=(17, 6))
-        ws = rng.normal(size=(6, 6)), rng.normal(size=(6, 6)), rng.normal(size=(6, 4))
-
-        def run(attn):
-            h = t(h_data.copy())
-            wq, wk, wv = (t(w.copy()) for w in ws)
-            out = attn(ad.matmul(h, wq), ad.matmul(h, wk), ad.matmul(h, wv), 0.4)
-            backward(ad.sum_all(ad.tanh(out)))
-            return out.data, h.grad, wq.grad, wk.grad, wv.grad
-
-        for fused, composed in zip(run(ad.attention), run(_attention_by_five_ops)):
-            assert np.array_equal(fused, composed)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ad.ShapeError, match="attention"):
-            ad.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 3))),
-                         Tensor(np.zeros((5, 2))), 1.0)
-        with pytest.raises(ad.ShapeError, match="attention"):
-            ad.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))),
-                         Tensor(np.zeros((4, 2))), 1.0)
-
-
 def _bits(a):
     a = np.asarray(a)
     return a.shape, a.tobytes()
@@ -261,6 +214,91 @@ def _linear_by_ops(x, w, b, relu=False):
 def _affine_norm_by_ops(x, gain, bias):
     n = x.data.shape[0]
     return ad.add(ad.mul(ad.layer_norm(x), ad.repeat_rows(gain, n)), ad.repeat_rows(bias, n))
+
+
+def _attention_by_five_ops(q, k, v, c):
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), c)
+    return ad.matmul(ad.softmax(scores, axis=1), v)
+
+
+def _attention_sublayer_by_ops(x, gain, bias, wq, wk, wv, wo, c):
+    """The 11-node chain a transformer block's attention sub-layer replaces."""
+    h = _affine_norm_by_ops(x, gain, bias)
+    attn = _attention_by_five_ops(ad.matmul(h, wq), ad.matmul(h, wk), ad.matmul(h, wv), c)
+    return ad.add(x, ad.matmul(attn, wo))
+
+
+def _ffn_sublayer_by_ops(x, gain, bias, w1, b1, w2, b2):
+    """The chain a transformer block's feed-forward sub-layer replaces."""
+    f = _linear_by_ops(_affine_norm_by_ops(x, gain, bias), w1, b1, relu=True)
+    return ad.add(x, _linear_by_ops(f, w2, b2))
+
+
+def _sublayer_arrays(rng, n, op):
+    """Input rows and parameters for one call of ``op``, at width 6 (hidden width 12)."""
+    shapes = {
+        ad.attention_sublayer: [(1, 6), (1, 6), (6, 6), (6, 6), (6, 6), (6, 6)],
+        ad.ffn_sublayer: [(1, 6), (1, 6), (6, 12), (1, 12), (12, 6), (1, 6)],
+    }[op]
+    return [rng.normal(size=(n, 6))] + [rng.normal(scale=0.5, size=s) for s in shapes]
+
+
+def _run_sublayer(op, arrays, weight, *extra):
+    """Forward value and every input's gradient of ``sum(op(...) * weight)``."""
+    ts = [t(a.copy()) for a in arrays]
+    out = op(*ts, *extra)
+    value = out.data.copy()
+    backward(ad.sum_all(ad.mul(out, weight)))
+    return [value] + [x.grad for x in ts]
+
+
+SUBLAYER_ROWS = [1, 2, 3, 7, 17, 64]
+
+
+class TestFusedAttention:
+    """``attention_sublayer`` equals its chain (five-op attention inside), bit for bit."""
+
+    @pytest.mark.parametrize("n", SUBLAYER_ROWS)
+    def test_bitwise_equal_to_the_five_op_composition(self, n):
+        rng = np.random.default_rng(n)
+        arrays = _sublayer_arrays(rng, n, ad.attention_sublayer)
+        weight = Tensor(rng.normal(size=(n, 6)))
+        c = 1.0 / np.sqrt(6)
+        _assert_bitwise(_run_sublayer(ad.attention_sublayer, arrays, weight, c),
+                        _run_sublayer(_attention_sublayer_by_ops, arrays, weight, c))
+
+    def test_shared_input_accumulates_in_the_same_order(self):
+        # the model's layout: a block's input also feeds other layers (here a
+        # tanh term whose gradient reaches it first, so the order of the
+        # sub-layer's two contributions shows), two sub-layers run in
+        # sequence, and every bag of a batch shares the parameters
+        rng = np.random.default_rng(4)
+        xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
+        rows = [_sublayer_arrays(rng, 1, ad.attention_sublayer)[1:] for _ in range(2)]
+
+        def run(sublayer):
+            xs = [t(x.copy()) for x in xs_data]
+            params = [[t(a.copy()) for a in layer] for layer in rows]
+            loss = None
+            for x in xs:
+                h = sublayer(sublayer(x, *params[0], 0.4), *params[1], 0.4)
+                term = ad.add(ad.sum_all(ad.tanh(x)), ad.sum_all(ad.tanh(h)))
+                loss = term if loss is None else ad.add(loss, term)
+            backward(loss)
+            return [x.grad for x in xs] + [p.grad for layer in params for p in layer]
+
+        _assert_bitwise(run(ad.attention_sublayer), run(_attention_sublayer_by_ops))
+
+    def test_shape_mismatch_raises(self):
+        x, row, w = Tensor(np.zeros((3, 4))), Tensor(np.ones((1, 4))), Tensor(np.eye(4))
+        with pytest.raises(ad.ShapeError, match="attention_sublayer: expects a 2-d input"):
+            ad.attention_sublayer(Tensor(np.zeros(4)), row, row, w, w, w, w, 1.0)
+        with pytest.raises(ad.ShapeError, match="attention_sublayer: wk"):
+            ad.attention_sublayer(x, row, row, w, Tensor(np.zeros((4, 3))), w, w, 1.0)
+        with pytest.raises(ad.ShapeError, match="attention_sublayer: wo"):
+            ad.attention_sublayer(x, row, row, w, w, Tensor(np.zeros((4, 2))), w, 1.0)
+        with pytest.raises(ad.ShapeError, match="attention_sublayer: wq must be 2-d"):
+            ad.attention_sublayer(x, row, row, Tensor(np.zeros(4)), w, w, w, 1.0)
 
 
 def _graph_mix_row_by_ops(projected, coeffs, residual, alpha):
@@ -289,20 +327,14 @@ class TestFusedRowOps:
 
         _assert_bitwise(run(ad.linear), run(_linear_by_ops))
 
-    @pytest.mark.parametrize("n", [1, 3, 17])
+    @pytest.mark.parametrize("n", SUBLAYER_ROWS)
     def test_affine_norm_bitwise_equal_to_its_composition(self, n):
+        # the affine norm runs inside each sub-layer; here the row-wise one
         rng = np.random.default_rng(n + 100)
-        arrays = rng.normal(size=(n, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+        arrays = _sublayer_arrays(rng, n, ad.ffn_sublayer)
         weight = Tensor(rng.normal(size=(n, 6)))
-
-        def run(affine_norm):
-            x, gain, bias = (t(a.copy()) for a in arrays)
-            out = affine_norm(x, gain, bias)
-            value = out.data.copy()
-            backward(ad.sum_all(ad.mul(out, weight)))
-            return value, x.grad, gain.grad, bias.grad
-
-        _assert_bitwise(run(ad.affine_norm), run(_affine_norm_by_ops))
+        _assert_bitwise(_run_sublayer(ad.ffn_sublayer, arrays, weight),
+                        _run_sublayer(_ffn_sublayer_by_ops, arrays, weight))
 
     @pytest.mark.parametrize("n", [1, 3, 17])
     def test_graph_mix_row_bitwise_equal_to_its_composition(self, n):
@@ -341,24 +373,27 @@ class TestFusedRowOps:
         _assert_bitwise(run(ad.linear), run(_linear_by_ops))
 
     def test_affine_norm_shared_gain_accumulates_in_the_same_order(self):
-        # a transformer block's pattern for each bag of a batch: the input feeds
-        # both the norm and the residual sum, and every bag shares the rows
+        # a transformer block's pattern for each bag of a batch: each sub-layer's
+        # input feeds both its norm and its residual sum, and every bag shares
+        # the gain and bias rows and the weights
         rng = np.random.default_rng(6)
         xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
-        rows = [rng.normal(size=(1, 6)) for _ in range(4)]
+        attn_rows = _sublayer_arrays(rng, 1, ad.attention_sublayer)[1:]
+        ffn_rows = _sublayer_arrays(rng, 1, ad.ffn_sublayer)[1:]
 
-        def run(affine_norm):
+        def run(attention_sublayer, ffn_sublayer):
             xs = [t(x.copy()) for x in xs_data]
-            g1, b1, g2, b2 = (t(r.copy()) for r in rows)
+            attn, ffn = [t(a.copy()) for a in attn_rows], [t(a.copy()) for a in ffn_rows]
             loss = None
             for x in xs:
-                h = ad.add(x, ad.tanh(affine_norm(x, g1, b1)))
-                term = ad.sum_all(ad.tanh(affine_norm(h, g2, b2)))
+                h = ffn_sublayer(attention_sublayer(x, *attn, 0.4), *ffn)
+                term = ad.sum_all(ad.tanh(h))
                 loss = term if loss is None else ad.add(loss, term)
             backward(loss)
-            return [x.grad for x in xs] + [g1.grad, b1.grad, g2.grad, b2.grad]
+            return [x.grad for x in xs] + [p.grad for p in attn + ffn]
 
-        _assert_bitwise(run(ad.affine_norm), run(_affine_norm_by_ops))
+        _assert_bitwise(run(ad.attention_sublayer, ad.ffn_sublayer),
+                        run(_attention_sublayer_by_ops, _ffn_sublayer_by_ops))
 
     def test_graph_mix_shared_projection_accumulates_in_the_same_order(self):
         # the layout of heads.graph_mix: three rows read one shared weight
@@ -393,11 +428,14 @@ class TestFusedRowOps:
 
     @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5), (6, 1)])
     def test_affine_norm_gain_and_bias_must_be_rows(self, shape):
-        x, row = Tensor(np.zeros((3, 6))), Tensor(np.ones((1, 6)))
-        with pytest.raises(ad.ShapeError, match="affine_norm: gain"):
-            ad.affine_norm(x, Tensor(np.ones(shape)), row)
-        with pytest.raises(ad.ShapeError, match="affine_norm: bias"):
-            ad.affine_norm(x, row, Tensor(np.zeros(shape)))
+        rng = np.random.default_rng(8)
+        for op in (ad.attention_sublayer, ad.ffn_sublayer):
+            x, gain, bias, *rest = [Tensor(a) for a in _sublayer_arrays(rng, 3, op)]
+            extra = (1.0,) if op is ad.attention_sublayer else ()
+            with pytest.raises(ad.ShapeError, match=f"{op.__name__}: gain"):
+                op(x, Tensor(np.ones(shape)), bias, *rest, *extra)
+            with pytest.raises(ad.ShapeError, match=f"{op.__name__}: bias"):
+                op(x, gain, Tensor(np.zeros(shape)), *rest, *extra)
 
     def test_graph_mix_row_shape_errors(self):
         p = [Tensor(np.zeros((3, 4))) for _ in range(3)]

@@ -752,6 +752,48 @@ def test_report_on_a_malformed_run_file_exits_2(tmp_path, capsys, name, text, na
     assert name in lines[0] and named in lines[0]
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _non_utf8_copy(src_dir, dest, name):
+    """Copy ``src_dir``'s files into ``dest``, appending a line of one 0xff byte to ``name``."""
+    dest.mkdir()
+    for f in src_dir.iterdir():
+        if f.is_file():
+            (dest / f.name).write_bytes(f.read_bytes() + (b"\xff\n" if f.name == name else b""))
+    return dest
+
+
+NON_UTF8_INPUTS = {  # input kind -> (tmp_path, data, run) -> (argv, file named in the error)
+    "config": lambda tmp, data, run: (
+        ["train", "--data", str(data), "--config", _write_bytes(tmp / "train.cfg", b"epochs = 1\xff"),
+         "--out", str(tmp / "out")], "train.cfg"),
+    "dataset": lambda tmp, data, run: (
+        ["train", "--data", str(_non_utf8_copy(data, tmp / "data", "dataset.manifest")),
+         "--config", quick_train_cfg(tmp), "--out", str(tmp / "out")], "dataset.manifest"),
+    "checkpoint": lambda tmp, data, run: (
+        ["eval", "--data", str(data), "--checkpoint",
+         str(_non_utf8_copy(run, tmp / "ckpt", "checkpoint.manifest"))], "checkpoint.manifest"),
+    "run_file": lambda tmp, data, run: (
+        ["report", "--run", str(_non_utf8_copy(run, tmp / "run", "epochs.csv"))], "epochs.csv"),
+    "run_report": lambda tmp, data, run: (
+        ["report", "--run", str(_non_utf8_copy(run, tmp / "run", "report.txt"))], "report.txt"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_exits_2_with_one_error_line(tmp_path, trained_run, capsys, kind):
+    argv, name = NON_UTF8_INPUTS[kind](tmp_path, *trained_run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, name)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # argparse-level usage errors
 

@@ -139,13 +139,15 @@ def _closure_arrays(fn):
 
 
 def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
-    # attention and affine_norm recompute their (N, N) probabilities and
-    # normalised rows in backward, from the inputs their nodes already hold
+    # each transformer block is two sub-layer nodes that keep only their inputs:
+    # backward recomputes the norm rows, projections, (N, N) probabilities and
+    # ReLU rows from them
     n = 64
     nodes = _bag_graph_nodes(n, 8)
-    norms = [node for node in nodes if node._backward.__qualname__ == "affine_norm.<locals>.bw"]
-    assert len(norms) == 2 * 10  # two per transformer block, ten blocks
-    for node in norms:
+    sublayers = [node for node in nodes if node._backward.__qualname__
+                 in ("attention_sublayer.<locals>.bw", "ffn_sublayer.<locals>.bw")]
+    assert len(sublayers) == 2 * 10  # two per transformer block, ten blocks
+    for node in sublayers:
         assert not any(isinstance(c.cell_contents, np.ndarray)
                        for c in node._backward.__closure__)
     for node in nodes:
@@ -153,6 +155,18 @@ def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
             assert arr.shape != (n, n), node._backward.__qualname__
 
 
-def test_a_bag_records_at_most_230_nodes():
-    # the label-correlation loss is one cosine_gram plus four nodes
-    assert len(_bag_graph_nodes(32, 16)) <= 230
+def test_a_bag_records_at_most_140_nodes():
+    # ten transformer blocks of two nodes each, and a five-node label-correlation loss
+    assert len(_bag_graph_nodes(32, 16)) <= 140
+
+
+def test_a_wide_bag_graph_holds_at_most_3_5_mib():
+    # what a 190 x 32 bag's graph owns: its nodes' outputs and the arrays their
+    # closures keep, but not the leaves (parameters and the bag's features)
+    nodes = _bag_graph_nodes(190, 32)
+    leaves = {id(p.data) for node in nodes for p in node._parents if p._backward is None}
+    owned = {id(node.data): node.data for node in nodes}
+    for node in nodes:
+        owned.update((id(arr), arr) for arr in _closure_arrays(node._backward)
+                     if id(arr) not in leaves)
+    assert sum(arr.nbytes for arr in owned.values()) <= 3.5 * 2**20

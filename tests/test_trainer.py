@@ -248,6 +248,32 @@ def test_a_step_keeps_one_bag_graph_alive():
     assert six <= 1.5 * one, (six, one)
 
 
+def test_a_step_frees_its_gradient_copies_before_the_next_step():
+    # the flat gradient, its modulated copy and the modulation record are gone
+    # by the next step's first forward; together they hold ~2.5 gradients
+    bags = sized_bags([8] * 4, feat_dim=8)
+    adj = adjacency_of(bags)
+    cfg = TrainConfig(batch_size=2)
+    warm = fresh_model(bags, cfg=cfg)  # one-time allocations (lazy imports) happen here
+    train_epoch(warm, bags, adj, cfg, AdamW(warm.theta), 0, np.random.default_rng(0))
+    model = fresh_model(bags, cfg=cfg)
+    optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    live, forward = [], model.forward
+
+    def traced_forward(bag, adjacency):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return forward(bag, adjacency)
+
+    model.forward = traced_forward
+    tracemalloc.start()
+    try:
+        train_epoch(model, bags, adj, cfg, optimizer, 0, np.random.default_rng(0))
+    finally:
+        tracemalloc.stop()
+    first, second = live[0], live[cfg.batch_size]
+    assert second - first <= model.theta.nbytes, (second - first, model.theta.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

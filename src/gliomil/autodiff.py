@@ -4,7 +4,9 @@ Tensors wrap numpy arrays. Every op computes its result eagerly and, when
 any input requires gradients, records its parents plus a backward closure
 on the output. ``backward`` replays the recorded graph in reverse
 topological order and accumulates gradients into the leaves' ``.grad``
-buffers.
+buffers. A leaf's ``.grad`` may be a caller-owned array, such as a view of
+a flat buffer, that gradients add into in place (``0.0 + g`` has the bits
+of ``g + 0.0``).
 
 ``backward`` consumes the graph: once a recorded node has passed its
 gradient on, its ``.grad``, parents and closure are dropped, so each

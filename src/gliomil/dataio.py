@@ -76,7 +76,7 @@ def _parse_int(token: str, what: str, case_id: str) -> int:
 
 
 def read_dataset(data_dir) -> list:
-    """Read bags back, each with its stored patch count."""
+    """Read bags back, each with its stored patch count, as read-only float32 views of the blob."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / DATASET_MANIFEST
     blob_path = data_dir / DATASET_BLOB
@@ -126,10 +126,8 @@ def read_dataset(data_dir) -> list:
                 f"case {case_id}: truncated blob "
                 f"(need bytes up to {end}, blob has {len(blob)})"
             )
-        high = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_high)
-        low = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_low)
-        high = high.astype(np.float64).reshape(n, k)
-        low = low.astype(np.float64).reshape(n, k)
+        high = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_high).reshape(n, k)
+        low = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_low).reshape(n, k)
         if not (np.isfinite(high).all() and np.isfinite(low).all()):
             raise DatasetError(f"case {case_id}: non-finite feature values")
         markers = MarkerTuple(*labels)

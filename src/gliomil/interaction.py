@@ -18,7 +18,8 @@ modulated group's coordinate space first (zero-padded or truncated at
 the tail). Both slices lead with structurally identical sub-trees
 (refinement blocks, pool, 2-way classifier) -- the molecular group
 starts with the IDH branch -- so the embedding aligns the coupled pair
-of branches coordinate-for-coordinate.
+of branches coordinate-for-coordinate. The modulated slice is projected
+and rescaled in place, so the gradient is never copied whole.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def curriculum_m(epoch: int, cfg: TrainConfig) -> int:
 def dcc_overlap(a: ConfidenceVector, b: ConfidenceVector, m: int) -> float:
     """Fraction of the two top-M patch sets that coincide; each holds min(M, N) patches."""
     top_a = a.top(m)
-    return len(np.intersect1d(top_a, b.top(m))) / top_a.size
+    return len(set(top_a.tolist()).intersection(b.top(m).tolist())) / top_a.size
 
 
 def dcc_surrogate(a: ConfidenceVector, b: ConfidenceVector, m: int, temperature: float) -> Tensor:
@@ -105,28 +106,23 @@ def dcc_surrogate(a: ConfidenceVector, b: ConfidenceVector, m: int, temperature:
 # ---------------------------------------------------------------------------
 # gradient surgery
 
-def project_perp(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Component of ``vec`` orthogonal to ``ref`` (same-length 1-d vectors).
+def project_perp(vec: np.ndarray, ref: np.ndarray) -> None:
+    """Make ``vec`` orthogonal to ``ref`` in place (same-length 1-d float64 vectors).
 
     A reference shorter than the tiny-norm floor leaves ``vec`` unchanged.
     """
-    vec = np.asarray(vec, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
     if vec.shape != ref.shape:
         raise ValueError(f"project_perp: lengths differ: {vec.shape} vs {ref.shape}")
     denom = float(ref @ ref)
-    if denom < _TINY_NORM * _TINY_NORM:
-        return vec.copy()
-    return vec - (float(vec @ ref) / denom) * ref
+    if denom >= _TINY_NORM * _TINY_NORM:
+        vec -= (float(vec @ ref) / denom) * ref
 
 
-def rescale(vec: np.ndarray, target_norm: float) -> np.ndarray:
-    """Scale ``vec`` to the given Euclidean length (zero vectors pass through)."""
-    vec = np.asarray(vec, dtype=np.float64)
+def rescale(vec: np.ndarray, target_norm: float) -> None:
+    """Scale ``vec`` in place to the given Euclidean length (a zero vector stays zero)."""
     norm = float(np.linalg.norm(vec))
-    if norm < _TINY_NORM:
-        return vec.copy()
-    return vec * (float(target_norm) / norm)
+    if norm >= _TINY_NORM:
+        vec *= float(target_norm) / norm
 
 
 def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
@@ -151,8 +147,8 @@ def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
 class ModulationRecord:
     modulated_group: str       # "histology" or "molecular"
     reference_embedded: np.ndarray
-    flat_before: np.ndarray
-    flat_after: np.ndarray
+    norm_before: float         # the modulated slice's norm before modulation
+    flat_after: np.ndarray     # view of the modulated slice of the gradient
 
 
 def majority_vote(flags) -> int:
@@ -175,8 +171,9 @@ def cmg_modulate(
     ``grad``. A lesion-positive batch majority modulates the molecular
     group (histology is the reliable signal there); a negative majority
     modulates the histology group. With ``guide`` off the molecular group
-    is always the one modulated. Returns a copy of ``grad`` with the
-    modulated slice replaced, and a record of what happened.
+    is always the one modulated. The modulated slice is rewritten in
+    place; returns ``grad`` itself and a record of what happened, whose
+    ``flat_after`` is a view of that slice.
     """
     if guide:
         group = "molecular" if nmp_majority == 1 else "histology"
@@ -185,15 +182,14 @@ def cmg_modulate(
     other = "histology" if group == "molecular" else "molecular"
     vec = grad[groups[group]]
     ref = embed_reference(grad[groups[other]], vec.size)
-    projected = project_perp(vec, ref)
+    norm_before = float(np.linalg.norm(vec))
+    project_perp(vec, ref)
     if apply_rescale:
-        projected = rescale(projected, float(np.linalg.norm(vec)))
+        rescale(vec, norm_before)
     record = ModulationRecord(
         modulated_group=group,
         reference_embedded=ref,
-        flat_before=vec,
-        flat_after=projected,
+        norm_before=norm_before,
+        flat_after=vec,
     )
-    out = grad.copy()
-    out[groups[group]] = projected
-    return out, record
+    return grad, record

@@ -12,6 +12,8 @@ classifier follow and are never modulated. Both groups begin with a
 structurally identical branch (blocks, pool, classifier), the molecular
 group leading with its IDH branch. The ``ModelConfig`` fixes the
 structure when the model is built, the marker graph included.
+``Model.grad`` holds the gradient in the same layout: each parameter's
+``.grad`` is a view of its span, which backward adds into in place.
 """
 from __future__ import annotations
 
@@ -95,13 +97,18 @@ class Model:
         params["fusion.b"] = self.fusion_b
         self.params = params
         self.theta = np.concatenate([t.data.ravel() for t in params.values()])
+        self.grad = np.zeros_like(self.theta)
+        self._grad_views = []
         offset = 0
         for t in params.values():
-            t.data = self.theta[offset: offset + t.data.size].reshape(t.data.shape)
+            span = slice(offset, offset + t.data.size)
+            t.data = self.theta[span].reshape(t.data.shape)
+            self._grad_views.append(self.grad[span].reshape(t.data.shape))
             offset += t.data.size
         n_his = sum(t.data.size for t in his.values())
         n_mol = sum(t.data.size for t in mol.values())
         self.groups = {"histology": slice(0, n_his), "molecular": slice(n_his, n_his + n_mol)}
+        self.zero_grads()
 
     def load_state(self, state: dict) -> None:
         """Write checkpoint arrays into the parameter views (and so into ``theta``)."""
@@ -118,17 +125,17 @@ class Model:
             tensor.data[...] = arr
 
     def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+        """Zero ``grad`` and make every parameter's ``.grad`` its view of it again."""
+        self.grad.fill(0.0)
+        for t, view in zip(self.params.values(), self._grad_views):
+            t.grad = view
 
     def gradient_set(self) -> np.ndarray:
-        """Every parameter's gradient in ``theta``'s layout; zeros where none arrived."""
-        return np.concatenate([
-            (t.grad if t.grad is not None else np.zeros_like(t.data)).ravel()
-            for t in self.params.values()
-        ])
+        """Every parameter's gradient in ``theta``'s layout: ``grad`` itself, not a copy."""
+        return self.grad
 
     def forward(self, bag: PatchBag, adjacency: np.ndarray) -> BagForward:
+        # Tensor widens the float32 features to float64 exactly
         d = disentangle(Tensor(bag.feats_low), Tensor(bag.feats_high), self.disent)
         markers = molecular_forward(
             d.fused_mol, adjacency, self.mol,

@@ -45,8 +45,8 @@ class MarkerTuple:
 @dataclass
 class PatchBag:
     case_id: str
-    feats_high: np.ndarray  # (N, K) float64
-    feats_low: np.ndarray   # (N, K) float64
+    feats_high: np.ndarray  # (N, K) float32, as stored on disk
+    feats_low: np.ndarray   # (N, K) float32, as stored on disk
     markers: MarkerTuple
     glioma_class: int
 
@@ -123,8 +123,8 @@ def generate_bag(
 ) -> PatchBag:
     """Standard-normal background plus per-label evidence patches.
 
-    Feature values are rounded through float32 so bags survive the
-    float32 on-disk format bit-for-bit.
+    Features are drawn in float64 and kept as float32, the on-disk
+    format, so bags survive a write and read bit for bit.
     """
     n, k = cfg.n_patches, cfg.feat_dim
     high = rng.standard_normal((n, k))
@@ -142,8 +142,8 @@ def generate_bag(
         if value == 1 and n_evidence > 0:
             target = low if name == "nmp" else high
             target[rows] += cfg.signal_strength * dirs[name]
-    high = high.astype(np.float32).astype(np.float64)
-    low = low.astype(np.float32).astype(np.float64)
+    high = high.astype(np.float32)
+    low = low.astype(np.float32)
     return PatchBag(
         case_id=case_id,
         feats_high=high,

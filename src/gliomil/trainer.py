@@ -7,10 +7,11 @@ the loss and ``evaluate`` take them in one loop; the model itself says
 whether the marker graph runs (``ModelConfig.use_graph``), so neither
 takes the ablations. A step owns the batch mean: it runs forward, loss and
 backward for one bag at a time, each bag's loss scaled by 1/batch, so
-the leaves' ``.grad`` add up to the gradient of the batch mean while
-only one bag's graph is alive. Then (unless ablated) it modulates one
-parameter group's summed gradient against the other according to the
-batch's majority histology finding, and finally applies an AdamW update.
+the leaves' ``.grad``, views of ``Model.grad``, add up to the gradient of
+the batch mean while only one bag's graph is alive. Then (unless ablated)
+it modulates one parameter group's slice of that buffer against the other
+in place, according to the batch's majority histology finding, and
+finally applies an AdamW update that reads it.
 """
 from __future__ import annotations
 
@@ -158,8 +159,9 @@ def evaluate(model: Model, bags, adjacency):
 def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, step) -> None:
     """Modulate the batch's summed gradient (unless ablated), then take the AdamW step.
 
-    The flat gradient, its modulated copy and the modulation record are
-    this call's locals, so they are freed before the next step's forwards.
+    Both act on the model's gradient buffer in place. The modulation
+    record is dropped before the AdamW step, so its embedded reference
+    and AdamW's scratch are never alive together.
     """
     grads = model.gradient_set()
     if "no_cmg" not in cfg.ablations:
@@ -173,6 +175,7 @@ def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, s
         )
         if modulation_hook is not None:
             modulation_hook(epoch=epoch, step=step, record=record, grads=grads)
+        del record
     optimizer.step(grads)
 
 

@@ -25,6 +25,7 @@ from gliomil.synth import (
     generate_dataset,
     marker_table,
 )
+from gliomil import trainer
 from gliomil.trainer import split_dataset, train_epoch, train_model
 from gliomil.verify import run_suite
 
@@ -58,7 +59,7 @@ def test_c1_gradient_suite():
     )
 
 
-def test_c2_modulation_invariants_over_five_epochs():
+def test_c2_modulation_invariants_over_five_epochs(monkeypatch):
     bags = generate_dataset(GenConfig(n_cases=60, n_patches=8, feat_dim=8, seed=1))
     cfg = TrainConfig(epochs=5, batch_size=6, seed=0)
     train_bags, _ = split_dataset(bags, cfg.val_fraction, cfg.seed)
@@ -73,23 +74,29 @@ def test_c2_modulation_invariants_over_five_epochs():
     worst_dot, worst_norm = 0.0, 0.0
     partition_ok = [True]
     n_steps = [0]
+    # modulation rewrites its input in place; hand it a copy so the model's
+    # buffer keeps the raw gradient to compare against
+    modulate = trainer.cmg_modulate
+    monkeypatch.setattr(trainer, "cmg_modulate",
+                        lambda grad, *a, **kw: modulate(grad.copy(), *a, **kw))
 
     def hook(epoch, step, record, grads):
         nonlocal worst_dot, worst_norm
         n_steps[0] += 1
         after, ref = record.flat_after, record.reference_embedded
+        raw = model.gradient_set()
+        span = model.groups[record.modulated_group]
         dot = abs(float(after @ ref))
         bound = np.linalg.norm(after) * np.linalg.norm(ref)
         worst_dot = max(worst_dot, dot / bound if bound > 0 else 0.0)
         worst_norm = max(
             worst_norm,
-            abs(np.linalg.norm(after) - np.linalg.norm(record.flat_before)),
+            abs(np.linalg.norm(after) - np.linalg.norm(raw[span])),
         )
-        raw = model.gradient_set()
-        span = model.groups[record.modulated_group]
         untouched = np.ones(raw.size, dtype=bool)
         untouched[span] = False
-        if not (np.array_equal(grads[span], record.flat_after)
+        if not (record.norm_before == np.linalg.norm(raw[span])
+                and np.array_equal(grads[span], record.flat_after)
                 and np.array_equal(grads[untouched], raw[untouched])):
             partition_ok[0] = False
 

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
 import contextlib
+import hashlib
 import io
 import re
 from pathlib import Path
@@ -54,6 +55,18 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert main(["gen", "--config", cfg, "--out", str(b)]) == 0
     for name in ("dataset.manifest", "dataset.blob"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_gen_files_are_pinned(tmp_path):
+    # recorded when bags were held as float64; the in-memory dtype must not reach the files
+    cfg = write_cfg(tmp_path / "g.cfg", "n_cases = 12\nn_patches = 5\nfeat_dim = 6\nseed = 11\n")
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "d" / name).read_bytes()).hexdigest()
+               for name in ("dataset.manifest", "dataset.blob")}
+    assert digests == {
+        "dataset.manifest": "009b4bdd5f231ce2391bcdf6e4e72fa3ea8c8d98dafe855657255a52f2575d1c",
+        "dataset.blob": "320cc8b6f89612e4c5bfb3a8293ccdfdd0ee3572b1ecba6b539382c264503d5b",
+    }
 
 
 def test_gen_degenerate_priors_concentrate_class3(tmp_path, capsys):

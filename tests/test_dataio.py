@@ -28,8 +28,10 @@ class TestDatasetRoundTrip:
         assert len(back) == len(small_bags)
         for a, b in zip(small_bags, back):
             assert a.case_id == b.case_id
-            assert np.array_equal(a.feats_high, b.feats_high)
-            assert np.array_equal(a.feats_low, b.feats_low)
+            for feats in (a.feats_high, a.feats_low, b.feats_high, b.feats_low):
+                assert feats.dtype == np.float32
+            assert a.feats_high.tobytes() == b.feats_high.tobytes()
+            assert a.feats_low.tobytes() == b.feats_low.tobytes()
             assert a.markers == b.markers
             assert a.glioma_class == b.glioma_class
 

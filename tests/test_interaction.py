@@ -151,24 +151,29 @@ class TestSurrogate:
 
 class TestProjection:
     def test_projection_example(self):
-        out = project_perp(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        assert np.allclose(out, [0.0, 1.0], atol=1e-15)
+        v = np.array([1.0, 1.0])
+        project_perp(v, np.array([1.0, 0.0]))
+        assert np.allclose(v, [0.0, 1.0], atol=1e-15)
 
     def test_rescale_example(self):
-        assert np.allclose(rescale(np.array([3.0, 4.0]), 10.0), [6.0, 8.0], atol=1e-12)
+        v = np.array([3.0, 4.0])
+        rescale(v, 10.0)
+        assert np.allclose(v, [6.0, 8.0], atol=1e-12)
 
     def test_tiny_reference_is_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        out = project_perp(v, np.zeros(3))
-        assert np.array_equal(out, v)
+        project_perp(v, np.zeros(3))
+        assert np.array_equal(v, [1.0, 2.0, 3.0])
 
     def test_orthogonality_and_idempotence(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            v, r = rng.normal(size=12), rng.normal(size=12)
-            p = project_perp(v, r)
+            p, r = rng.normal(size=12), rng.normal(size=12)
+            project_perp(p, r)
             assert abs(p @ r) <= 1e-10 * (np.linalg.norm(p) * np.linalg.norm(r) + 1e-30)
-            assert np.allclose(project_perp(p, r), p, atol=1e-12)
+            again = p.copy()
+            project_perp(again, r)
+            assert np.allclose(again, p, atol=1e-12)
 
     def test_embed_reference_pads_and_truncates(self):
         assert embed_reference(np.array([1.0, 2.0]), 4).tolist() == [1, 2, 0, 0]
@@ -202,11 +207,15 @@ class TestModulation:
     def test_toy_example_molecular_modulated(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
         out, record = cmg_modulate(grad, groups, nmp_majority=1)
+        assert out is grad  # modulated in place
         assert record.modulated_group == "molecular"
         assert np.allclose(out[groups["molecular"]], [0.0, math.sqrt(2.0)], atol=1e-12)
+        assert np.shares_memory(record.flat_after, grad)
+        assert np.array_equal(record.flat_after, out[groups["molecular"]])
+        assert record.norm_before == math.sqrt(2.0)
+        # coordinates outside the span are unchanged
         assert np.array_equal(out[groups["histology"]], [1.0, 0.0])
         assert out[-1] == 7.0
-        assert np.array_equal(grad, [1.0, 0.0, 1.0, 1.0, 7.0])  # input left untouched
 
     def test_negative_majority_modulates_histology(self):
         grad, groups = toy_grads([1.0, 0.0], [1.0, 1.0])
@@ -219,7 +228,7 @@ class TestModulation:
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
         out, record = cmg_modulate(grad, groups, nmp_majority=0, guide=False)
         assert record.modulated_group == "molecular"
-        assert np.array_equal(out[groups["histology"]], grad[groups["histology"]])
+        assert np.array_equal(out[groups["histology"]], [1.0, 0.0])
 
     def test_rescale_off_keeps_raw_projection(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
@@ -235,14 +244,17 @@ class TestModulation:
                 [rng.normal(size=(2, 2))],
             )
             vote = trial % 2
+            raw = grad.copy()
             out, record = cmg_modulate(grad, groups, nmp_majority=vote)
             after = record.flat_after
             ref = record.reference_embedded
             norms = np.linalg.norm(after) * np.linalg.norm(ref)
             assert abs(after @ ref) <= 1e-8 * max(norms, 1e-30)
-            assert abs(np.linalg.norm(after) - np.linalg.norm(record.flat_before)) <= 1e-8
             span = groups[record.modulated_group]
+            assert record.norm_before == np.linalg.norm(raw[span])
+            assert abs(np.linalg.norm(after) - record.norm_before) <= 1e-8
+            # the span holds the result; every coordinate outside it is unchanged
             assert np.array_equal(out[span], after)
             keep = np.ones(grad.size, dtype=bool)
             keep[span] = False
-            assert np.array_equal(out[keep], grad[keep])
+            assert np.array_equal(out[keep], raw[keep])

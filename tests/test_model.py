@@ -1,8 +1,10 @@
 """The flat parameter layout, where every parameter is a view of ``Model.theta``,
 and what one bag's recorded graph holds."""
+import dataclasses
+
 import numpy as np
 
-from gliomil.autodiff import Tensor
+from gliomil.autodiff import Tensor, no_grad
 from gliomil.config import GenConfig, TrainConfig
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
@@ -68,13 +70,26 @@ def test_groups_are_the_spans_of_the_branch_parameters():
 
 def test_gradient_set_is_flat_in_theta_layout():
     model = build()
+    model.grad[...] = -1.0
+    model.zero_grads()
     for i, t in enumerate(model.params.values()):
-        t.grad = np.full(t.data.shape, float(i)) if i % 3 else None
+        assert np.shares_memory(t.grad, model.grad) and t.grad.shape == t.data.shape
+        if i % 3:
+            t.grad += float(i)
     grad = model.gradient_set()
-    assert grad.shape == model.theta.shape
+    assert grad is model.grad and grad.shape == model.theta.shape
     for i, t in enumerate(model.params.values()):
         at = offset_in_theta(model, t.data)
         np.testing.assert_array_equal(grad[at: at + t.data.size], float(i) if i % 3 else 0.0)
+
+
+def test_zero_grads_rebinds_views_a_caller_reset():
+    model = build()
+    first = next(iter(model.params.values()))
+    model.zero_grads()
+    first.grad = None  # as grad_check leaves it
+    model.zero_grads()
+    assert np.shares_memory(first.grad, model.grad)
 
 
 def test_load_state_writes_through_to_theta_and_keeps_identity():
@@ -103,6 +118,22 @@ def test_train_epoch_moves_parameters_only_through_theta():
     assert not np.array_equal(model.theta, before)
     assert {n: id(t.data) for n, t in model.params.items()} == data_ids
     assert_views_of_theta(model)
+
+
+def test_forward_widens_float32_bags_exactly():
+    bags = generate_dataset(GenConfig(n_cases=4, n_patches=5, feat_dim=4, seed=1))
+    adjacency = estimate_cooccurrence(marker_table(bags)).a
+    model = build(feat_dim=4)
+    for bag in bags:
+        assert bag.feats_high.dtype == bag.feats_low.dtype == np.float32
+        wide = dataclasses.replace(bag, feats_high=bag.feats_high.astype(np.float64),
+                                   feats_low=bag.feats_low.astype(np.float64))
+        with no_grad():
+            got, want = model.forward(bag, adjacency), model.forward(wide, adjacency)
+        for a, b in zip([got.glioma_logits] + [s.logits for s in got.branches],
+                        [want.glioma_logits] + [s.logits for s in want.branches]):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got.conf_wt.values.tobytes() == want.conf_wt.values.tobytes()
 
 
 def _bag_graph_nodes(n, k):

@@ -3,12 +3,18 @@ optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gliomil
 from gliomil import autodiff as ad
+from gliomil import trainer
 from gliomil.config import (
     ABLATION_FLAGS,
     FINDING_TERMS,
@@ -198,7 +204,12 @@ def sized_bags(sizes, feat_dim=6, seed=0):
 
 
 @pytest.mark.parametrize("ablations", [(), ("no_dcc",), ("no_graph",), ("no_disent",)])
-def test_train_epoch_gradient_equals_one_backward_over_the_batch(ablations):
+def test_train_epoch_gradient_equals_one_backward_over_the_batch(ablations, monkeypatch):
+    # modulation rewrites its input in place; hand it a copy so the model's
+    # buffer keeps the raw gradient
+    modulate = trainer.cmg_modulate
+    monkeypatch.setattr(trainer, "cmg_modulate",
+                        lambda grad, *a, **kw: modulate(grad.copy(), *a, **kw))
     bags = sized_bags([5, 11, 3, 8, 6])
     adj = adjacency_of(bags)
     cfg = TrainConfig(batch_size=len(bags), ablations=ablations)
@@ -249,8 +260,8 @@ def test_a_step_keeps_one_bag_graph_alive():
 
 
 def test_a_step_frees_its_gradient_copies_before_the_next_step():
-    # the flat gradient, its modulated copy and the modulation record are gone
-    # by the next step's first forward; together they hold ~2.5 gradients
+    # the modulation record and AdamW's scratch are gone by the next step's
+    # first forward; the gradient itself lives in the model's one buffer
     bags = sized_bags([8] * 4, feat_dim=8)
     adj = adjacency_of(bags)
     cfg = TrainConfig(batch_size=2)
@@ -272,6 +283,54 @@ def test_a_step_frees_its_gradient_copies_before_the_next_step():
         tracemalloc.stop()
     first, second = live[0], live[cfg.batch_size]
     assert second - first <= model.theta.nbytes, (second - first, model.theta.nbytes)
+
+
+@pytest.mark.parametrize("nmp", [0, 1])
+def test_update_peak_is_at_most_three_thetas(nmp):
+    # gradient, modulation and AdamW work in the model's buffer in place: what
+    # _update allocates at its peak is AdamW's two scratch arrays plus a slack
+    bags = [b for b in generate_dataset(GenConfig(n_cases=16, n_patches=6, feat_dim=32, seed=1))
+            if b.markers.nmp == nmp][:2]
+    adj = adjacency_of(bags)
+    cfg = TrainConfig(batch_size=2)
+    model = fresh_model(bags, cfg=cfg)
+    optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for _ in range(2):  # the first pass warms up one-time allocations
+        model.zero_grads()
+        for bag in bags:
+            loss, _ = batch_loss(model.forward(bag, adj), bag, adj, cfg, top_m=4)
+            ad.backward(loss)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trainer._update(model, bags, cfg, optimizer, None, epoch=0, step=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * model.theta.nbytes, (peak / model.theta.nbytes)
+
+
+def test_training_does_not_load_numpy_ma():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gliomil.config import GenConfig, TrainConfig\n"
+        "from gliomil.model import Model, ModelConfig\n"
+        "from gliomil.optim import AdamW\n"
+        "from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table\n"
+        "from gliomil.trainer import train_epoch\n"
+        "bags = generate_dataset(GenConfig(n_cases=4, n_patches=4, feat_dim=4, seed=0))\n"
+        "cfg = TrainConfig(batch_size=4)\n"
+        "model = Model(ModelConfig.of(4, cfg), np.random.default_rng(0))\n"
+        "train_epoch(model, bags, estimate_cooccurrence(marker_table(bags)).a, cfg,\n"
+        "            AdamW(model.theta), 0, np.random.default_rng(0))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(gliomil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -392,29 +392,29 @@ def _attention_probs(q, k, c: float):
 _NORM_EPS = 1e-5
 
 
-def _normalize(data, axis: int, eps: float):
+def _normalize(data):
     """Zero-mean / unit-variance rows of ``data`` and the inverse deviations."""
-    mu = data.mean(axis=axis, keepdims=True)
+    mu = data.mean(axis=-1, keepdims=True)
     centered = data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     return centered * inv, inv
 
 
-def _normalize_grad(g, y, inv, axis: int):
+def _normalize_grad(g, y, inv):
     """Gradient of ``_normalize`` w.r.t. its input, given its output ``y``."""
-    gm = g.mean(axis=axis, keepdims=True)
-    gym = (g * y).mean(axis=axis, keepdims=True)
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
     return inv * (g - gm - y * gym)
 
 
-def layer_norm(a, axis: int = -1, eps: float = _NORM_EPS) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
+def layer_norm(a) -> Tensor:
+    """Normalize each row (the last axis) to zero mean / unit variance (no affine part)."""
     a = _coerce(a)
-    y, inv = _normalize(a.data, axis, eps)
+    y, inv = _normalize(a.data)
 
     def bw(g):
-        _accum(a, _normalize_grad(g, y, inv, axis))
+        _accum(a, _normalize_grad(g, y, inv))
 
     return _make(y, (a,), bw)
 
@@ -441,13 +441,13 @@ def _check_sublayer(op: str, x: Tensor, weights) -> None:
 def _prenorm(x: Tensor, gain: Tensor, bias: Tensor):
     """A sub-layer's pre-norm rows ``LN(x) * gain + bias``, the normalised rows
     and their inverse deviations."""
-    y, inv = _normalize(x.data, -1, _NORM_EPS)
+    y, inv = _normalize(x.data)
     return y * gain.data + bias.data, y, inv
 
 
 def _prenorm_backward(x: Tensor, gain: Tensor, bias: Tensor, g, y, inv) -> None:
     """Pass the pre-norm rows' gradient ``g`` on to ``x``, ``gain`` and ``bias``."""
-    _accum(x, _normalize_grad(g * gain.data, y, inv, -1))
+    _accum(x, _normalize_grad(g * gain.data, y, inv))
     _accum(gain, (g * y).sum(axis=0, keepdims=True))
     _accum(bias, g.sum(axis=0, keepdims=True))
 

@@ -34,27 +34,31 @@ class BlockParams:
     ffn_b2: Tensor
 
 
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """A (rows, cols) weight drawn from N(0, 2 / (rows + cols)), the Glorot variance."""
+    return Tensor(rng.normal(scale=math.sqrt(2.0 / (rows + cols)), size=(rows, cols)),
+                  requires_grad=True)
+
+
+def row(value: float, cols: int) -> Tensor:
+    """A (1, cols) parameter row filled with ``value``."""
+    return Tensor(np.full((1, cols), value), requires_grad=True)
+
+
 def init_block(rng: np.random.Generator, k: int) -> BlockParams:
-    def w(rows, cols):
-        std = math.sqrt(2.0 / (rows + cols))
-        return Tensor(rng.normal(scale=std, size=(rows, cols)), requires_grad=True)
-
-    def const(value, cols):
-        return Tensor(np.full((1, cols), value), requires_grad=True)
-
     return BlockParams(
-        ln1_gain=const(1.0, k),
-        ln1_bias=const(0.0, k),
-        wq=w(k, k),
-        wk=w(k, k),
-        wv=w(k, k),
-        wo=w(k, k),
-        ln2_gain=const(1.0, k),
-        ln2_bias=const(0.0, k),
-        ffn_w1=w(k, 2 * k),
-        ffn_b1=const(0.0, 2 * k),
-        ffn_w2=w(2 * k, k),
-        ffn_b2=const(0.0, k),
+        ln1_gain=row(1.0, k),
+        ln1_bias=row(0.0, k),
+        wq=glorot(rng, k, k),
+        wk=glorot(rng, k, k),
+        wv=glorot(rng, k, k),
+        wo=glorot(rng, k, k),
+        ln2_gain=row(1.0, k),
+        ln2_bias=row(0.0, k),
+        ffn_w1=glorot(rng, k, 2 * k),
+        ffn_b1=row(0.0, 2 * k),
+        ffn_w2=glorot(rng, 2 * k, k),
+        ffn_b2=row(0.0, k),
     )
 
 

@@ -9,6 +9,7 @@ idea at float64: a manifest of named parameter shapes and byte offsets
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -87,11 +88,10 @@ def read_dataset(data_dir) -> list:
     lines = read_utf8(manifest_path, DatasetError).splitlines()
     if not lines or not lines[0].startswith(_DATASET_MAGIC):
         raise DatasetError(f"{manifest_path}: not a {_DATASET_MAGIC} manifest")
-    header = lines[0].split()
-    try:
-        declared = int(header[-1].split("=", 1)[1])
-    except (IndexError, ValueError):
-        raise DatasetError(f"{manifest_path}: malformed header {lines[0]!r}") from None
+    header = re.fullmatch(f"{_DATASET_MAGIC} cases=([0-9]+)", lines[0])
+    if header is None:
+        raise DatasetError(f"{manifest_path}: malformed header {lines[0]!r}")
+    declared = int(header[1])
     records = [ln for ln in lines[1:] if ln.strip()]
     if not records:
         raise DatasetError(f"{manifest_path}: no cases")
@@ -139,6 +139,11 @@ def read_dataset(data_dir) -> list:
             PatchBag(case_id=case_id, feats_high=high, feats_low=low,
                      markers=markers, glioma_class=glioma)
         )
+    case_ids = set()
+    for bag in bags:  # after the per-record checks, whose errors come first
+        if bag.case_id in case_ids:
+            raise DatasetError(f"case {bag.case_id}: repeated case id")
+        case_ids.add(bag.case_id)
     return bags
 
 

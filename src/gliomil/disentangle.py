@@ -10,13 +10,13 @@ fused features.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .blocks import glorot, row
 
 
 @dataclass
@@ -44,23 +44,17 @@ class DisentanglerParams:
 
 
 def init_disentangler(rng: np.random.Generator, k: int) -> DisentanglerParams:
-    def w(rows, cols):
-        std = math.sqrt(2.0 / (rows + cols))
-        return Tensor(rng.normal(scale=std, size=(rows, cols)), requires_grad=True)
-
-    def zeros(cols):
-        return Tensor(np.zeros((1, cols)), requires_grad=True)
-
     def head():
-        return HeadMlpParams(w1=w(k, 2 * k), b1=zeros(2 * k), w2=w(2 * k, k), b2=zeros(k))
+        return HeadMlpParams(w1=glorot(rng, k, 2 * k), b1=row(0.0, 2 * k),
+                             w2=glorot(rng, 2 * k, k), b2=row(0.0, k))
 
     return DisentanglerParams(
         scale_low=Tensor(1.0, requires_grad=True),
         scale_high=Tensor(1.0, requires_grad=True),
-        base_w=w(2 * k, k), base_b=zeros(k),
+        base_w=glorot(rng, 2 * k, k), base_b=row(0.0, k),
         shared_mol=head(), indep_mol=head(), shared_his=head(), indep_his=head(),
-        fuse_mol_w=w(2 * k, k), fuse_mol_b=zeros(k),
-        fuse_his_w=w(2 * k, k), fuse_his_b=zeros(k),
+        fuse_mol_w=glorot(rng, 2 * k, k), fuse_mol_b=row(0.0, k),
+        fuse_his_w=glorot(rng, 2 * k, k), fuse_his_b=row(0.0, k),
     )
 
 
@@ -99,7 +93,7 @@ def disentangle(feats_low: Tensor, feats_high: Tensor, p: DisentanglerParams) ->
     )
 
 
-def disentangle_loss(d: DisentangledFeatures, eps: float = 1e-8) -> Tensor:
+def disentangle_loss(d: DisentangledFeatures) -> Tensor:
     """Shared-stream gap over the summed independent-stream gaps.
 
     A ratio of Frobenius norms: descent shrinks the distance between the
@@ -115,4 +109,4 @@ def disentangle_loss(d: DisentangledFeatures, eps: float = 1e-8) -> Tensor:
         ),
         ad.l2norm(ad.sub(d.indep_his, d.fused_his)),
     )
-    return ad.div(num, ad.add(den, eps))
+    return ad.div(num, ad.add(den, 1e-8))  # 1e-8 keeps a zero denominator finite

@@ -2,12 +2,15 @@
 
 ``grad_check`` takes a closure that rebuilds a scalar loss from a set of
 named parameter tensors, differentiates it analytically, then perturbs
-each parameter entry by +/-h and compares. The comparison is relative
-where the gradients have magnitude and absolute near zero, so constant
-losses (true gradient 0) pass on FD noise alone.
+each parameter entry by +/-``DEFAULT_STEP`` and compares. The comparison
+is relative where the gradients have magnitude and absolute near zero, so
+constant losses (true gradient 0) pass on FD noise alone. A non-finite
+analytic or numeric value counts as an infinite error, so a NaN or an
+infinity on either side fails its parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -21,18 +24,22 @@ _ABS_FLOOR = 1e-6  # below this magnitude, compare absolutely
 
 
 @dataclass
-class ParamCheck:
+class CheckLine:
+    """One verdict: what was checked, over how many trials or entries, and the worst error."""
+
     name: str
-    max_rel_err: float
-    worst_index: int  # flat index of the worst entry
+    trials: int
     passed: bool
+    max_rel_err: float
+
+    def text(self) -> str:
+        tag = "ok" if self.passed else "FAIL"
+        return f"{tag:4s} {self.name:24s} trials={self.trials:<4d} max rel err {self.max_rel_err:.3e}"
 
 
 @dataclass
 class GradCheckReport:
-    step: float
-    tol: float
-    params: list = field(default_factory=list)
+    params: list = field(default_factory=list)  # one CheckLine per parameter
 
     @property
     def passed(self) -> bool:
@@ -47,14 +54,12 @@ class GradCheckReport:
         return max((p.max_rel_err for p in self.params), default=0.0)
 
     def summary(self) -> str:
-        lines = []
-        for p in self.params:
-            tag = "ok" if p.passed else "FAIL"
-            lines.append(f"{tag:4s} {p.name}: max rel err {p.max_rel_err:.3e}")
-        return "\n".join(lines)
+        return "\n".join(p.text() for p in self.params)
 
 
 def _error(analytic: float, numeric: float) -> float:
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
     denom = max(abs(analytic), abs(numeric))
     diff = abs(analytic - numeric)
     if denom < _ABS_FLOOR:
@@ -65,8 +70,6 @@ def _error(analytic: float, numeric: float) -> float:
 def grad_check(
     f: Callable[[], Tensor],
     params: Mapping[str, Tensor],
-    h: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
     coords: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``f()`` against central differences.
@@ -84,26 +87,23 @@ def grad_check(
         for name, p in params.items()
     }
 
-    report = GradCheckReport(step=h, tol=tol)
+    report = GradCheckReport()
     for name, p in params.items():
         flat = p.data.ravel()
         idxs = range(flat.size) if coords is None else coords.get(name, range(flat.size))
         worst = 0.0
-        worst_i = -1
         for i in idxs:
             orig = float(flat[i])
-            flat[i] = orig + h
+            flat[i] = orig + DEFAULT_STEP
             with no_grad():
                 f_plus = float(f().data)
-            flat[i] = orig - h
+            flat[i] = orig - DEFAULT_STEP
             with no_grad():
                 f_minus = float(f().data)
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = _error(float(analytic[name].ravel()[i]), numeric)
-            if err > worst:
-                worst, worst_i = err, i
+            numeric = (f_plus - f_minus) / (2.0 * DEFAULT_STEP)
+            worst = max(worst, _error(float(analytic[name].ravel()[i]), numeric))
         report.params.append(
-            ParamCheck(name=name, max_rel_err=worst, worst_index=worst_i, passed=worst <= tol)
+            CheckLine(name=name, trials=len(idxs), passed=worst <= DEFAULT_TOL, max_rel_err=worst)
         )
     return report

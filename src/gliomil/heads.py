@@ -21,7 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import AttnPoolParams, attention_pool, init_block, init_pool, transformer_block
+from .blocks import (AttnPoolParams, attention_pool, glorot, init_block, init_pool, row,
+                     transformer_block)
 
 MARKER_BLOCK_COUNTS = {"idh_mut": 3, "codel_1p19q": 2, "cdkn_homdel": 2}
 HISTOLOGY_BLOCK_COUNT = 3
@@ -38,12 +39,11 @@ class BranchParams:
 
 
 def init_branch(rng: np.random.Generator, k: int, n_blocks: int) -> BranchParams:
-    std = math.sqrt(2.0 / (k + 2))
     return BranchParams(
         blocks=[init_block(rng, k) for _ in range(n_blocks)],
         pool=init_pool(rng, k),
-        clf_w=Tensor(rng.normal(scale=std, size=(k, 2)), requires_grad=True),
-        clf_b=Tensor(np.zeros((1, 2)), requires_grad=True),
+        clf_w=glorot(rng, k, 2),
+        clf_b=row(0.0, 2),
     )
 
 

@@ -8,7 +8,7 @@ ratios fall back to 0 when their denominator is empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,18 +48,10 @@ class CasePrediction:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of finite scores, tied values sharing their average rank."""
+    sx = x[np.argsort(x, kind="stable")]  # not np.sort, whose kernel adds ~0.25 MB of RSS
+    left, right = np.searchsorted(sx, x, side="left"), np.searchsorted(sx, x, side="right")
+    return 0.5 * (left + right - 1) + 1.0
 
 
 def rank_auc(labels: np.ndarray, scores: np.ndarray):
@@ -95,33 +87,23 @@ def binary_task_metrics(labels, preds, scores) -> TaskMetrics:
     )
 
 
-def micro_multiclass_metrics(labels, preds, probs, n_classes: int = 4) -> TaskMetrics:
+def micro_multiclass_metrics(labels, preds, probs) -> TaskMetrics:
     """Micro-averaged one-vs-rest panel for single-label multiclass.
 
-    Pooling TP/FP/TN/FN over classes makes micro accuracy, sensitivity
-    and F1 all equal the plain accuracy; specificity pools the rest.
-    The AUC pools every (one-vs-rest label, class probability) pair into
-    one rank statistic.
+    The classes are the columns of ``probs``. The pooled one-vs-rest
+    counts are the binary counts over the flattened one-hot label and
+    prediction rows, so the panel is ``binary_task_metrics`` on those rows
+    with the per-case accuracy. Pooling makes micro sensitivity and F1
+    equal that accuracy; specificity pools the rest. The AUC pools every
+    (one-vs-rest label, class probability) pair into one rank statistic.
     """
     labels = np.asarray(labels, dtype=np.int64)
     preds = np.asarray(preds, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
-    n = labels.size
-    tp = fp = tn = fn = 0
-    for c in range(n_classes):
-        tp += int(((preds == c) & (labels == c)).sum())
-        fp += int(((preds == c) & (labels != c)).sum())
-        fn += int(((preds != c) & (labels == c)).sum())
-        tn += int(((preds != c) & (labels != c)).sum())
-    onehot = (labels[:, None] == np.arange(n_classes)[None, :]).astype(np.int64)
-    auc = rank_auc(onehot.ravel(), probs.ravel()) if n else None
-    return TaskMetrics(
-        accuracy=_ratio(tp, n),  # pooled TP is exactly the correct-case count
-        sensitivity=_ratio(tp, tp + fn),
-        specificity=_ratio(tn, tn + fp),
-        auc=auc,
-        f1=_ratio(2 * tp, 2 * tp + fp + fn),
-    )
+    classes = np.arange(probs.shape[1])
+    pooled = binary_task_metrics((labels[:, None] == classes).ravel(),
+                                 (preds[:, None] == classes).ravel(), probs.ravel())
+    return replace(pooled, accuracy=_ratio(int((preds == labels).sum()), labels.size))
 
 
 def compute_metrics(predictions) -> MetricReport:

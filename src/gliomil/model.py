@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .blocks import glorot, row
 from .config import TrainConfig
 from .disentangle import DisentangledFeatures, disentangle, init_disentangler
 from .heads import (
@@ -83,9 +84,8 @@ class Model:
         self.disent = init_disentangler(rng, k)
         self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT)
         self.mol = init_molecular(rng, k)
-        std = np.sqrt(2.0 / (2 * k + 4))
-        self.fusion_w = Tensor(rng.normal(scale=std, size=(2 * k, 4)), requires_grad=True)
-        self.fusion_b = Tensor(np.zeros((1, 4)), requires_grad=True)
+        self.fusion_w = glorot(rng, 2 * k, 4)
+        self.fusion_b = row(0.0, 4)
 
         his: dict = {}
         mol: dict = {}

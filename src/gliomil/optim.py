@@ -5,21 +5,23 @@ view moves with it. Moments follow the raw gradients; the decay term is
 added to the update directly from the parameter values, so it never
 enters the moment estimates. A step evaluates its expressions into two
 theta-sized scratch arrays that it frees on return; the optimizer keeps
-nothing but ``m`` and ``v`` between steps.
+nothing but ``m`` and ``v`` between steps. The moment decay rates and
+the denominator's guard are the constants ``BETA1``, ``BETA2`` and
+``EPS``; only the learning rate and the weight decay are settable.
 """
 from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamW:
-    def __init__(self, theta: np.ndarray, lr: float = 0.003, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-4):
+    def __init__(self, theta: np.ndarray, lr: float = 0.003, weight_decay: float = 1e-4):
         self.theta = theta
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(theta)
@@ -28,19 +30,19 @@ class AdamW:
     def step(self, grad: np.ndarray) -> None:
         """One update of ``theta`` from a gradient in the same flat layout, which it only reads."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        a = grad * (1.0 - self.beta1)
-        self.m *= self.beta1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        a = grad * (1.0 - BETA1)
+        self.m *= BETA1
         self.m += a                            # m = b1 m + (1 - b1) g
-        self.v *= self.beta2
+        self.v *= BETA2
         np.multiply(grad, grad, out=a)
-        a *= 1.0 - self.beta2
+        a *= 1.0 - BETA2
         self.v += a                            # v = b2 v + (1 - b2) g g
         np.divide(self.m, bc1, out=a)
         b = self.v / bc2
         np.sqrt(b, out=b)
-        b += self.eps
+        b += EPS
         a /= b                                 # update = (m / bc1) / (sqrt(v / bc2) + eps)
         np.multiply(self.theta, self.weight_decay, out=b)
         a += b

@@ -129,19 +129,12 @@ def generate_bag(
     n, k = cfg.n_patches, cfg.feat_dim
     high = rng.standard_normal((n, k))
     low = rng.standard_normal((n, k))
-    dirs = signal_directions(k)
     n_evidence = min(n, int(round(cfg.evidence_fraction * n)))
-    label_values = {
-        "idh_mut": markers.idh_mut,
-        "codel_1p19q": markers.codel_1p19q,
-        "cdkn_homdel": markers.cdkn_homdel,
-        "nmp": markers.nmp,
-    }
-    for name, value in label_values.items():
+    for (name, direction), value in zip(signal_directions(k).items(), markers.as_array()):
         rows = rng.choice(n, size=n_evidence, replace=False)
         if value == 1 and n_evidence > 0:
             target = low if name == "nmp" else high
-            target[rows] += cfg.signal_strength * dirs[name]
+            target[rows] += cfg.signal_strength * direction
     high = high.astype(np.float32)
     low = low.astype(np.float32)
     return PatchBag(
@@ -165,8 +158,7 @@ def generate_dataset(cfg: GenConfig) -> list:
 
 def marker_table(bags) -> np.ndarray:
     """The (n, 3) table of molecular markers that ``estimate_cooccurrence`` reads."""
-    return np.array([[b.markers.idh_mut, b.markers.codel_1p19q, b.markers.cdkn_homdel]
-                     for b in bags])
+    return np.array([b.markers.as_array()[:3] for b in bags])
 
 
 def estimate_cooccurrence(marker_rows: np.ndarray) -> CooccurrenceMatrix:

@@ -263,8 +263,8 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
     )
 
 
-def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
-    """Train the full model plus one single-flag variant per flag.
+def run_ablation(bags, cfg: TrainConfig, log=None):
+    """Train the full model plus one single-flag variant per ``ABLATION_FLAGS`` entry.
 
     Every variant shares the base config's seed (and therefore the same
     split and init stream). Every variant's config, and the split they
@@ -272,7 +272,7 @@ def run_ablation(bags, cfg: TrainConfig, flags=ABLATION_FLAGS, log=None):
     [(variant_name, TrainResult), ...]; each result carries the config its
     variant trained with.
     """
-    variants = [("full", cfg)] + [(flag, with_ablations(cfg, (flag,))) for flag in flags]
+    variants = [("full", cfg)] + [(flag, with_ablations(cfg, (flag,))) for flag in ABLATION_FLAGS]
     training_split(bags, cfg)
     results = []
     for name, variant_cfg in variants:
@@ -312,14 +312,11 @@ def confidences_csv(confidences) -> str:
 
 
 def ablation_csv(results) -> str:
-    header = "variant,acc_idh,acc_codel,acc_cdkn,acc_nmp,acc_glioma,f1_glioma,auc_glioma"
-    lines = [header]
+    header = ["variant", *(f"acc_{key}" for key in ACCURACY_KEYS), "f1_glioma", "auc_glioma"]
+    lines = [",".join(header)]
     for name, result in results:
         r = result.report
         auc = "NA" if r.glioma.auc is None else f"{r.glioma.auc:.6f}"
-        lines.append(
-            f"{name},{r.idh_mut.accuracy:.6f},{r.codel_1p19q.accuracy:.6f},"
-            f"{r.cdkn_homdel.accuracy:.6f},{r.nmp.accuracy:.6f},"
-            f"{r.glioma.accuracy:.6f},{r.glioma.f1:.6f},{auc}"
-        )
+        accs = (f"{r.task(task).accuracy:.6f}" for task in TASKS)
+        lines.append(",".join([name, *accs, f"{r.glioma.f1:.6f}", auc]))
     return "\n".join(lines) + "\n"

@@ -535,8 +535,19 @@ def _empty_dataset(dest):
     return dest
 
 
+def _junk_header(dest):
+    _write_bags(dest, GenConfig(n_cases=12, n_patches=4, feat_dim=4))
+    manifest = dest / "dataset.manifest"
+    manifest.write_text(manifest.read_text().replace("bagset v1 ", "bagset v12 junk ", 1))
+    return dest
+
+
 # dataset builder -> text the one error line must contain
 BAD_DATASETS = {
+    "junk_header": (_junk_header, "malformed header"),
+    "repeated_case_id": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
+                                               edit_record=_set_field(0, "case0001")),
+                         "case0001: repeated case id"),
     "mixed_width": (lambda d: _write_bags(d, GenConfig(n_cases=6, n_patches=4, feat_dim=4),
                                          GenConfig(n_cases=6, n_patches=4, feat_dim=6)),
                     "feature width"),

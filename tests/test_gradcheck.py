@@ -74,6 +74,29 @@ def test_constant_loss_passes_on_fd_noise():
     assert report.passed and report.max_rel_err < 1e-9
 
 
+def test_a_nan_numeric_gradient_fails():
+    """log(-1) is NaN, so every central difference of the loss is NaN too."""
+    x = Tensor([[-1.0, 2.0]], requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        report = grad_check(lambda: ad.sum_all(ad.log(x)), {"x": x})
+    assert not report.passed and report.max_rel_err == np.inf
+
+
+def test_a_nan_analytic_gradient_fails():
+    x = Tensor([0.5, -1.5], requires_grad=True)
+
+    def nan_backward_square(t):
+        out = Tensor(t.data * t.data)
+        if ad._GRAD_ENABLED and t.requires_grad:
+            out.requires_grad = True
+            out._parents = (t,)
+            out._backward = lambda g: ad._accum(t, g * 2.0 * t.data * np.nan)
+        return out
+
+    report = grad_check(lambda: ad.sum_all(nan_backward_square(x)), {"x": x})
+    assert not report.passed and report.max_rel_err == np.inf
+
+
 def test_corrupted_backward_is_flagged_on_the_right_param():
     """A deliberately wrong backward rule must fail, and only it."""
     rng = np.random.default_rng(3)

@@ -1,10 +1,19 @@
 """Metric oracles: rank AUC against the pairwise definition, the
-micro-average identity, and report assembly."""
+micro-average identity, the micro panel against per-class pooled
+counts, average ranks against scipy, and report assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from gliomil.metrics import (
     CasePrediction,
+    TaskMetrics,
+    _average_ranks,
+    _ratio,
     binary_task_metrics,
     compute_metrics,
     micro_multiclass_metrics,
@@ -100,6 +109,54 @@ def test_micro_identity_random_sets():
         m = micro_multiclass_metrics(labels, preds, probs)
         correct = float(np.mean(labels == preds))
         assert m.accuracy == m.sensitivity == m.f1 == correct
+
+
+def pooled_count_panel(labels, preds, probs, n_classes=4):
+    """The micro panel from the one-vs-rest confusion counts of each class, summed."""
+    labels, preds = np.asarray(labels), np.asarray(preds)
+    n = labels.size
+    tp = fp = tn = fn = 0
+    for c in range(n_classes):
+        tp += int(((preds == c) & (labels == c)).sum())
+        fp += int(((preds == c) & (labels != c)).sum())
+        fn += int(((preds != c) & (labels == c)).sum())
+        tn += int(((preds != c) & (labels != c)).sum())
+    onehot = (labels[:, None] == np.arange(n_classes)[None, :]).astype(np.int64)
+    return TaskMetrics(
+        accuracy=_ratio(tp, n),
+        sensitivity=_ratio(tp, tp + fn),
+        specificity=_ratio(tn, tn + fp),
+        auc=rank_auc(onehot.ravel(), np.asarray(probs).ravel()) if n else None,
+        f1=_ratio(2 * tp, 2 * tp + fp + fn),
+    )
+
+
+def test_micro_panel_matches_per_class_pooled_counts():
+    rng = np.random.default_rng(11)
+    draws = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 4)))]
+    for trial in range(500):
+        n = int(rng.integers(1, 30))
+        labels = rng.integers(0, 4, size=n)
+        preds = labels.copy() if trial % 5 == 0 else rng.integers(0, 4, size=n)
+        tied = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(n, 4))
+        probs = tied if trial % 2 else rng.random((n, 4))
+        draws.append((labels, preds, probs))
+    for labels, preds, probs in draws:
+        got = dataclasses.asdict(micro_multiclass_metrics(labels, preds, probs))
+        assert got == dataclasses.asdict(pooled_count_panel(labels, preds, probs))
+
+
+# finite scores, with ties and -0.0 beside 0.0 drawn often
+SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(allow_nan=False,
+                                                                       allow_infinity=False),
+                  max_size=40)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(SCORES)
+def test_average_ranks_match_scipy_rankdata(scores):
+    x = np.array(scores, dtype=np.float64)
+    np.testing.assert_array_equal(_average_ranks(x), rankdata(x, method="average"))
 
 
 def test_micro_perfect_predictions():

@@ -1,8 +1,10 @@
 """The flat parameter layout, where every parameter is a view of ``Model.theta``,
 and what one bag's recorded graph holds."""
 import dataclasses
+import hashlib
 
 import numpy as np
+import pytest
 
 from gliomil.autodiff import Tensor, no_grad
 from gliomil.config import GenConfig, TrainConfig
@@ -33,6 +35,21 @@ def test_every_parameter_is_a_view_of_theta():
     assert model.theta.dtype == np.float64 and model.theta.ndim == 1
     assert model.theta.flags.c_contiguous
     assert_views_of_theta(model)
+
+
+# sha256 of theta at init on the stream train_model draws it from; guards the draw order
+THETA_AT_INIT = {
+    4: "bbcbec1e35f6a6c468eb16924e85e79249e78279fafd85ee94eedff36c14f9eb",
+    16: "060468a740742b81732c7a8027e41bf19765331ef4212b2e2d500f1d545e5c07",
+    32: "5c6f21d050b240185628d34932e3c5ecf41551ced4d402716c3c6ceccf8b2cd4",
+}
+
+
+@pytest.mark.parametrize("k", sorted(THETA_AT_INIT))
+def test_theta_at_init_is_pinned(k):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(11,)))
+    theta = Model(ModelConfig(feat_dim=k), rng).theta
+    assert hashlib.sha256(theta.tobytes()).hexdigest() == THETA_AT_INIT[k]
 
 
 def test_views_tile_theta_in_registry_order():

@@ -5,18 +5,24 @@ A dataset is a text manifest (`dataset.manifest`) plus a raw blob
 low-magnification matrix per case, row-major. A checkpoint is the same
 idea at float64: a manifest of named parameter shapes and byte offsets
 (`checkpoint.manifest`) plus the packed values (`checkpoint.blob`).
+
+Both share one private codec: ``_open`` reads a manifest and its blob,
+``_array`` checks a span of the blob and returns a read-only view of it,
+and ``_pack`` lays arrays out back to back. Each keeps its record syntax.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, TrainConfig, format_config, parse_config, read_utf8
-from .synth import CooccurrenceMatrix, MarkerTuple, PatchBag, derive_glioma_class
+from .synth import (CooccurrenceMatrix, MarkerTuple, PatchBag, cooccurrence_from_counts,
+                    derive_glioma_class)
 
 DATASET_MANIFEST = "dataset.manifest"
 DATASET_BLOB = "dataset.blob"
@@ -36,109 +42,103 @@ class CheckpointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the shared codec
+
+def _open(directory, manifest_name: str, blob_name: str, error):
+    """(manifest path, manifest lines, blob bytes); a missing or non-UTF-8 file raises ``error``."""
+    manifest_path, blob_path = Path(directory) / manifest_name, Path(directory) / blob_name
+    for path in (manifest_path, blob_path):
+        if not path.exists():
+            raise error(f"missing {path}")
+    return manifest_path, read_utf8(manifest_path, error).splitlines(), blob_path.read_bytes()
+
+
+def _array(blob: bytes, dtype: str, shape: tuple, offset: int, what: str, error) -> np.ndarray:
+    """The read-only ``shape`` view of ``blob`` as ``dtype`` from byte ``offset``.
+
+    A negative shape or offset, a truncated blob or a non-finite value raises ``error``.
+    """
+    if min(shape + (offset,)) < 0:
+        raise error(f"{what}: negative shape or offset ({shape} at {offset})")
+    count = math.prod(shape)
+    end = offset + count * np.dtype(dtype).itemsize
+    if end > len(blob):
+        raise error(f"{what}: truncated blob (need bytes up to {end}, blob has {len(blob)})")
+    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise error(f"{what}: non-finite values")
+    return arr
+
+
+def _pack(arrays, dtype: str):
+    """(the arrays' row-major ``dtype`` bytes back to back, each array's byte offset)."""
+    # note: ascontiguousarray would promote 0-d scalars to 1-d
+    chunks = [np.asarray(arr, dtype=dtype).tobytes() for arr in arrays]
+    return b"".join(chunks), list(accumulate(map(len, chunks), initial=0))[:len(chunks)]
+
+
+# ---------------------------------------------------------------------------
 # datasets
 
 def write_dataset(out_dir, bags) -> None:
     """Write bags to ``out_dir``/dataset.{manifest,blob}."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    chunks = []
-    offset = 0
-    for bag in bags:
+    bags = list(bags)
+    blob, offsets = _pack([f for bag in bags for f in (bag.feats_high, bag.feats_low)], "<f4")
+    lines = [f"{_DATASET_MAGIC} cases={len(bags)}"]
+    for bag, off_high, off_low in zip(bags, offsets[::2], offsets[1::2]):
         n, k = bag.feats_high.shape
         if bag.feats_low.shape != (n, k):
-            raise DatasetError(
-                f"case {bag.case_id}: magnification shapes differ: "
-                f"{bag.feats_high.shape} vs {bag.feats_low.shape}"
-            )
-        high = np.ascontiguousarray(bag.feats_high, dtype="<f4")
-        low = np.ascontiguousarray(bag.feats_low, dtype="<f4")
-        off_high = offset
-        off_low = off_high + high.nbytes
-        offset = off_low + low.nbytes
+            raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
+                               f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
         m = bag.markers
-        records.append(
-            f"{bag.case_id} {n} {k} {m.idh_mut} {m.codel_1p19q} {m.cdkn_homdel} "
-            f"{m.nmp} {bag.glioma_class} {off_high} {off_low}"
-        )
-        chunks.append(high.tobytes())
-        chunks.append(low.tobytes())
-    manifest = "\n".join([f"{_DATASET_MAGIC} cases={len(records)}"] + records) + "\n"
-    (out_dir / DATASET_MANIFEST).write_text(manifest)
-    (out_dir / DATASET_BLOB).write_bytes(b"".join(chunks))
-
-
-def _parse_int(token: str, what: str, case_id: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DatasetError(f"case {case_id}: bad {what} field {token!r}") from None
+        lines.append(f"{bag.case_id} {n} {k} {m.idh_mut} {m.codel_1p19q} {m.cdkn_homdel} "
+                     f"{m.nmp} {bag.glioma_class} {off_high} {off_low}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
+    (out_dir / DATASET_BLOB).write_bytes(blob)
 
 
 def read_dataset(data_dir) -> list:
     """Read bags back, each with its stored patch count, as read-only float32 views of the blob."""
-    data_dir = Path(data_dir)
-    manifest_path = data_dir / DATASET_MANIFEST
-    blob_path = data_dir / DATASET_BLOB
-    if not manifest_path.exists():
-        raise DatasetError(f"missing {manifest_path}")
-    if not blob_path.exists():
-        raise DatasetError(f"missing {blob_path}")
-    lines = read_utf8(manifest_path, DatasetError).splitlines()
-    if not lines or not lines[0].startswith(_DATASET_MAGIC):
-        raise DatasetError(f"{manifest_path}: not a {_DATASET_MAGIC} manifest")
-    header = re.fullmatch(f"{_DATASET_MAGIC} cases=([0-9]+)", lines[0])
+    manifest_path, lines, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB, DatasetError)
+    head = lines[0] if lines else ""
+    header = re.fullmatch(f"{_DATASET_MAGIC} cases=([0-9]+)", head)
     if header is None:
-        raise DatasetError(f"{manifest_path}: malformed header {lines[0]!r}")
+        raise DatasetError(f"{manifest_path}: malformed header {head!r}")
     declared = int(header[1])
     records = [ln for ln in lines[1:] if ln.strip()]
     if not records:
         raise DatasetError(f"{manifest_path}: no cases")
     if len(records) != declared:
-        raise DatasetError(
-            f"{manifest_path}: header declares {declared} cases, found {len(records)} records"
-        )
-    blob = blob_path.read_bytes()
+        raise DatasetError(f"{manifest_path}: header declares {declared} cases, "
+                           f"found {len(records)} records")
 
     bags = []
     for record in records:
-        fields = record.split()
-        if len(fields) != 10:
+        tokens = record.split()
+        if len(tokens) != 10:
             raise DatasetError(f"malformed record (want 10 fields): {record!r}")
-        case_id = fields[0]
-        n, k = (_parse_int(fields[i], "size", case_id) for i in (1, 2))
-        labels = [_parse_int(fields[i], "label", case_id) for i in (3, 4, 5, 6)]
+        case_id = tokens[0]
+        try:
+            n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
+        except ValueError:
+            raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}") from None
         if any(v not in (0, 1) for v in labels):
             raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
-        glioma = _parse_int(fields[7], "class", case_id)
-        off_high, off_low = (_parse_int(fields[i], "offset", case_id) for i in (8, 9))
-        if min(n, k) < 1 or min(off_high, off_low) < 0:
-            raise DatasetError(f"case {case_id}: empty bag or negative offset in {record!r}")
+        if min(n, k) < 1:
+            raise DatasetError(f"case {case_id}: empty bag in {record!r}")
         if bags and k != bags[0].feats_high.shape[1]:
-            raise DatasetError(
-                f"case {case_id}: feature width {k} differs from the first case's "
-                f"{bags[0].feats_high.shape[1]}"
-            )
-        end = max(off_high, off_low) + n * k * 4
-        if end > len(blob):
-            raise DatasetError(
-                f"case {case_id}: truncated blob "
-                f"(need bytes up to {end}, blob has {len(blob)})"
-            )
-        high = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_high).reshape(n, k)
-        low = np.frombuffer(blob, dtype="<f4", count=n * k, offset=off_low).reshape(n, k)
-        if not (np.isfinite(high).all() and np.isfinite(low).all()):
-            raise DatasetError(f"case {case_id}: non-finite feature values")
+            raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
+                               f"case's {bags[0].feats_high.shape[1]}")
+        high, low = (_array(blob, "<f4", (n, k), off, f"case {case_id}", DatasetError)
+                     for off in (off_high, off_low))
         markers = MarkerTuple(*labels)
         if glioma != derive_glioma_class(markers):
-            raise DatasetError(
-                f"case {case_id}: stored class {glioma} contradicts markers {labels}"
-            )
-        bags.append(
-            PatchBag(case_id=case_id, feats_high=high, feats_low=low,
-                     markers=markers, glioma_class=glioma)
-        )
+            raise DatasetError(f"case {case_id}: stored class {glioma} "
+                               f"contradicts markers {labels}")
+        bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
+                             markers=markers, glioma_class=glioma))
     case_ids = set()
     for bag in bags:  # after the per-record checks, whose errors come first
         if bag.case_id in case_ids:
@@ -150,55 +150,47 @@ def read_dataset(data_dir) -> list:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _matrix3(scalar):
-    return lambda text: np.array([scalar(v) for v in text.split(",")]).reshape(3, 3)
+def _cooccurrence_text(a) -> str:
+    """The co-occurrence matrix as the manifest stores it: ``repr`` of each float."""
+    return ",".join(repr(float(v)) for v in np.asarray(a).ravel())
 
 
-# meta key -> parser of its value, in the order write_checkpoint writes them
-_META_PARSERS = {
-    "feat_dim": int,
-    "cooccurrence": _matrix3(np.float64),
-    "cooccurrence_counts": _matrix3(np.int64),
-    "cooccurrence_cases": int,
-}
+def _counts(text: str) -> np.ndarray:
+    return np.array([np.int64(v) for v in text.split(",")]).reshape(3, 3)
+
+
+# meta key -> parser of its value, in the order write_checkpoint writes them; the
+# matrix stays text, to be compared with the one its counts give
+_META_PARSERS = {"feat_dim": int, "cooccurrence": str, "cooccurrence_counts": _counts,
+                 "cooccurrence_cases": int}
 
 
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
     """Write named float64 parameters plus the run metadata needed to eval."""
+    counts_flat = ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel())
+    lines = [_CHECKPOINT_MAGIC, f"meta feat_dim {feat_dim}",
+             f"meta cooccurrence {_cooccurrence_text(cooc.a)}",
+             f"meta cooccurrence_counts {counts_flat}", f"meta cooccurrence_cases {cooc.n_cases}"]
+    lines += [f"config {key} {text}" for key, text in format_config(train_cfg).items()]
+    blob, offsets = _pack([tensor.data for tensor in params.values()], "<f8")
+    for (name, tensor), offset in zip(params.items(), offsets):
+        lines.append(f"param {name} ({','.join(str(d) for d in tensor.data.shape)}) {offset}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [_CHECKPOINT_MAGIC, f"meta feat_dim {feat_dim}"]
-    a_flat = ",".join(repr(float(v)) for v in np.asarray(cooc.a).ravel())
-    counts_flat = ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel())
-    lines.append(f"meta cooccurrence {a_flat}")
-    lines.append(f"meta cooccurrence_counts {counts_flat}")
-    lines.append(f"meta cooccurrence_cases {cooc.n_cases}")
-    lines += [f"config {key} {text}" for key, text in format_config(train_cfg).items()]
-    chunks = []
-    offset = 0
-    for name, tensor in params.items():
-        # note: ascontiguousarray would promote 0-d scalars to 1-d
-        arr = np.asarray(tensor.data, dtype="<f8", order="C")
-        shape = "(" + ",".join(str(d) for d in arr.shape) + ")"
-        lines.append(f"param {name} {shape} {offset}")
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
     (out_dir / CHECKPOINT_MANIFEST).write_text("\n".join(lines) + "\n")
-    (out_dir / CHECKPOINT_BLOB).write_bytes(b"".join(chunks))
+    (out_dir / CHECKPOINT_BLOB).write_bytes(blob)
 
 
 def read_checkpoint(ckpt_dir):
-    """Return (params: dict[str, ndarray], feat_dim, CooccurrenceMatrix, TrainConfig)."""
-    ckpt_dir = Path(ckpt_dir)
-    manifest_path = ckpt_dir / CHECKPOINT_MANIFEST
-    blob_path = ckpt_dir / CHECKPOINT_BLOB
-    if not manifest_path.exists() or not blob_path.exists():
-        raise CheckpointError(f"no checkpoint under {ckpt_dir}")
-    lines = read_utf8(manifest_path, CheckpointError).splitlines()
+    """Return (params: dict[str, ndarray], feat_dim, CooccurrenceMatrix, TrainConfig).
+
+    Each param is a read-only float64 view of the blob.
+    """
+    manifest_path, lines, blob = _open(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB,
+                                       CheckpointError)
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{manifest_path}: not a {_CHECKPOINT_MAGIC} manifest")
-    blob = blob_path.read_bytes()
 
     sections = {"meta": {}, "config": {}, "param": {}}
     for line in lines[1:]:
@@ -214,15 +206,7 @@ def read_checkpoint(ckpt_dir):
                 offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
-            if min(dims + (offset,)) < 0:
-                raise CheckpointError(f"{manifest_path}: negative shape or offset in {line!r}")
-            count = math.prod(dims)
-            if offset + count * 8 > len(blob):
-                raise CheckpointError(f"param {key}: truncated blob")
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            value = arr.astype(np.float64).reshape(dims)
-            if not np.isfinite(value).all():
-                raise CheckpointError(f"param {key}: non-finite values")
+            value = _array(blob, "<f8", dims, offset, f"param {key}", CheckpointError)
         else:
             key, _, value = rest.partition(" ")
         if key in sections[kind]:
@@ -239,8 +223,16 @@ def read_checkpoint(ckpt_dir):
             parsed[key] = parse(meta[key])
         except (ValueError, OverflowError):
             raise CheckpointError(f"{manifest_path}: bad metadata: {key} {meta[key]!r}") from None
-    cooc = CooccurrenceMatrix(a=parsed["cooccurrence"], counts=parsed["cooccurrence_counts"],
-                              n_cases=parsed["cooccurrence_cases"])
+    counts, cases = parsed["cooccurrence_counts"], parsed["cooccurrence_cases"]
+    diag = np.diag(counts)
+    if not (np.array_equal(counts, counts.T) and (counts >= 0).all()
+            and (counts <= diag).all() and (diag <= cases).all()):
+        raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence_counts "
+                              f"{meta['cooccurrence_counts']!r} over {cases} cases")
+    cooc = cooccurrence_from_counts(counts, cases)
+    if parsed["cooccurrence"] != _cooccurrence_text(cooc.a):
+        raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence "
+                              f"{meta['cooccurrence']!r} is not the matrix of its counts")
     missing = [f.name for f in fields(TrainConfig) if f.name not in config_raw]
     if missing:
         raise CheckpointError(f"{manifest_path}: bad config: missing keys {missing}")

@@ -128,13 +128,14 @@ def rescale(vec: np.ndarray, target_norm: float) -> None:
 def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
     """Represent a reference gradient in a space of the given length.
 
-    Zero-pads a shorter reference; truncates a longer one. Because both
-    partitions' flat orders lead with the same branch structure, the kept
-    coordinates are the structurally matching ones.
+    Zero-pads a shorter reference; truncates a longer one to a view of its
+    head, which projection only reads. Because both partitions' flat orders
+    lead with the same branch structure, the kept coordinates are the
+    structurally matching ones.
     """
     ref = np.asarray(ref, dtype=np.float64).ravel()
     if ref.size >= length:
-        return ref[:length].copy()
+        return ref[:length]
     out = np.zeros(length)
     out[: ref.size] = ref
     return out
@@ -145,10 +146,10 @@ def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
 
 @dataclass
 class ModulationRecord:
+    """What modulation did that its caller cannot read off the gradient afterwards."""
+
     modulated_group: str       # "histology" or "molecular"
-    reference_embedded: np.ndarray
     norm_before: float         # the modulated slice's norm before modulation
-    flat_after: np.ndarray     # view of the modulated slice of the gradient
 
 
 def majority_vote(flags) -> int:
@@ -171,9 +172,8 @@ def cmg_modulate(
     ``grad``. A lesion-positive batch majority modulates the molecular
     group (histology is the reliable signal there); a negative majority
     modulates the histology group. With ``guide`` off the molecular group
-    is always the one modulated. The modulated slice is rewritten in
-    place; returns ``grad`` itself and a record of what happened, whose
-    ``flat_after`` is a view of that slice.
+    is always the one modulated. The modulated slice of ``grad`` is
+    rewritten in place; returns the record of what happened.
     """
     if guide:
         group = "molecular" if nmp_majority == 1 else "histology"
@@ -186,10 +186,4 @@ def cmg_modulate(
     project_perp(vec, ref)
     if apply_rescale:
         rescale(vec, norm_before)
-    record = ModulationRecord(
-        modulated_group=group,
-        reference_embedded=ref,
-        norm_before=norm_before,
-        flat_after=vec,
-    )
-    return grad, record
+    return ModulationRecord(modulated_group=group, norm_before=norm_before)

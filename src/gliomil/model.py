@@ -111,7 +111,7 @@ class Model:
         self.zero_grads()
 
     def load_state(self, state: dict) -> None:
-        """Write checkpoint arrays into the parameter views (and so into ``theta``)."""
+        """Copy checkpoint arrays (read-only views of its blob) into ``theta``'s parameter views."""
         missing = sorted(set(self.params) - set(state))
         extra = sorted(set(state) - set(self.params))
         if missing or extra:

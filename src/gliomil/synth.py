@@ -171,9 +171,13 @@ def estimate_cooccurrence(marker_rows: np.ndarray) -> CooccurrenceMatrix:
     rows = np.asarray(marker_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) marker table, got {rows.shape}")
-    counts = rows.T @ rows
+    return cooccurrence_from_counts(rows.T @ rows, rows.shape[0])
+
+
+def cooccurrence_from_counts(counts: np.ndarray, n_cases: int) -> CooccurrenceMatrix:
+    """The co-occurrence matrix of a (3, 3) int64 joint-positive count table over ``n_cases``."""
     marginals = np.diag(counts).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(marginals[None, :] > 0, counts / marginals[None, :], 0.0)
     a = 0.5 * (cond + cond.T)
-    return CooccurrenceMatrix(a=a, counts=counts, n_cases=rows.shape[0])
+    return CooccurrenceMatrix(a=a, counts=counts, n_cases=n_cases)

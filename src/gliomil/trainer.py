@@ -159,14 +159,13 @@ def evaluate(model: Model, bags, adjacency):
 def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, step) -> None:
     """Modulate the batch's summed gradient (unless ablated), then take the AdamW step.
 
-    Both act on the model's gradient buffer in place. The modulation
-    record is dropped before the AdamW step, so its embedded reference
-    and AdamW's scratch are never alive together.
+    Both act on the model's gradient buffer in place; the hook sees that
+    buffer after modulation.
     """
     grads = model.gradient_set()
     if "no_cmg" not in cfg.ablations:
         vote = majority_vote([bag.markers.nmp for bag in batch])
-        grads, record = cmg_modulate(
+        record = cmg_modulate(
             grads,
             model.groups,
             vote,
@@ -175,7 +174,6 @@ def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, s
         )
         if modulation_hook is not None:
             modulation_hook(epoch=epoch, step=step, record=record, grads=grads)
-        del record
     optimizer.step(grads)
 
 

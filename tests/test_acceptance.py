@@ -14,7 +14,14 @@ from gliomil.autodiff import Tensor
 from gliomil.cli import main
 from gliomil.config import ABLATION_FLAGS, GenConfig, TrainConfig
 from gliomil.heads import correlation_loss, graph_mix
-from gliomil.interaction import ConfidenceVector, curriculum_m, dcc_overlap
+from gliomil.interaction import (
+    ConfidenceVector,
+    curriculum_m,
+    dcc_overlap,
+    embed_reference,
+    project_perp,
+    rescale,
+)
 from gliomil.metrics import micro_multiclass_metrics, rank_auc
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
@@ -59,6 +66,14 @@ def test_c1_gradient_suite():
     )
 
 
+def modulated(raw_slice, ref):
+    """``raw_slice`` projected orthogonal to ``ref`` and rescaled to its length, on a copy."""
+    vec = raw_slice.copy()
+    project_perp(vec, ref)
+    rescale(vec, np.linalg.norm(raw_slice))
+    return vec
+
+
 def test_c2_modulation_invariants_over_five_epochs(monkeypatch):
     bags = generate_dataset(GenConfig(n_cases=60, n_patches=8, feat_dim=8, seed=1))
     cfg = TrainConfig(epochs=5, batch_size=6, seed=0)
@@ -74,18 +89,25 @@ def test_c2_modulation_invariants_over_five_epochs(monkeypatch):
     worst_dot, worst_norm = 0.0, 0.0
     partition_ok = [True]
     n_steps = [0]
-    # modulation rewrites its input in place; hand it a copy so the model's
-    # buffer keeps the raw gradient to compare against
-    modulate = trainer.cmg_modulate
-    monkeypatch.setattr(trainer, "cmg_modulate",
-                        lambda grad, *a, **kw: modulate(grad.copy(), *a, **kw))
+    # modulation rewrites the model's buffer in place; snapshot the raw
+    # gradient first, so training follows its real trajectory
+    modulate, snapshot = trainer.cmg_modulate, [None]
+
+    def snapshot_then_modulate(grad, *args, **kwargs):
+        snapshot[0] = grad.copy()
+        return modulate(grad, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "cmg_modulate", snapshot_then_modulate)
 
     def hook(epoch, step, record, grads):
         nonlocal worst_dot, worst_norm
         n_steps[0] += 1
-        after, ref = record.flat_after, record.reference_embedded
-        raw = model.gradient_set()
+        assert grads is model.gradient_set()
         span = model.groups[record.modulated_group]
+        other = model.groups["histology" if record.modulated_group == "molecular" else "molecular"]
+        after = grads[span]
+        ref = embed_reference(grads[other], after.size)
+        raw = snapshot[0]
         dot = abs(float(after @ ref))
         bound = np.linalg.norm(after) * np.linalg.norm(ref)
         worst_dot = max(worst_dot, dot / bound if bound > 0 else 0.0)
@@ -96,7 +118,7 @@ def test_c2_modulation_invariants_over_five_epochs(monkeypatch):
         untouched = np.ones(raw.size, dtype=bool)
         untouched[span] = False
         if not (record.norm_before == np.linalg.norm(raw[span])
-                and np.array_equal(grads[span], record.flat_after)
+                and np.array_equal(grads[span], modulated(raw[span], ref))
                 and np.array_equal(grads[untouched], raw[untouched])):
             partition_ok[0] = False
 

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import re
@@ -334,6 +335,17 @@ BAD_CHECKPOINT_MANIFESTS = {
         "his.blocks.0.ln1_gain"),
     "param_deleted": (
         lambda lines: [ln for ln in lines if not ln.startswith("param fusion.b ")], "fusion.b"),
+    "cooccurrence_nan": (_replace_line("meta cooccurrence ", lambda _: "meta cooccurrence "
+                                       + ",".join(["nan"] * 9)), "bad metadata: cooccurrence"),
+    "cooccurrence_edited": (
+        _replace_line("meta cooccurrence ",
+                      lambda _: "meta cooccurrence 1e300,-5,0,0,1,0,0,0,1"),
+        "bad metadata: cooccurrence"),
+    # symmetric, but more cases share markers 0 and 1 than have marker 1
+    "cooccurrence_counts_impossible": (
+        _replace_line("meta cooccurrence_counts ",
+                      lambda _: "meta cooccurrence_counts 5,9,0,9,5,0,0,0,5"),
+        "bad metadata: cooccurrence_counts"),
 }
 
 
@@ -509,8 +521,12 @@ def test_train_rejects_negative_seed(tmp_path, small_data, capsys):
 
 
 def _write_bags(dest, *gen_cfgs, edit_record=None):
-    """Write the bags of every generator config into one dataset at ``dest``."""
-    bags = [bag for cfg in gen_cfgs for bag in generate_dataset(cfg)]
+    """Write the bags of every generator config into one dataset at ``dest``.
+
+    The bags of the second and later configs get case ids of their own.
+    """
+    bags = [dataclasses.replace(bag, case_id=f"{bag.case_id}.{i}") if i else bag
+            for i, cfg in enumerate(gen_cfgs) for bag in generate_dataset(cfg)]
     write_dataset(dest, bags)
     if edit_record is not None:
         lines = (dest / "dataset.manifest").read_text().splitlines()

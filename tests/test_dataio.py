@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,15 @@ from gliomil.dataio import (
     write_checkpoint,
     write_dataset,
 )
-from gliomil.synth import MarkerTuple, PatchBag, estimate_cooccurrence, generate_dataset
+from gliomil.synth import (
+    CooccurrenceMatrix,
+    MarkerTuple,
+    PatchBag,
+    estimate_cooccurrence,
+    generate_dataset,
+)
 from gliomil.autodiff import Tensor
+from gliomil.model import Model, ModelConfig
 
 
 @pytest.fixture
@@ -102,6 +112,7 @@ class TestCheckpointRoundTrip:
         assert set(loaded) == set(params)
         for name in params:
             assert np.array_equal(loaded[name], params[name].data)
+            assert loaded[name].dtype == np.float64 and not loaded[name].flags.writeable
         assert loaded["gate"].shape == ()
         assert np.array_equal(cooc2.a, cooc.a)
         assert np.array_equal(cooc2.counts, cooc.counts)
@@ -114,6 +125,21 @@ class TestCheckpointRoundTrip:
         loaded, *_ = read_checkpoint(tmp_path)
         assert list(loaded) == [f"p{i}" for i in range(5)]
 
+    def test_files_are_pinned(self, tmp_path):
+        # theta at init is pinned elsewhere, so these bytes hold on any machine
+        model = Model(ModelConfig(feat_dim=4),
+                      np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(11,))))
+        cooc = estimate_cooccurrence(np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+        write_checkpoint(tmp_path, model.params, 4, cooc, TrainConfig())
+        blob = (tmp_path / "checkpoint.blob").read_bytes()
+        assert blob == model.theta.astype("<f8").tobytes()
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("checkpoint.manifest", "checkpoint.blob")}
+        assert digests == {
+            "checkpoint.manifest": "3c3c991716981d9281a605f8693476bc0377a3bd57ee0a2d3bea421f7a315fd0",
+            "checkpoint.blob": "bbcbec1e35f6a6c468eb16924e85e79249e78279fafd85ee94eedff36c14f9eb",
+        }
+
     def test_truncated_blob_rejected(self, tmp_path):
         params = {"w": Tensor(np.ones((4, 4)))}
         cooc = estimate_cooccurrence(np.zeros((1, 3), dtype=int))
@@ -123,6 +149,26 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("counts,cases", [
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 1]], 3),    # not symmetric
+        ([[2, -1, 0], [-1, 2, 0], [0, 0, 1]], 3),  # a negative count
+        ([[2, 3, 0], [3, 2, 0], [0, 0, 1]], 3),    # more joint positives than positives
+        ([[2, 1, 0], [1, 2, 0], [0, 0, 4]], 3),    # more positives than cases
+    ])
+    def test_impossible_cooccurrence_counts_rejected(self, tmp_path, counts, cases):
+        cooc = CooccurrenceMatrix(a=np.zeros((3, 3)), counts=np.array(counts), n_cases=cases)
+        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        with pytest.raises(CheckpointError, match="bad metadata: cooccurrence_counts"):
+            read_checkpoint(tmp_path)
+
+    def test_cooccurrence_must_be_the_matrix_of_its_counts(self, tmp_path):
+        cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
+        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        assert read_checkpoint(tmp_path)[2].a.tobytes() == cooc.a.tobytes()
+        one_ulp_off = dataclasses.replace(cooc, a=np.nextafter(cooc.a, 2.0))
+        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, one_ulp_off, TrainConfig())
+        with pytest.raises(CheckpointError, match="bad metadata: cooccurrence "):
+            read_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("line,key", [
         ("config epochs x", "epochs"),

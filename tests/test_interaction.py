@@ -177,7 +177,10 @@ class TestProjection:
 
     def test_embed_reference_pads_and_truncates(self):
         assert embed_reference(np.array([1.0, 2.0]), 4).tolist() == [1, 2, 0, 0]
-        assert embed_reference(np.array([1.0, 2.0, 3.0]), 2).tolist() == [1, 2]
+        ref = np.array([1.0, 2.0, 3.0])
+        truncated = embed_reference(ref, 2)
+        assert truncated.tolist() == [1, 2]
+        assert np.shares_memory(truncated, ref)  # a view: projection only reads it
 
 
 class TestMajorityVote:
@@ -206,34 +209,37 @@ def toy_grads(mol, his):
 class TestModulation:
     def test_toy_example_molecular_modulated(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, record = cmg_modulate(grad, groups, nmp_majority=1)
-        assert out is grad  # modulated in place
+        record = cmg_modulate(grad, groups, nmp_majority=1)
         assert record.modulated_group == "molecular"
-        assert np.allclose(out[groups["molecular"]], [0.0, math.sqrt(2.0)], atol=1e-12)
-        assert np.shares_memory(record.flat_after, grad)
-        assert np.array_equal(record.flat_after, out[groups["molecular"]])
+        # modulated in place: the caller's buffer holds the result
+        assert np.allclose(grad[groups["molecular"]], [0.0, math.sqrt(2.0)], atol=1e-12)
         assert record.norm_before == math.sqrt(2.0)
         # coordinates outside the span are unchanged
-        assert np.array_equal(out[groups["histology"]], [1.0, 0.0])
-        assert out[-1] == 7.0
+        assert np.array_equal(grad[groups["histology"]], [1.0, 0.0])
+        assert grad[-1] == 7.0
 
     def test_negative_majority_modulates_histology(self):
         grad, groups = toy_grads([1.0, 0.0], [1.0, 1.0])
-        out, record = cmg_modulate(grad, groups, nmp_majority=0)
+        record = cmg_modulate(grad, groups, nmp_majority=0)
         assert record.modulated_group == "histology"
-        assert np.allclose(out[groups["histology"]], [0.0, math.sqrt(2.0)], atol=1e-12)
-        assert np.array_equal(out[groups["molecular"]], [1.0, 0.0])
+        assert np.allclose(grad[groups["histology"]], [0.0, math.sqrt(2.0)], atol=1e-12)
+        assert np.array_equal(grad[groups["molecular"]], [1.0, 0.0])
 
     def test_guide_off_always_modulates_molecular(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, record = cmg_modulate(grad, groups, nmp_majority=0, guide=False)
+        record = cmg_modulate(grad, groups, nmp_majority=0, guide=False)
         assert record.modulated_group == "molecular"
-        assert np.array_equal(out[groups["histology"]], [1.0, 0.0])
+        assert np.array_equal(grad[groups["histology"]], [1.0, 0.0])
 
     def test_rescale_off_keeps_raw_projection(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
-        out, _ = cmg_modulate(grad, groups, nmp_majority=1, apply_rescale=False)
-        assert np.allclose(out[groups["molecular"]], [0.0, 1.0], atol=1e-15)
+        cmg_modulate(grad, groups, nmp_majority=1, apply_rescale=False)
+        assert np.allclose(grad[groups["molecular"]], [0.0, 1.0], atol=1e-15)
+
+    def test_record_holds_no_array(self):
+        grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
+        record = cmg_modulate(grad, groups, nmp_majority=1)
+        assert not any(isinstance(v, np.ndarray) for v in vars(record).values())
 
     def test_unequal_sizes_orthogonal_and_norm_preserving(self):
         rng = np.random.default_rng(3)
@@ -245,16 +251,17 @@ class TestModulation:
             )
             vote = trial % 2
             raw = grad.copy()
-            out, record = cmg_modulate(grad, groups, nmp_majority=vote)
-            after = record.flat_after
-            ref = record.reference_embedded
+            record = cmg_modulate(grad, groups, nmp_majority=vote)
+            # the span holds the result, and the reference is the other span embedded
+            span = groups[record.modulated_group]
+            other = groups["histology" if record.modulated_group == "molecular" else "molecular"]
+            after = grad[span]
+            ref = embed_reference(grad[other], after.size)
             norms = np.linalg.norm(after) * np.linalg.norm(ref)
             assert abs(after @ ref) <= 1e-8 * max(norms, 1e-30)
-            span = groups[record.modulated_group]
             assert record.norm_before == np.linalg.norm(raw[span])
             assert abs(np.linalg.norm(after) - record.norm_before) <= 1e-8
-            # the span holds the result; every coordinate outside it is unchanged
-            assert np.array_equal(out[span], after)
+            # every coordinate outside the span is unchanged
             keep = np.ones(grad.size, dtype=bool)
             keep[span] = False
-            assert np.array_equal(out[keep], raw[keep])
+            assert np.array_equal(grad[keep], raw[keep])

@@ -8,6 +8,7 @@ import pytest
 
 from gliomil.autodiff import Tensor, no_grad
 from gliomil.config import GenConfig, TrainConfig
+from gliomil.dataio import read_checkpoint, write_checkpoint
 from gliomil.model import Model, ModelConfig
 from gliomil.optim import AdamW
 from gliomil.synth import estimate_cooccurrence, generate_dataset, marker_table
@@ -119,6 +120,20 @@ def test_load_state_writes_through_to_theta_and_keeps_identity():
     np.testing.assert_array_equal(model.theta, source.theta)
     for name, t in model.params.items():
         assert t is tensors[name]
+    assert_views_of_theta(model)
+
+
+def test_load_state_copies_read_only_checkpoint_views(tmp_path):
+    source = build(seed=1)
+    write_checkpoint(tmp_path, source.params, 6, estimate_cooccurrence(np.eye(3, dtype=int)),
+                     TrainConfig())
+    state, *_ = read_checkpoint(tmp_path)
+    assert not any(arr.flags.writeable for arr in state.values())
+    model = build(seed=0)
+    model.load_state(state)
+    np.testing.assert_array_equal(model.theta, source.theta)
+    assert not any(np.shares_memory(arr, model.theta) for arr in state.values())
+    model.theta += 1.0  # theta stays the model's own, writable buffer
     assert_views_of_theta(model)
 
 

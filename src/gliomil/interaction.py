@@ -13,16 +13,19 @@ Gradient modulation projects one parameter group's gradient to be
 orthogonal to the other group's, keeping its length. A gradient is one
 flat vector in the model's parameter layout (``Model.theta``), and each
 group is a contiguous slice of it (``Model.groups``). The two groups
-have different sizes, so the reference gradient is embedded into the
-modulated group's coordinate space first (zero-padded or truncated at
-the tail). Both slices lead with structurally identical sub-trees
+have different sizes, so projection works over their common head, the
+first min(sizes) coordinates, and leaves the modulated slice's tail as
+it is. Both slices lead with structurally identical sub-trees
 (refinement blocks, pool, 2-way classifier) -- the molecular group
-starts with the IDH branch -- so the embedding aligns the coupled pair
-of branches coordinate-for-coordinate. The modulated slice is projected
-and rescaled in place, so the gradient is never copied whole.
+starts with the IDH branch -- so the common head pairs the coupled
+branches coordinate-for-coordinate. The modulated slice is projected
+and rescaled in place, so the gradient is never copied whole. Every dot
+product and norm sums in numpy's fixed pairwise order, so modulation
+gives the same bits at any BLAS thread count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,39 +109,31 @@ def dcc_surrogate(a: ConfidenceVector, b: ConfidenceVector, m: int, temperature:
 # ---------------------------------------------------------------------------
 # gradient surgery
 
-def project_perp(vec: np.ndarray, ref: np.ndarray) -> None:
-    """Make ``vec`` orthogonal to ``ref`` in place (same-length 1-d float64 vectors).
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed in numpy's fixed pairwise order, whatever the BLAS thread count."""
+    return float(np.add.reduce(a * b))
 
-    A reference shorter than the tiny-norm floor leaves ``vec`` unchanged.
+
+def project_perp(vec: np.ndarray, ref: np.ndarray) -> None:
+    """Make ``vec`` orthogonal to ``ref`` in place over their common head (1-d float64).
+
+    Only the first min(vec.size, ref.size) coordinates take part: a shorter
+    ``ref`` acts as if zero-padded, a longer one as if truncated, and
+    ``vec``'s tail is left untouched. A reference whose norm is below the
+    tiny-norm floor leaves ``vec`` unchanged.
     """
-    if vec.shape != ref.shape:
-        raise ValueError(f"project_perp: lengths differ: {vec.shape} vs {ref.shape}")
-    denom = float(ref @ ref)
+    n = min(vec.size, ref.size)
+    head, ref = vec[:n], ref[:n]
+    denom = _dot(ref, ref)
     if denom >= _TINY_NORM * _TINY_NORM:
-        vec -= (float(vec @ ref) / denom) * ref
+        head -= (_dot(head, ref) / denom) * ref
 
 
 def rescale(vec: np.ndarray, target_norm: float) -> None:
     """Scale ``vec`` in place to the given Euclidean length (a zero vector stays zero)."""
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(_dot(vec, vec))
     if norm >= _TINY_NORM:
         vec *= float(target_norm) / norm
-
-
-def embed_reference(ref: np.ndarray, length: int) -> np.ndarray:
-    """Represent a reference gradient in a space of the given length.
-
-    Zero-pads a shorter reference; truncates a longer one to a view of its
-    head, which projection only reads. Because both partitions' flat orders
-    lead with the same branch structure, the kept coordinates are the
-    structurally matching ones.
-    """
-    ref = np.asarray(ref, dtype=np.float64).ravel()
-    if ref.size >= length:
-        return ref[:length]
-    out = np.zeros(length)
-    out[: ref.size] = ref
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +176,8 @@ def cmg_modulate(
         group = "molecular"
     other = "histology" if group == "molecular" else "molecular"
     vec = grad[groups[group]]
-    ref = embed_reference(grad[groups[other]], vec.size)
-    norm_before = float(np.linalg.norm(vec))
-    project_perp(vec, ref)
+    norm_before = math.sqrt(_dot(vec, vec))
+    project_perp(vec, grad[groups[other]])
     if apply_rescale:
         rescale(vec, norm_before)
     return ModulationRecord(modulated_group=group, norm_before=norm_before)

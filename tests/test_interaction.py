@@ -15,11 +15,17 @@ from gliomil.interaction import (
     curriculum_m,
     dcc_overlap,
     dcc_surrogate,
-    embed_reference,
     majority_vote,
     project_perp,
     rescale,
 )
+
+
+def padded_or_truncated(ref, length):
+    """``ref`` zero-padded or truncated to ``length``, as projection over the common head sees it."""
+    out = np.zeros(length)
+    out[:min(ref.size, length)] = ref[:length]
+    return out
 
 
 def cv(values):
@@ -175,12 +181,23 @@ class TestProjection:
             project_perp(again, r)
             assert np.allclose(again, p, atol=1e-12)
 
-    def test_embed_reference_pads_and_truncates(self):
-        assert embed_reference(np.array([1.0, 2.0]), 4).tolist() == [1, 2, 0, 0]
-        ref = np.array([1.0, 2.0, 3.0])
-        truncated = embed_reference(ref, 2)
-        assert truncated.tolist() == [1, 2]
-        assert np.shares_memory(truncated, ref)  # a view: projection only reads it
+    def test_unequal_lengths_project_over_the_common_head(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            vec = rng.normal(size=9)
+            # a shorter reference acts as if zero-padded; vec's tail keeps its bits
+            short = rng.normal(size=5)
+            got, want = vec.copy(), vec.copy()
+            project_perp(got, short)
+            project_perp(want, padded_or_truncated(short, vec.size))
+            np.testing.assert_allclose(got[:5], want[:5], rtol=0, atol=1e-12)
+            assert got[5:].tobytes() == vec[5:].tobytes()
+            # a longer reference acts as if truncated to vec's length
+            long = rng.normal(size=13)
+            got, want = vec.copy(), vec.copy()
+            project_perp(got, long)
+            project_perp(want, long[:vec.size])
+            assert np.array_equal(got, want)
 
 
 class TestMajorityVote:
@@ -252,14 +269,14 @@ class TestModulation:
             vote = trial % 2
             raw = grad.copy()
             record = cmg_modulate(grad, groups, nmp_majority=vote)
-            # the span holds the result, and the reference is the other span embedded
+            # the span holds the result, orthogonal to the other span padded or truncated
             span = groups[record.modulated_group]
             other = groups["histology" if record.modulated_group == "molecular" else "molecular"]
             after = grad[span]
-            ref = embed_reference(grad[other], after.size)
+            ref = padded_or_truncated(grad[other], after.size)
             norms = np.linalg.norm(after) * np.linalg.norm(ref)
             assert abs(after @ ref) <= 1e-8 * max(norms, 1e-30)
-            assert record.norm_before == np.linalg.norm(raw[span])
+            assert record.norm_before == math.sqrt(np.add.reduce(raw[span] * raw[span]))
             assert abs(np.linalg.norm(after) - record.norm_before) <= 1e-8
             # every coordinate outside the span is unchanged
             keep = np.ones(grad.size, dtype=bool)

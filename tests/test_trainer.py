@@ -333,6 +333,30 @@ def test_training_does_not_load_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+def test_trained_theta_does_not_depend_on_blas_threads():
+    # the molecular group at K = 16 is long enough for a threaded BLAS dot to
+    # split its sum; modulation's fixed-order sums keep θ's bits the same
+    script = (
+        "import hashlib\n"
+        "from gliomil.config import GenConfig, TrainConfig\n"
+        "from gliomil.synth import generate_dataset\n"
+        "from gliomil.trainer import train_model\n"
+        "bags = generate_dataset(GenConfig(n_cases=12, n_patches=4, feat_dim=16, seed=3))\n"
+        "model = train_model(bags, TrainConfig(epochs=1, seed=3)).model\n"
+        "print(hashlib.sha256(model.theta.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(gliomil.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1], digests
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

@@ -1,4 +1,7 @@
-"""Run configuration: dataclasses plus a flat ``key = value`` file format.
+"""Run configuration: frozen dataclasses, valid by construction, plus a flat
+``key = value`` file format. Each number field but ``GenConfig.seed`` declares
+beside its default the interval it must lie in; every build and ``replace``
+checks each field's type and interval and ``TrainConfig``'s cross-field rules.
 
 Config files are plain text, one assignment per line, ``#`` comments and
 blank lines ignored. Keys are exactly the dataclass field names; unknown
@@ -9,7 +12,8 @@ files and checkpoints both go through them.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,45 +37,91 @@ ABLATION_FLAGS = (
 )
 
 
-@dataclass
+def _setting(default, interval: str):
+    """A number field's ``default`` and the ``interval`` it must lie in, e.g. ``"(0, 1]"``,
+    parsed once. An infinite end is written open, so a number in it is finite; nan is in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = operator.le if interval[0] == "[" else operator.lt
+    below = operator.le if interval[-1] == "]" else operator.lt
+    return dataclasses.field(default=default, metadata={
+        "interval": (interval, lambda v: above(lo, v) and below(v, hi))})
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    """(name, accepted types, their name, (text, test) interval or None) per field of ``cls``."""
+    kinds = {int: (int, "an int"), float: ((int, float), "a float"),
+             tuple: (tuple, "a tuple of str")}
+    return tuple((f.name, *kinds[type(f.default)], f.metadata.get("interval"))
+                 for f in dataclasses.fields(cls))
+
+
+def _check(cfg) -> None:
+    """Raise ``ConfigError`` unless each field of ``cfg`` has its default's type (an int may
+    stand for a float, a bool is no number, a tuple holds only str) and lies in its interval."""
+    for name, types, kind, interval in _rules(type(cfg)):
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or (types is tuple and not all(isinstance(s, str) for s in value))):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if interval and not interval[1](value):
+            raise ConfigError(f"{name} must lie in {interval[0]}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class GenConfig:
     """Synthetic patch-bag generator settings."""
 
-    n_cases: int = 300
-    n_patches: int = 32
-    feat_dim: int = 16
-    signal_strength: float = 5.0
-    evidence_fraction: float = 0.25
-    p_idh_mut: float = 0.5
-    p_codel_given_mut: float = 0.4
-    p_cdkn: float = 0.4
-    nmp_given_idhwt: float = 0.9
-    nmp_given_idhmut: float = 0.03
+    n_cases: int = _setting(300, "[1, inf)")
+    n_patches: int = _setting(32, "[1, inf)")
+    feat_dim: int = _setting(16, "[1, inf)")
+    signal_strength: float = _setting(5.0, "(-inf, inf)")
+    evidence_fraction: float = _setting(0.25, "[0, 1]")
+    p_idh_mut: float = _setting(0.5, "[0, 1]")
+    p_codel_given_mut: float = _setting(0.4, "[0, 1]")
+    p_cdkn: float = _setting(0.4, "[0, 1]")
+    nmp_given_idhwt: float = _setting(0.9, "[0, 1]")
+    nmp_given_idhmut: float = _setting(0.03, "[0, 1]")
+    # no interval: synth.rng_for_case hashes the seed's text, so any int works
     seed: int = 0
 
+    def __post_init__(self):
+        _check(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 6
-    lr: float = 0.003
-    weight_decay: float = 1e-4
-    # loss term weights
-    w_glioma: float = 1.0
-    w_molecular: float = 1.0
-    w_histology: float = 1.0
-    w_disent: float = 1.0
-    w_lc: float = 1.0
-    w_dcc: float = 1.0
+    """Training settings: optimizer, loss weights, DCC curriculum, split and ablations."""
+
+    epochs: int = _setting(50, "[1, inf)")
+    batch_size: int = _setting(6, "[1, inf)")
+    lr: float = _setting(0.003, "[0, inf)")  # 0 trains nothing; tests of the optimizer use it
+    weight_decay: float = _setting(1e-4, "[0, inf)")
+    # loss term weights; some weight must stay non-zero once the ablations apply
+    w_glioma: float = _setting(1.0, "[0, inf)")
+    w_molecular: float = _setting(1.0, "[0, inf)")
+    w_histology: float = _setting(1.0, "[0, inf)")
+    w_disent: float = _setting(1.0, "[0, inf)")
+    w_lc: float = _setting(1.0, "[0, inf)")
+    w_dcc: float = _setting(1.0, "[0, inf)")
     # confidence-overlap curriculum: top-M halves every `dcc_decay_every` epochs
-    dcc_top_m: int = 8
-    dcc_decay: float = 0.5
-    dcc_decay_every: int = 10
-    dcc_temperature: float = 1.0
-    graph_alpha: float = 0.5
-    val_fraction: float = 0.3
-    seed: int = 0
+    dcc_top_m: int = _setting(8, "[1, inf)")
+    dcc_decay: float = _setting(0.5, "(0, 1]")
+    dcc_decay_every: int = _setting(10, "[1, inf)")
+    dcc_temperature: float = _setting(1.0, "(0, inf)")
+    graph_alpha: float = _setting(0.5, "[0, 1]")
+    val_fraction: float = _setting(0.3, "(0, 1)")
+    seed: int = _setting(0, "[0, inf)")  # numpy's SeedSequence takes no negative entropy
     ablations: tuple = ()
+
+    def __post_init__(self):
+        _check(self)
+        if bad := sorted(set(self.ablations) - set(ABLATION_FLAGS)):
+            raise ConfigError(f"unknown ablation flags: {', '.join(bad)} "
+                              f"(known: {', '.join(ABLATION_FLAGS)})")
+        if not any(loss_weights(self).values()):
+            raise ConfigError("every loss weight is 0 once the ablations apply; "
+                              "nothing to optimize")
 
 
 def _parse_lines(text: str, path) -> dict:
@@ -92,7 +142,7 @@ def _parse_lines(text: str, path) -> dict:
 
 
 def parse_config(cls, raw: dict):
-    """Field name -> text into a validated ``cls``; each field's type is its default's."""
+    """Field name -> text into a checked ``cls``; each field's type is its default's."""
     fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
@@ -105,9 +155,7 @@ def parse_config(cls, raw: dict):
                             if ftype is tuple else ftype(text))
         except ValueError:
             raise ConfigError(f"field {name!r}: cannot parse {text!r} as {ftype.__name__}") from None
-    cfg = cls(**kwargs)
-    validate(cfg)
-    return cfg
+    return cls(**kwargs)
 
 
 def format_config(cfg) -> dict:
@@ -152,54 +200,8 @@ def loss_weights(cfg: TrainConfig) -> dict:
 
 
 def with_ablations(cfg: TrainConfig, flags) -> TrainConfig:
-    """``cfg`` with ``flags`` added to its ablations (each flag once), validated."""
-    merged = dataclasses.replace(cfg, ablations=tuple(dict.fromkeys((*cfg.ablations, *flags))))
-    validate(merged)
-    return merged
-
-
-def validate(cfg) -> None:
-    if isinstance(cfg, GenConfig):
-        if cfg.n_cases < 1 or cfg.n_patches < 1 or cfg.feat_dim < 1:
-            raise ConfigError("n_cases, n_patches and feat_dim must all be >= 1")
-        for name in ("evidence_fraction", "p_idh_mut", "p_codel_given_mut",
-                     "p_cdkn", "nmp_given_idhwt", "nmp_given_idhmut"):
-            v = getattr(cfg, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if not math.isfinite(cfg.signal_strength):
-            raise ConfigError(f"signal_strength must be finite, got {cfg.signal_strength}")
-    elif isinstance(cfg, TrainConfig):
-        if cfg.epochs < 1 or cfg.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if cfg.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-        if not 0.0 < cfg.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in (0, 1)")
-        if cfg.dcc_top_m < 1 or cfg.dcc_decay_every < 1:
-            raise ConfigError("dcc_top_m and dcc_decay_every must be >= 1")
-        if not 0.0 < cfg.dcc_decay <= 1.0:  # top-M shrinks by this factor each period
-            raise ConfigError(f"dcc_decay must lie in (0, 1], got {cfg.dcc_decay}")
-        if not 0.0 <= cfg.graph_alpha <= 1.0:
-            raise ConfigError("graph_alpha must lie in [0, 1]")
-        t = cfg.dcc_temperature
-        if not (math.isfinite(t) and t > 0.0):
-            raise ConfigError(f"dcc_temperature must be finite and > 0, got {t}")
-        # lr = 0 stays valid: a run that trains nothing, used to test the optimizer
-        for name in ("lr", "weight_decay", "w_glioma", "w_molecular", "w_histology",
-                     "w_disent", "w_lc", "w_dcc"):
-            v = getattr(cfg, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        bad = sorted(set(cfg.ablations) - set(ABLATION_FLAGS))
-        if bad:
-            raise ConfigError(
-                f"unknown ablation flags: {', '.join(bad)} (known: {', '.join(ABLATION_FLAGS)})"
-            )
-        if not any(loss_weights(cfg).values()):
-            raise ConfigError(
-                "every loss weight is 0 once the ablations apply; nothing to optimize"
-            )
+    """``cfg`` with ``flags`` added to its ablations (each flag once), checked as it is built."""
+    return dataclasses.replace(cfg, ablations=tuple(dict.fromkeys((*cfg.ablations, *flags))))
 
 
 def load_gen_config(path) -> GenConfig:

@@ -212,9 +212,9 @@ def check_model(seeds: int = 3, base_seed: int = 0):
 
 def run_suite(trials: int = 100, model_seeds: int = 3, seed: int = 0):
     """Full verification pass. Returns (all_passed, lines, seconds)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = check_ops(trials=trials, seed=seed) + check_model(seeds=model_seeds, base_seed=seed)
-    return all(line.passed for line in lines), lines, time.time() - t0
+    return all(line.passed for line in lines), lines, time.perf_counter() - t0
 
 
 def format_lines(lines) -> str:

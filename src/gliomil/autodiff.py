@@ -1,12 +1,16 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Tensors wrap numpy arrays. Every op computes its result eagerly and, when
-any input requires gradients, records its parents plus a backward closure
-on the output. ``backward`` replays the recorded graph in reverse
-topological order and accumulates gradients into the leaves' ``.grad``
-buffers. A leaf's ``.grad`` may be a caller-owned array, such as a view of
-a flat buffer, that gradients add into in place (``0.0 + g`` has the bits
-of ``g + 0.0``).
+Tensors wrap numpy arrays. Every op computes its result eagerly and states
+its inputs' gradients as one rule: given the output's gradient ``g``, it
+yields ``(input, gradient)`` pairs. When any input requires gradients,
+``_make`` records the parents plus a backward closure that adds each
+pair's gradient into its input, in the order the rule yields them; no op
+adds a gradient itself. An input may come in several pairs, each a
+separate addition. ``backward`` replays the recorded graph in reverse
+topological order, so gradients reach the leaves' ``.grad`` buffers. A
+leaf's ``.grad`` may be a caller-owned array, such as a view of a flat
+buffer, that gradients add into in place (``0.0 + g`` has the bits of
+``g + 0.0``).
 
 ``backward`` consumes the graph: once a recorded node has passed its
 gradient on, its ``.grad``, parents and closure are dropped, so each
@@ -15,23 +19,23 @@ intermediate array is freed as soon as nothing else holds it. Only leaves
 second backward that reaches a consumed node raises ``GraphConsumedError``
 (rebuild the graph with a fresh forward instead).
 
-A backward reads its inputs' ``.data`` when it runs, not copies taken at
+A rule reads its inputs' ``.data`` when it runs, not copies taken at
 forward time, so an op's inputs must not be changed in place between its
 forward and the backward that consumes it. An op keeps an array for its
-backward only if it cannot recompute it, bit for bit, from those inputs.
+rule only if it cannot recompute it, bit for bit, from those inputs.
 
 Four fused ops each record one node in place of a chain of small ones.
 They evaluate the chain's numpy expressions in the same order, forward and
-backward, so they match it bit for bit, and keep only what their backward
+backward, so they match it bit for bit, and keep only what their rule
 reads:
 
 - ``attention_sublayer``: a transformer block's pre-norm residual
   attention, ``x + softmax(c * q @ k^T, rows) @ v @ wo`` with ``q, k, v``
-  projected from ``LN(x) * gain + bias``; keeps nothing of its own:
-  backward recomputes the normalised rows, the projections and the
+  projected from ``LN(x) * gain + bias``; keeps nothing of its own: its
+  rule recomputes the normalised rows, the projections and the
   (N, N) probabilities from its inputs.
 - ``ffn_sublayer``: the block's pre-norm residual feed-forward,
-  ``x + relu(h @ w1 + b1) @ w2 + b2``; keeps nothing of its own: backward
+  ``x + relu(h @ w1 + b1) @ w2 + b2``; keeps nothing of its own: its rule
   recomputes ``h`` and the ReLU rows.
 - ``linear``: ``x @ w`` plus a (1, F) bias row, optionally through ReLU;
   keeps only its output (the ReLU mask is ``out > 0``).
@@ -41,7 +45,7 @@ reads:
 ``cosine_gram`` gives the (m, m) cosines of m blocks as one node, where
 ``cosine`` records six nodes per pair.
 
-One order differs: a fused node hands each parameter it reads (a weight,
+One order differs: a fused rule yields each parameter it reads (a weight,
 bias or gain) its gradient at once, where the chain's nodes did so one
 by one, a ``repeat_rows`` row only after the input's subgraph. Gradients
 still match bit for bit unless a parameter also feeds another call inside
@@ -112,11 +116,18 @@ def _coerce(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _make(data, parents, backward) -> Tensor:
+def _make(data, parents, grads) -> Tensor:
+    """The output ``data``; when recording, its backward adds each ``(input, gradient)``
+    pair that ``grads(g)`` yields, in that order."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+
+        def backward(g):
+            for t, gt in grads(g):
+                _accum(t, gt)
+
         out._backward = backward
     return out
 
@@ -131,80 +142,52 @@ def _accum(t: Tensor, g) -> None:
         t.grad += g
 
 
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        return
-    raise ShapeError(
-        f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ "
-        "(only scalar-with-tensor mixing is allowed)"
-    )
+def _operands(op: str, a, b):
+    """An elementwise op's operands as tensors: of one shape, or one of them 0-d."""
+    a, b = _coerce(a), _coerce(b)
+    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
+        raise ShapeError(
+            f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ "
+            "(only scalar-with-tensor mixing is allowed)"
+        )
+    return a, b
 
 
-def _fit(g, shape):
-    """Reduce an upstream gradient onto an operand's shape (scalar case)."""
-    if np.shape(g) == shape:
-        return g
-    return np.asarray(np.sum(g))
+def _fit(t: Tensor, g):
+    """An elementwise op's gradient ``g`` reduced onto operand ``t`` (summed for a scalar)."""
+    return g if np.shape(g) == t.data.shape else np.asarray(np.sum(g))
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("add", a, b)
-
-    def bw(g):
-        _accum(a, _fit(g, a.data.shape))
-        _accum(b, _fit(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), bw)
+    a, b = _operands("add", a, b)
+    return _make(a.data + b.data, (a, b), lambda g: ((a, _fit(a, g)), (b, _fit(b, g))))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("sub", a, b)
-
-    def bw(g):
-        _accum(a, _fit(g, a.data.shape))
-        _accum(b, _fit(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), bw)
+    a, b = _operands("sub", a, b)
+    return _make(a.data - b.data, (a, b), lambda g: ((a, _fit(a, g)), (b, _fit(b, -g))))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("mul", a, b)
-
-    def bw(g):
-        _accum(a, _fit(g * b.data, a.data.shape))
-        _accum(b, _fit(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), bw)
+    a, b = _operands("mul", a, b)
+    return _make(a.data * b.data, (a, b),
+                 lambda g: ((a, _fit(a, g * b.data)), (b, _fit(b, g * a.data))))
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("div", a, b)
-
-    def bw(g):
-        _accum(a, _fit(g / b.data, a.data.shape))
-        _accum(b, _fit(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bw)
+    a, b = _operands("div", a, b)
+    return _make(a.data / b.data, (a, b), lambda g: (
+        (a, _fit(a, g / b.data)), (b, _fit(b, -g * a.data / (b.data * b.data)))))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a plain python constant (no gradient for the constant)."""
     a = _coerce(a)
     c = float(c)
-
-    def bw(g):
-        _accum(a, g * c)
-
-    return _make(a.data * c, (a,), bw)
+    return _make(a.data * c, (a,), lambda g: ((a, g * c),))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +203,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bw)
+    return _make(a.data @ b.data, (a, b), lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
 
 def _check_shape(op: str, name: str, t: Tensor, shape: tuple) -> None:
@@ -249,25 +227,21 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     if relu:
         out = np.maximum(out, 0.0)
 
-    def bw(g):
+    def grads(g):
         if relu:
             g = g * (out > 0.0)
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        _accum(b, g.sum(axis=0, keepdims=True))
+        yield x, g @ w.data.T
+        yield w, x.data.T @ g
+        yield b, g.sum(axis=0, keepdims=True)
 
-    return _make(out, (x, w, b), bw)
+    return _make(out, (x, w, b), grads)
 
 
 def transpose(a) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expects a 2-d tensor, got {a.data.shape}")
-
-    def bw(g):
-        _accum(a, g.T)
-
-    return _make(a.data.T.copy(), (a,), bw)
+    return _make(a.data.T.copy(), (a,), lambda g: ((a, g.T),))
 
 
 def repeat_rows(a, n: int) -> Tensor:
@@ -277,11 +251,8 @@ def repeat_rows(a, n: int) -> Tensor:
         raise ShapeError(f"repeat_rows: expects shape (1, K), got {a.data.shape}")
     if n < 1:
         raise ShapeError(f"repeat_rows: n must be >= 1, got {n}")
-
-    def bw(g):
-        _accum(a, g.sum(axis=0, keepdims=True))
-
-    return _make(np.repeat(a.data, n, axis=0), (a,), bw)
+    return _make(np.repeat(a.data, n, axis=0), (a,),
+                 lambda g: ((a, g.sum(axis=0, keepdims=True)),))
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -292,17 +263,14 @@ def concat(parts, axis: int) -> Tensor:
         out = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat: {exc}") from None
-    sizes = [p.data.shape[axis] for p in parts]
 
-    def bw(g):
-        pos = 0
-        for p, size in zip(parts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(pos, pos + size)
-            _accum(p, g[tuple(idx)])
-            pos += size
+    def grads(g):
+        lead, end = (slice(None),) * (axis % g.ndim), 0
+        for p in parts:
+            start, end = end, end + p.data.shape[axis]
+            yield p, g[lead + (slice(start, end),)]
 
-    return _make(out, tuple(parts), bw)
+    return _make(out, tuple(parts), grads)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -318,12 +286,12 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
-    def bw(g):
+    def grads(g):
         buf = np.zeros_like(a.data)
         buf[idx] = g
-        _accum(a, buf)
+        yield a, buf
 
-    return _make(a.data[idx].copy(), (a,), bw)
+    return _make(a.data[idx].copy(), (a,), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -332,39 +300,23 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 def tanh(a) -> Tensor:
     a = _coerce(a)
     y = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - y * y))
-
-    return _make(y, (a,), bw)
+    return _make(y, (a,), lambda g: ((a, g * (1.0 - y * y)),))
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
-
-    def bw(g):
-        _accum(a, g * (a.data > 0.0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), bw)
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: ((a, g * (a.data > 0.0)),))
 
 
 def exp(a) -> Tensor:
     a = _coerce(a)
     y = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * y)
-
-    return _make(y, (a,), bw)
+    return _make(y, (a,), lambda g: ((a, g * y),))
 
 
 def log(a) -> Tensor:
     a = _coerce(a)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
+    return _make(np.log(a.data), (a,), lambda g: ((a, g / a.data),))
 
 
 def softmax(a, axis: int) -> Tensor:
@@ -373,12 +325,7 @@ def softmax(a, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, (g - inner) * y)
-
-    return _make(y, (a,), bw)
+    return _make(y, (a,), lambda g: ((a, (g - (g * y).sum(axis=axis, keepdims=True)) * y),))
 
 
 def _attention_probs(q, k, c: float):
@@ -412,11 +359,7 @@ def layer_norm(a) -> Tensor:
     """Normalize each row (the last axis) to zero mean / unit variance (no affine part)."""
     a = _coerce(a)
     y, inv = _normalize(a.data)
-
-    def bw(g):
-        _accum(a, _normalize_grad(g, y, inv))
-
-    return _make(y, (a,), bw)
+    return _make(y, (a,), lambda g: ((a, _normalize_grad(g, y, inv)),))
 
 
 def _cols(t: Tensor) -> int:
@@ -445,11 +388,11 @@ def _prenorm(x: Tensor, gain: Tensor, bias: Tensor):
     return y * gain.data + bias.data, y, inv
 
 
-def _prenorm_backward(x: Tensor, gain: Tensor, bias: Tensor, g, y, inv) -> None:
-    """Pass the pre-norm rows' gradient ``g`` on to ``x``, ``gain`` and ``bias``."""
-    _accum(x, _normalize_grad(g * gain.data, y, inv))
-    _accum(gain, (g * y).sum(axis=0, keepdims=True))
-    _accum(bias, g.sum(axis=0, keepdims=True))
+def _prenorm_grads(x: Tensor, gain: Tensor, bias: Tensor, g, y, inv):
+    """The gradients that the pre-norm rows' gradient ``g`` gives ``x``, ``gain`` and ``bias``."""
+    yield x, _normalize_grad(g * gain.data, y, inv)
+    yield gain, (g * y).sum(axis=0, keepdims=True)
+    yield bias, g.sum(axis=0, keepdims=True)
 
 
 def attention_sublayer(x, gain, bias, wq, wk, wv, wo, c: float) -> Tensor:
@@ -481,23 +424,23 @@ def attention_sublayer(x, gain, bias, wq, wk, wv, wo, c: float) -> Tensor:
 
     *_, a = attend()
 
-    def bw(g):
+    def grads(g):
         h, y, inv, q, k_t, v, p, a = attend()
-        _accum(x, g)
+        yield x, g
         ga = g @ wo.data.T
-        _accum(wo, a.T @ g)
+        yield wo, a.T @ g
         gp = ga @ v.T
         gv = p.T @ ga
         gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
         gq = gs @ k_t.T
         gk = np.ascontiguousarray((q.T @ gs).T)  # the layout the chain's k.grad had
-        _accum(wq, h.T @ gq)
-        _accum(wk, h.T @ gk)
-        _accum(wv, h.T @ gv)
+        yield wq, h.T @ gq
+        yield wk, h.T @ gk
+        yield wv, h.T @ gv
         gh = gq @ wq.data.T + gk @ wk.data.T + gv @ wv.data.T
-        _prenorm_backward(x, gain, bias, gh, y, inv)
+        yield from _prenorm_grads(x, gain, bias, gh, y, inv)
 
-    return _make(x.data + a @ wo.data, (x, gain, bias, wq, wk, wv, wo), bw)
+    return _make(x.data + a @ wo.data, (x, gain, bias, wq, wk, wv, wo), grads)
 
 
 def ffn_sublayer(x, gain, bias, w1, b1, w2, b2) -> Tensor:
@@ -523,17 +466,17 @@ def ffn_sublayer(x, gain, bias, w1, b1, w2, b2) -> Tensor:
 
     *_, r = expand()
 
-    def bw(g):
+    def grads(g):
         h, y, inv, r = expand()
-        _accum(x, g)
-        _accum(w2, r.T @ g)
-        _accum(b2, g.sum(axis=0, keepdims=True))
+        yield x, g
+        yield w2, r.T @ g
+        yield b2, g.sum(axis=0, keepdims=True)
         gr = (g @ w2.data.T) * (r > 0.0)
-        _accum(w1, h.T @ gr)
-        _accum(b1, gr.sum(axis=0, keepdims=True))
-        _prenorm_backward(x, gain, bias, gr @ w1.data.T, y, inv)
+        yield w1, h.T @ gr
+        yield b1, gr.sum(axis=0, keepdims=True)
+        yield from _prenorm_grads(x, gain, bias, gr @ w1.data.T, y, inv)
 
-    return _make(x.data + (r @ w2.data + b2.data), (x, gain, bias, w1, b1, w2, b2), bw)
+    return _make(x.data + (r @ w2.data + b2.data), (x, gain, bias, w1, b1, w2, b2), grads)
 
 
 def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
@@ -561,13 +504,13 @@ def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
         acc = acc + p.data * c
     mask = acc > 0.0
 
-    def bw(g):
+    def grads(g):
         gm = (g * alpha) * mask
         for p, c in zip(ps, cs):
-            _accum(p, gm * c)
-        _accum(r, g)
+            yield p, gm * c
+        yield r, g
 
-    return _make(np.maximum(acc, 0.0) * alpha + r.data, (*ps, r), bw)
+    return _make(np.maximum(acc, 0.0) * alpha + r.data, (*ps, r), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -575,33 +518,22 @@ def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _coerce(a)
-
-    def bw(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return _make(np.asarray(a.data.sum()), (a,), bw)
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: ((a, np.full_like(a.data, float(g))),))
 
 
 def mean_all(a) -> Tensor:
     a = _coerce(a)
     n = a.data.size
-
-    def bw(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-
-    return _make(np.asarray(a.data.mean()), (a,), bw)
+    return _make(np.asarray(a.data.mean()), (a,),
+                 lambda g: ((a, np.full_like(a.data, float(g) / n)),))
 
 
 def l2norm(a) -> Tensor:
     """Euclidean norm of all entries (Frobenius norm for matrices)."""
     a = _coerce(a)
     val = float(np.sqrt((a.data * a.data).sum()))
-
-    def bw(g):
-        if val > 0.0:
-            _accum(a, (float(g) / val) * a.data)
-
-    return _make(np.asarray(val), (a,), bw)
+    return _make(np.asarray(val), (a,),
+                 lambda g: ((a, (float(g) / val) * a.data),) if val > 0.0 else ())
 
 
 def cosine(a, b) -> Tensor:
@@ -633,7 +565,7 @@ def cosine_gram(blocks) -> Tensor:
 
     A zero-norm block has cosine 0 with every block, itself included, and
     no gradient flows through its entries, as with ``cosine``. Nothing but
-    the inputs is kept for backward; it rebuilds the unit rows from them.
+    the inputs is kept for the gradient rule; it rebuilds the unit rows from them.
     """
     blocks = [_coerce(b) for b in blocks]
     for b in blocks[1:]:
@@ -643,14 +575,14 @@ def cosine_gram(blocks) -> Tensor:
             )
     u, _ = _unit_rows(blocks)
 
-    def bw(g):
+    def grads(g):
         u, inv = _unit_rows(blocks)
         gu = (g + g.T) @ u
         gx = (gu - (gu * u).sum(axis=1, keepdims=True) * u) * inv[:, None]
         for b, row in zip(blocks, gx):
-            _accum(b, row.reshape(b.data.shape))
+            yield b, row.reshape(b.data.shape)
 
-    return _make(u @ u.T, tuple(blocks), bw)
+    return _make(u @ u.T, tuple(blocks), grads)
 
 
 def mse(a, b) -> Tensor:
@@ -678,12 +610,12 @@ def softmax_cross_entropy(logits, label: int) -> Tensor:
     loss = (m + np.log(s)) - x[label]
     p = e / s
 
-    def bw(g):
+    def grads(g):
         gl = p.copy()
         gl[label] -= 1.0
-        _accum(logits, (gl * float(g)).reshape(logits.data.shape))
+        yield logits, (gl * float(g)).reshape(logits.data.shape)
 
-    return _make(np.asarray(loss), (logits,), bw)
+    return _make(np.asarray(loss), (logits,), grads)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ idea at float64: a manifest of named parameter shapes and byte offsets
 (`checkpoint.manifest`) plus the packed values (`checkpoint.blob`).
 
 Both share one private codec: ``_open`` reads a manifest and its blob,
-``_array`` checks a span of the blob and returns a read-only view of it,
-and ``_pack`` lays arrays out back to back. Each keeps its record syntax.
+``_Blob.array`` checks a span of the blob and returns a read-only view of
+it, and ``_pack`` lays arrays out back to back. Each keeps its record
+syntax. The spans must tile the blob as ``_pack`` writes it: in manifest
+order, each array starts where the previous one ended, the first at byte
+0, and the last ends at the blob's end.
 """
 from __future__ import annotations
 
@@ -45,29 +48,48 @@ class CheckpointError(ValueError):
 # the shared codec
 
 def _open(directory, manifest_name: str, blob_name: str, error):
-    """(manifest path, manifest lines, blob bytes); a missing or non-UTF-8 file raises ``error``."""
+    """(manifest path, manifest lines, ``_Blob``); a missing or non-UTF-8 file raises ``error``."""
     manifest_path, blob_path = Path(directory) / manifest_name, Path(directory) / blob_name
     for path in (manifest_path, blob_path):
         if not path.exists():
             raise error(f"missing {path}")
-    return manifest_path, read_utf8(manifest_path, error).splitlines(), blob_path.read_bytes()
+    return (manifest_path, read_utf8(manifest_path, error).splitlines(),
+            _Blob(blob_path, blob_path.read_bytes(), error))
 
 
-def _array(blob: bytes, dtype: str, shape: tuple, offset: int, what: str, error) -> np.ndarray:
-    """The read-only ``shape`` view of ``blob`` as ``dtype`` from byte ``offset``.
+class _Blob:
+    """A blob whose arrays are read in manifest order and must tile it."""
 
-    A negative shape or offset, a truncated blob or a non-finite value raises ``error``.
-    """
-    if min(shape + (offset,)) < 0:
-        raise error(f"{what}: negative shape or offset ({shape} at {offset})")
-    count = math.prod(shape)
-    end = offset + count * np.dtype(dtype).itemsize
-    if end > len(blob):
-        raise error(f"{what}: truncated blob (need bytes up to {end}, blob has {len(blob)})")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
-    if not np.isfinite(arr).all():
-        raise error(f"{what}: non-finite values")
-    return arr
+    def __init__(self, path: Path, data: bytes, error):
+        self.path, self.data, self.error, self.end = path, data, error, 0
+
+    def array(self, dtype: str, shape: tuple, offset: int, what: str) -> np.ndarray:
+        """The read-only ``shape`` view of the blob as ``dtype`` from byte ``offset``.
+
+        A negative shape or offset, an offset other than the previous array's
+        end (0 for the first), a truncated blob or a non-finite value raises.
+        """
+        if min(shape + (offset,)) < 0:
+            raise self.error(f"{what}: negative shape or offset ({shape} at {offset})")
+        if offset != self.end:
+            raise self.error(f"{what}: starts at byte {offset}, not at byte {self.end} "
+                             "(the arrays must tile the blob)")
+        count = math.prod(shape)
+        self.end = offset + count * np.dtype(dtype).itemsize
+        if self.end > len(self.data):
+            raise self.error(f"{what}: truncated blob (need bytes up to {self.end}, "
+                             f"blob has {len(self.data)})")
+        arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise self.error(f"{what}: non-finite values")
+        return arr
+
+    def check_end(self) -> None:
+        """Raise unless the arrays read so far end where the blob does."""
+        if self.end != len(self.data):
+            raise self.error(f"{self.path}: {len(self.data) - self.end} bytes past the last "
+                             f"array, which ends at byte {self.end} "
+                             "(the arrays must tile the blob)")
 
 
 def _pack(arrays, dtype: str):
@@ -131,7 +153,7 @@ def read_dataset(data_dir) -> list:
         if bags and k != bags[0].feats_high.shape[1]:
             raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
                                f"case's {bags[0].feats_high.shape[1]}")
-        high, low = (_array(blob, "<f4", (n, k), off, f"case {case_id}", DatasetError)
+        high, low = (blob.array("<f4", (n, k), off, f"case {case_id}")
                      for off in (off_high, off_low))
         markers = MarkerTuple(*labels)
         if glioma != derive_glioma_class(markers):
@@ -139,6 +161,7 @@ def read_dataset(data_dir) -> list:
                                f"contradicts markers {labels}")
         bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
                              markers=markers, glioma_class=glioma))
+    blob.check_end()
     case_ids = set()
     for bag in bags:  # after the per-record checks, whose errors come first
         if bag.case_id in case_ids:
@@ -206,12 +229,13 @@ def read_checkpoint(ckpt_dir):
                 offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
-            value = _array(blob, "<f8", dims, offset, f"param {key}", CheckpointError)
+            value = blob.array("<f8", dims, offset, f"param {key}")
         else:
             key, _, value = rest.partition(" ")
         if key in sections[kind]:
             raise CheckpointError(f"{manifest_path}: repeated {kind} {key!r}")
         sections[kind][key] = value
+    blob.check_end()
     meta, config_raw, params = sections["meta"], sections["config"], sections["param"]
 
     if set(meta) != set(_META_PARSERS):

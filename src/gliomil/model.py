@@ -47,8 +47,8 @@ LESION_COL = 1    # histology branch: lesion present = label 1
 @dataclass
 class ModelConfig:
     feat_dim: int
-    graph_alpha: float = 0.5
-    use_graph: bool = True  # run the marker graph between the marker branches and their pools
+    graph_alpha: float
+    use_graph: bool  # run the marker graph between the marker branches and their pools
 
     @classmethod
     def of(cls, feat_dim: int, cfg: TrainConfig) -> ModelConfig:

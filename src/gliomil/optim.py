@@ -19,7 +19,7 @@ EPS = 1e-8
 
 
 class AdamW:
-    def __init__(self, theta: np.ndarray, lr: float = 0.003, weight_decay: float = 1e-4):
+    def __init__(self, theta: np.ndarray, lr: float, weight_decay: float):
         self.theta = theta
         self.lr = lr
         self.weight_decay = weight_decay

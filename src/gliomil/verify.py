@@ -183,9 +183,9 @@ def check_model(seeds: int = 3, base_seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(8, k)))
         bags = generate_dataset(GenConfig(n_cases=4, n_patches=3, feat_dim=4, seed=1000 + k))
         adjacency = estimate_cooccurrence(marker_table(bags)).a
-        model = Model(ModelConfig(feat_dim=4), rng)
-        batch = bags[:2]
         cfg = TrainConfig(seed=1000 + k)
+        model = Model(ModelConfig.of(4, cfg), rng)
+        batch = bags[:2]
 
         def f():  # the batch mean as a step backpropagates it: each bag's loss over B, summed
             losses = [batch_loss(model.forward(b, adjacency), b, adjacency, cfg, 2)[0]

@@ -333,8 +333,15 @@ BAD_CHECKPOINT_MANIFESTS = {
     "param_shape_transposed": (
         _replace_line("param his.blocks.0.ln1_gain ", _set_param_field(2, "(4,1)")),
         "his.blocks.0.ln1_gain"),
+    # the last param: its bytes stay in the blob, which the arrays no longer tile
     "param_deleted": (
-        lambda lines: [ln for ln in lines if not ln.startswith("param fusion.b ")], "fusion.b"),
+        lambda lines: [ln for ln in lines if not ln.startswith("param fusion.b ")],
+        "bytes past the last array"),
+    "param_renamed": (_replace_line("param fusion.b ", _set_param_field(1, "fusion.c")),
+                      "missing ['fusion.b']"),
+    "param_over_an_earlier_param": (
+        _replace_line("param his.blocks.0.ln1_bias ", _set_param_field(3, "0")),
+        "param his.blocks.0.ln1_bias: starts at byte 0"),
     "cooccurrence_nan": (_replace_line("meta cooccurrence ", lambda _: "meta cooccurrence "
                                        + ",".join(["nan"] * 9)), "bad metadata: cooccurrence"),
     "cooccurrence_edited": (
@@ -373,6 +380,31 @@ def test_eval_rejects_negative_dataset_blob_offset(tmp_path, trained_run, capsys
     capsys.readouterr()
     assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
     _one_error_line(capsys.readouterr().err, fields[0])
+
+
+def test_eval_rejects_a_checkpoint_blob_with_bytes_past_its_arrays(tmp_path, trained_run,
+                                                                   capsys):
+    data, run = trained_run
+    ckpt = _copy_run(run, tmp_path / "ckpt", lambda lines: lines)
+    (ckpt / "checkpoint.blob").write_bytes((run / "checkpoint.blob").read_bytes() + bytes(64))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err, "64 bytes past the last array")
+
+
+def test_eval_rejects_a_case_over_an_earlier_cases_rows(tmp_path, trained_run, capsys):
+    data, run = trained_run
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "dataset.blob").write_bytes((data / "dataset.blob").read_bytes())
+    lines = (data / "dataset.manifest").read_text().splitlines()
+    first, second = lines[1].split(), lines[2].split()
+    second[8:] = first[8:]  # both magnifications point at the first case's rows
+    lines[2] = " ".join(second)
+    (bad / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
+    _one_error_line(capsys.readouterr().err, f"case {second[0]}: starts at byte 0")
 
 
 NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")

@@ -127,7 +127,7 @@ class TestCheckpointRoundTrip:
 
     def test_files_are_pinned(self, tmp_path):
         # theta at init is pinned elsewhere, so these bytes hold on any machine
-        model = Model(ModelConfig(feat_dim=4),
+        model = Model(ModelConfig(feat_dim=4, graph_alpha=0.5, use_graph=True),
                       np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(11,))))
         cooc = estimate_cooccurrence(np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
         write_checkpoint(tmp_path, model.params, 4, cooc, TrainConfig())

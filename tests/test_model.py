@@ -2,6 +2,7 @@
 and what one bag's recorded graph holds."""
 import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from gliomil.trainer import batch_loss, train_epoch
 
 
 def build(feat_dim=6, seed=0):
-    return Model(ModelConfig(feat_dim=feat_dim), np.random.default_rng(seed))
+    return Model(ModelConfig(feat_dim=feat_dim, graph_alpha=0.5, use_graph=True),
+                 np.random.default_rng(seed))
 
 
 def offset_in_theta(model, arr):
@@ -49,7 +51,7 @@ THETA_AT_INIT = {
 @pytest.mark.parametrize("k", sorted(THETA_AT_INIT))
 def test_theta_at_init_is_pinned(k):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(11,)))
-    theta = Model(ModelConfig(feat_dim=k), rng).theta
+    theta = Model(ModelConfig(feat_dim=k, graph_alpha=0.5, use_graph=True), rng).theta
     assert hashlib.sha256(theta.tobytes()).hexdigest() == THETA_AT_INIT[k]
 
 
@@ -187,9 +189,10 @@ def _bag_graph_nodes(n, k):
 
 
 def _closure_arrays(fn):
-    """Every ndarray a backward closure holds, directly, in a list or tuple, or as a
-    tensor's data."""
-    found, stack = [], [c.cell_contents for c in fn.__closure__ or ()]
+    """Every ndarray a backward closure holds, directly, in a list or tuple, as a
+    tensor's data, or in the closure of a function it holds (its gradient rule and
+    the helpers that rule calls)."""
+    found, seen, stack = [], set(), [fn]
     while stack:
         obj = stack.pop()
         if isinstance(obj, np.ndarray):
@@ -198,24 +201,35 @@ def _closure_arrays(fn):
             stack.extend(obj)
         elif isinstance(obj, Tensor):
             found.append(obj.data)
+        elif isinstance(obj, types.FunctionType) and id(obj) not in seen:
+            seen.add(id(obj))
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
     return found
+
+
+def _rule(node):
+    """The gradient rule a recorded node's backward closure runs."""
+    (cell,) = node._backward.__closure__
+    return cell.cell_contents
 
 
 def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
     # each transformer block is two sub-layer nodes that keep only their inputs:
-    # backward recomputes the norm rows, projections, (N, N) probabilities and
-    # ReLU rows from them
+    # the gradient rule recomputes the norm rows, projections, (N, N) probabilities
+    # and ReLU rows from them
     n = 64
     nodes = _bag_graph_nodes(n, 8)
-    sublayers = [node for node in nodes if node._backward.__qualname__
-                 in ("attention_sublayer.<locals>.bw", "ffn_sublayer.<locals>.bw")]
+    sublayers = [node for node in nodes if _rule(node).__qualname__
+                 in ("attention_sublayer.<locals>.grads", "ffn_sublayer.<locals>.grads")]
     assert len(sublayers) == 2 * 10  # two per transformer block, ten blocks
     for node in sublayers:
         assert not any(isinstance(c.cell_contents, np.ndarray)
-                       for c in node._backward.__closure__)
+                       for c in _rule(node).__closure__)
+        inputs = {id(p.data) for p in node._parents}
+        assert all(id(arr) in inputs for arr in _closure_arrays(node._backward))
     for node in nodes:
         for arr in [node.data, *_closure_arrays(node._backward)]:
-            assert arr.shape != (n, n), node._backward.__qualname__
+            assert arr.shape != (n, n), _rule(node).__qualname__
 
 
 def test_a_bag_records_at_most_140_nodes():

@@ -265,7 +265,8 @@ def test_a_step_frees_its_gradient_copies_before_the_next_step():
     adj = adjacency_of(bags)
     cfg = TrainConfig(batch_size=2)
     warm = fresh_model(bags, cfg=cfg)  # one-time allocations (lazy imports) happen here
-    train_epoch(warm, bags, adj, cfg, AdamW(warm.theta), 0, np.random.default_rng(0))
+    train_epoch(warm, bags, adj, cfg, AdamW(warm.theta, lr=cfg.lr, weight_decay=cfg.weight_decay),
+                0, np.random.default_rng(0))
     model = fresh_model(bags, cfg=cfg)
     optimizer = AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     live, forward = [], model.forward
@@ -322,7 +323,8 @@ def test_training_does_not_load_numpy_ma():
         "cfg = TrainConfig(batch_size=4)\n"
         "model = Model(ModelConfig.of(4, cfg), np.random.default_rng(0))\n"
         "train_epoch(model, bags, estimate_cooccurrence(marker_table(bags)).a, cfg,\n"
-        "            AdamW(model.theta), 0, np.random.default_rng(0))\n"
+        "            AdamW(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay), 0,\n"
+        "            np.random.default_rng(0))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(gliomil.__file__).resolve().parents[1])

@@ -55,6 +55,10 @@ Shape rules are strict: elementwise ops require identical shapes, except
 that a 0-d (scalar) tensor may combine with any shape. There is no other
 broadcasting: a (1, F) row enters only as the explicit bias or gain of a
 fused op, or tiled by ``repeat_rows``.
+
+The model never calls ``exp``, ``log``, ``mean_all``, ``mse``, ``relu``,
+``cosine`` or ``layer_norm``; only ``verify`` and the tests do. They
+stay only because ``perfbench/tracer.py`` looks each of them up by name.
 """
 from __future__ import annotations
 

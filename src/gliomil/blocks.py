@@ -8,30 +8,12 @@ equivariant (the pooling output is permutation invariant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-@dataclass
-class BlockParams:
-    """Single-head self-attention + feed-forward, all square in K."""
-
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -45,8 +27,9 @@ def row(value: float, cols: int) -> Tensor:
     return Tensor(np.full((1, cols), value), requires_grad=True)
 
 
-def init_block(rng: np.random.Generator, k: int) -> BlockParams:
-    return BlockParams(
+def init_block(rng: np.random.Generator, k: int) -> SimpleNamespace:
+    """Single-head self-attention + feed-forward, all square in K."""
+    return SimpleNamespace(
         ln1_gain=row(1.0, k),
         ln1_bias=row(0.0, k),
         wq=glorot(rng, k, k),
@@ -62,28 +45,22 @@ def init_block(rng: np.random.Generator, k: int) -> BlockParams:
     )
 
 
-def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
+def transformer_block(x: Tensor, p: SimpleNamespace) -> Tensor:
     """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.)); two graph nodes."""
     x = ad.attention_sublayer(x, p.ln1_gain, p.ln1_bias, p.wq, p.wk, p.wv, p.wo,
                               1.0 / math.sqrt(x.data.shape[1]))
     return ad.ffn_sublayer(x, p.ln2_gain, p.ln2_bias, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
 
 
-@dataclass
-class AttnPoolParams:
-    v: Tensor  # (K, K) scoring basis
-    w: Tensor  # (K, 1) scoring weights
-
-
-def init_pool(rng: np.random.Generator, k: int) -> AttnPoolParams:
+def init_pool(rng: np.random.Generator, k: int) -> SimpleNamespace:
     std = math.sqrt(1.0 / k)
-    return AttnPoolParams(
-        v=Tensor(rng.normal(scale=std, size=(k, k)), requires_grad=True),
-        w=Tensor(rng.normal(scale=std, size=(k, 1)), requires_grad=True),
+    return SimpleNamespace(
+        v=Tensor(rng.normal(scale=std, size=(k, k)), requires_grad=True),  # (K, K) scoring basis
+        w=Tensor(rng.normal(scale=std, size=(k, 1)), requires_grad=True),  # (K, 1) scoring weights
     )
 
 
-def attention_pool(x: Tensor, p: AttnPoolParams):
+def attention_pool(x: Tensor, p: SimpleNamespace):
     """Softmax-attention pooling of an (N, K) bag into a (1, K) summary.
 
     Returns (summary, weights); the weights are a positive (N, 1) column

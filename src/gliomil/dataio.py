@@ -112,9 +112,8 @@ def write_dataset(out_dir, bags) -> None:
         if bag.feats_low.shape != (n, k):
             raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
                                f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
-        m = bag.markers
-        lines.append(f"{bag.case_id} {n} {k} {m.idh_mut} {m.codel_1p19q} {m.cdkn_homdel} "
-                     f"{m.nmp} {bag.glioma_class} {off_high} {off_low}")
+        lines.append(" ".join(map(str, (bag.case_id, n, k, *vars(bag.markers).values(),
+                                        bag.glioma_class, off_high, off_low))))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")

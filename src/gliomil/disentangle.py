@@ -11,6 +11,7 @@ fused features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,41 +20,17 @@ from .autodiff import Tensor
 from .blocks import glorot, row
 
 
-@dataclass
-class HeadMlpParams:
-    w1: Tensor  # (K, 2K)
-    b1: Tensor
-    w2: Tensor  # (2K, K)
-    b2: Tensor
-
-
-@dataclass
-class DisentanglerParams:
-    scale_low: Tensor   # () learnable weight on low-mag features
-    scale_high: Tensor  # () learnable weight on high-mag features
-    base_w: Tensor      # (2K, K)
-    base_b: Tensor
-    shared_mol: HeadMlpParams
-    indep_mol: HeadMlpParams
-    shared_his: HeadMlpParams
-    indep_his: HeadMlpParams
-    fuse_mol_w: Tensor  # (2K, K)
-    fuse_mol_b: Tensor
-    fuse_his_w: Tensor
-    fuse_his_b: Tensor
-
-
-def init_disentangler(rng: np.random.Generator, k: int) -> DisentanglerParams:
+def init_disentangler(rng: np.random.Generator, k: int) -> SimpleNamespace:
     def head():
-        return HeadMlpParams(w1=glorot(rng, k, 2 * k), b1=row(0.0, 2 * k),
-                             w2=glorot(rng, 2 * k, k), b2=row(0.0, k))
+        return SimpleNamespace(w1=glorot(rng, k, 2 * k), b1=row(0.0, 2 * k),  # w1: (K, 2K)
+                               w2=glorot(rng, 2 * k, k), b2=row(0.0, k))      # w2: (2K, K)
 
-    return DisentanglerParams(
-        scale_low=Tensor(1.0, requires_grad=True),
-        scale_high=Tensor(1.0, requires_grad=True),
-        base_w=glorot(rng, 2 * k, k), base_b=row(0.0, k),
+    return SimpleNamespace(
+        scale_low=Tensor(1.0, requires_grad=True),   # () learnable weight on low-mag features
+        scale_high=Tensor(1.0, requires_grad=True),  # () learnable weight on high-mag features
+        base_w=glorot(rng, 2 * k, k), base_b=row(0.0, k),  # base_w: (2K, K)
         shared_mol=head(), indep_mol=head(), shared_his=head(), indep_his=head(),
-        fuse_mol_w=glorot(rng, 2 * k, k), fuse_mol_b=row(0.0, k),
+        fuse_mol_w=glorot(rng, 2 * k, k), fuse_mol_b=row(0.0, k),  # fuse_*_w: (2K, K)
         fuse_his_w=glorot(rng, 2 * k, k), fuse_his_b=row(0.0, k),
     )
 
@@ -68,11 +45,11 @@ class DisentangledFeatures:
     fused_his: Tensor   # (N, K) histology-task working features
 
 
-def _head_mlp(x: Tensor, p: HeadMlpParams) -> Tensor:
+def _head_mlp(x: Tensor, p: SimpleNamespace) -> Tensor:
     return ad.linear(ad.linear(x, p.w1, p.b1, relu=True), p.w2, p.b2)
 
 
-def disentangle(feats_low: Tensor, feats_high: Tensor, p: DisentanglerParams) -> DisentangledFeatures:
+def disentangle(feats_low: Tensor, feats_high: Tensor, p: SimpleNamespace) -> DisentangledFeatures:
     if feats_low.data.shape != feats_high.data.shape:
         raise ad.ShapeError(
             f"disentangle: magnification shapes differ: "

@@ -1,24 +1,31 @@
 """Full model assembly: one flat parameter vector, task groups, per-bag forward.
 
-Parameters are registered under hierarchical names in construction
-order and packed into one contiguous float64 vector, ``Model.theta``;
-each parameter's ``Tensor.data`` is a reshaped view of its span, so
-writing ``theta`` moves the model and nothing rebinds a parameter's
-array. Names starting ``his.`` come first and form the histology group,
-names starting ``mol.`` follow and form the molecular group; each group
-is one contiguous slice of ``theta`` (``Model.groups``) -- the two
-slices gradient modulation acts on. The disentangler and the fusion
-classifier follow and are never modulated. Both groups begin with a
-structurally identical branch (blocks, pool, classifier), the molecular
-group leading with its IDH branch. The ``ModelConfig`` fixes the
-structure when the model is built, the marker graph included.
+Each ``init_*`` function is the one declaration of its parameters: it
+returns a ``SimpleNamespace`` of Tensors, nested namespaces and lists,
+and its keyword order is at once its RNG draw order, the registry order
+and the checkpoint order. ``_walk`` registers every parameter under its
+dotted path (``his.blocks.0.wq``) in that order and ``Model`` packs
+them into one contiguous float64 vector, ``Model.theta``; each
+parameter's ``Tensor.data`` is a reshaped view of its span, so writing
+``theta`` moves the model and nothing rebinds a parameter's array. Only
+at the top level do the draw and registry orders differ: the parts are
+drawn disentangler, histology, molecular, fusion, and registered
+``his``, ``mol``, ``disent``, ``fusion``. Names starting ``his.`` come
+first and form the histology group, names starting ``mol.`` follow and
+form the molecular group; each group is one contiguous slice of
+``theta`` (``Model.groups``) -- the two slices gradient modulation acts
+on. The disentangler and the fusion classifier follow and are never
+modulated. Both groups begin with a structurally identical branch
+(blocks, pool, classifier), the molecular group leading with its IDH
+branch. The ``ModelConfig`` fixes the structure when the model is
+built, the marker graph included.
 ``Model.grad`` holds the gradient in the same layout: each parameter's
 ``.grad`` is a view of its span, which backward adds into in place.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,11 +74,12 @@ class BagForward:
 
 
 def _walk(obj, prefix, out):
+    """Add every Tensor under ``obj`` to ``out`` by its dotted path, in attribute and list order."""
     if isinstance(obj, Tensor):
         out[prefix] = obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            _walk(getattr(obj, f.name), f"{prefix}.{f.name}", out)
+    elif isinstance(obj, SimpleNamespace):
+        for name, item in vars(obj).items():
+            _walk(item, f"{prefix}.{name}" if prefix else name, out)
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             _walk(item, f"{prefix}.{i}", out)
@@ -81,20 +89,15 @@ class Model:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         k = cfg.feat_dim
+        # the draw order; the walk below fixes the registry order
         self.disent = init_disentangler(rng, k)
         self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT)
         self.mol = init_molecular(rng, k)
-        self.fusion_w = glorot(rng, 2 * k, 4)
-        self.fusion_b = row(0.0, 4)
+        self.fusion = SimpleNamespace(w=glorot(rng, 2 * k, 4), b=row(0.0, 4))  # w: (2K, 4)
 
-        his: dict = {}
-        mol: dict = {}
-        _walk(self.his, "his", his)
-        _walk(self.mol, "mol", mol)
-        params = {**his, **mol}
-        _walk(self.disent, "disent", params)
-        params["fusion.w"] = self.fusion_w
-        params["fusion.b"] = self.fusion_b
+        params: dict = {}
+        _walk(SimpleNamespace(his=self.his, mol=self.mol, disent=self.disent, fusion=self.fusion),
+              "", params)
         self.params = params
         self.theta = np.concatenate([t.data.ravel() for t in params.values()])
         self.grad = np.zeros_like(self.theta)
@@ -105,8 +108,8 @@ class Model:
             t.data = self.theta[span].reshape(t.data.shape)
             self._grad_views.append(self.grad[span].reshape(t.data.shape))
             offset += t.data.size
-        n_his = sum(t.data.size for t in his.values())
-        n_mol = sum(t.data.size for t in mol.values())
+        n_his, n_mol = (sum(t.data.size for name, t in params.items() if name.startswith(part))
+                        for part in ("his.", "mol."))
         self.groups = {"histology": slice(0, n_his), "molecular": slice(n_his, n_his + n_mol)}
         self.zero_grads()
 
@@ -131,7 +134,10 @@ class Model:
             t.grad = view
 
     def gradient_set(self) -> np.ndarray:
-        """Every parameter's gradient in ``theta``'s layout: ``grad`` itself, not a copy."""
+        """Every parameter's gradient in ``theta``'s layout: ``grad`` itself, not a copy.
+
+        A method of its own only because ``perfbench/tracer.py`` looks it up by name.
+        """
         return self.grad
 
     def forward(self, bag: PatchBag, adjacency: np.ndarray) -> BagForward:
@@ -143,7 +149,7 @@ class Model:
         )
         his = histology_forward(d.fused_his, self.his)
         glioma_logits = fusion_classify(
-            his.pooled, [s.pooled for s in markers], self.fusion_w, self.fusion_b
+            his.pooled, [s.pooled for s in markers], self.fusion.w, self.fusion.b
         )
         idh = markers[0]
         conf_wt = confidence_weights(

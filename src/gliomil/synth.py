@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -39,7 +39,7 @@ class MarkerTuple:
     nmp: int
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.idh_mut, self.codel_1p19q, self.cdkn_homdel, self.nmp], dtype=np.int64)
+        return np.fromiter(vars(self).values(), dtype=np.int64)
 
 
 @dataclass
@@ -107,12 +107,7 @@ def signal_directions(feat_dim: int) -> Mapping:
     else:
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     dirs.flags.writeable = False
-    return MappingProxyType({
-        "idh_mut": dirs[0],
-        "codel_1p19q": dirs[1],
-        "cdkn_homdel": dirs[2],
-        "nmp": dirs[3],
-    })
+    return MappingProxyType({f.name: d for f, d in zip(fields(MarkerTuple), dirs)})
 
 
 def generate_bag(

@@ -1,17 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gliomil import autodiff as ad
 from gliomil.autodiff import Tensor
-from gliomil.blocks import (
-    AttnPoolParams,
-    attention_pool,
-    init_block,
-    init_pool,
-    transformer_block,
-)
+from gliomil.blocks import attention_pool, init_block, init_pool, transformer_block
 from gliomil.gradcheck import grad_check
 from gliomil.model import _walk
 
@@ -69,7 +64,7 @@ class TestTransformerBlock:
 class TestAttentionPool:
     def test_hand_worked_example(self):
         """Two patches, identity scoring basis: only the first score column counts."""
-        p = AttnPoolParams(v=Tensor(np.eye(2)), w=Tensor(np.array([[1.0], [0.0]])))
+        p = SimpleNamespace(v=Tensor(np.eye(2)), w=Tensor(np.array([[1.0], [0.0]])))
         x = Tensor(np.array([[0.0, 0.0], [10.0, 0.0]]))
         z, a = attention_pool(x, p)
         t = math.tanh(10.0)

@@ -55,6 +55,20 @@ def test_theta_at_init_is_pinned(k):
     assert hashlib.sha256(theta.tobytes()).hexdigest() == THETA_AT_INIT[k]
 
 
+def test_parameter_table_is_pinned():
+    """Names, shapes and order of the registry, i.e. of a checkpoint's params.
+
+    The theta pins miss two same-shaped parameters trading places (say
+    ``wq`` and ``wk``): their draws and registry slots swap together, so
+    theta keeps its bytes while attention and the checkpoint names change.
+    """
+    params = build(feat_dim=4).params
+    table = "".join(f"{name} {t.data.shape}\n" for name, t in params.items())
+    assert len(params) == 163
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "b9253e62f353e946a005a0565146065ff97f9998d55e1de82934f1549465f8ab")
+
+
 def test_views_tile_theta_in_registry_order():
     model = build()
     names = list(model.params)

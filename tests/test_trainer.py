@@ -3,6 +3,7 @@ optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
 import dataclasses
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -484,6 +485,55 @@ def test_epochs_csv_shape():
     assert header[0] == "epoch" and "loss_dcc" in header and "acc_glioma" in header
     for line in lines[1:]:
         assert len(line.split(",")) == len(header)
+
+
+EPOCHS_HEADER = ("epoch,loss_total,loss_glioma,loss_idh,loss_codel,loss_cdkn,loss_nmp,"
+                 "loss_disent,loss_lc,loss_dcc,dcc_overlap,"
+                 "acc_idh,acc_codel,acc_cdkn,acc_nmp,acc_glioma")
+ABLATION_HEADER = ("variant,acc_idh,acc_codel,acc_cdkn,acc_nmp,acc_glioma,"
+                   "f1_glioma,auc_glioma")
+CONFIDENCES_HEADER = "case_id,patch_index,conf_wt,conf_nmp"
+REPORT_TASKS = ["idh_mut", "codel_1p19q", "cdkn_homdel", "nmp", "glioma"]
+
+
+def test_run_file_layout_is_pinned():
+    """Every run file's header, and the report's task column, written out in full."""
+    result = train_model(small_bags(12), TrainConfig(epochs=1, seed=0))
+    assert epochs_csv(result.rows).splitlines()[0] == EPOCHS_HEADER
+    assert ablation_csv([("full", result)]).splitlines()[0] == ABLATION_HEADER
+    assert trainer.confidences_csv(result.confidences).splitlines()[0] == CONFIDENCES_HEADER
+    table = report_text(result.report).splitlines()
+    assert table[0].split()[0] == "task"
+    assert [line.split()[0] for line in table[1:]] == REPORT_TASKS
+
+
+# sha256 of (theta, epochs_csv, confidences_csv) after two epochs at seed 3 on
+# 60 default-shaped cases, per ablation set: pins a trained run bit for bit
+TRAINED_RUN = {
+    (): ("5880c0f779145e80f5ab5888d150945af5ca3eeb10cae55e65adc6a91eed1998",
+         "5c94f850529c6f27e8e2edf9a21cc9a9489008191be53692866a27c38d417e76",
+         "d8e2da0511dfecb051093102d8d7c44789c55b4687cf898ea4587e5550964bba"),
+    ("no_graph",): ("eb5d0839e346597b5735529aa52bfb76b11e64b87d15b340cb1b76a2f36d31c6",
+                    "8b2d98fe0359981c11ebeaa81fe1ed6291895646903febd8d1ceddd114d21078",
+                    "f9a31a742b00578d348d49cf1da32284874dd7b1f4d5c061a7bcd23900b704a6"),
+    ("no_cmg",): ("dee9802f6b8d4cfaf8b57adb960f2614913193af57a5b60889315a04605d2ff4",
+                  "998d4626b29965c45e5134c07b0420b67a511ba6f096e06d6f369863ad1fb254",
+                  "92dfc80da212b73cc30774e36d88abcfdf7490e22df9f99a5e8c65031ef32153"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_bags():
+    return generate_dataset(GenConfig(n_cases=60, seed=3))
+
+
+@pytest.mark.parametrize("ablations", sorted(TRAINED_RUN))
+def test_trained_run_is_pinned(pinned_bags, ablations):
+    result = train_model(pinned_bags, TrainConfig(epochs=2, seed=3, ablations=ablations))
+    digests = tuple(hashlib.sha256(blob).hexdigest() for blob in (
+        result.model.theta.tobytes(), epochs_csv(result.rows).encode(),
+        trainer.confidences_csv(result.confidences).encode()))
+    assert digests == TRAINED_RUN[ablations]
 
 
 def test_loss_decreases_over_training():

@@ -657,8 +657,8 @@ def backward(loss: Tensor) -> None:
             _consumed(None)  # raises
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
+        for parent in node._parents:  # a leaf has no rule to run; a consumed node still raises
+            if parent._backward is not None and id(parent) not in visited:
                 stack.append((parent, False))
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)

@@ -18,6 +18,8 @@ import numpy as np
 
 from .config import (
     ABLATION_FLAGS,
+    FINDINGS,
+    GLIOMA,
     ConfigError,
     GenConfig,
     TrainConfig,
@@ -223,7 +225,8 @@ def _cmd_report(args) -> int:
         raise FileNotFoundError(f"no {ABLATION_FILE} or {EPOCHS_FILE} in {run}")
     rows = _read_run_csv(epochs)
     header = rows[0]
-    columns = ("epoch", "loss_total", "loss_dcc", "dcc_overlap", "acc_idh", "acc_glioma")
+    columns = ("epoch", "loss_total", "loss_dcc", "dcc_overlap",
+               f"acc_{FINDINGS[0].short}", f"acc_{GLIOMA}")
     missing = [c for c in columns if c not in header]
     if missing:
         raise DatasetError(f"{epochs}: missing columns {', '.join(map(repr, missing))}")

@@ -16,15 +16,34 @@ import functools
 import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     pass
 
 
-# one cross-entropy term per finding, in ``MarkerTuple`` order (IDH, 1p/19q, CDKN, histology)
-FINDING_TERMS = ("idh", "codel", "cdkn", "nmp")
-LOSS_TERMS = ("glioma", *FINDING_TERMS, "disent", "lc", "dcc")
+class Finding(NamedTuple):
+    name: str    # the MarkerTuple field, the metrics task and the report row
+    short: str   # the loss term, the acc_* column and a molecular branch's name, mol.<short>
+    group: str   # "molecular" (high magnification, graph-coupled) or "histology" (low, his)
+    blocks: int  # the branch's transformer block count
+
+
+# The one declaration of the findings, in the order of MarkerTuple, the model's branches
+# and every per-finding column; the molecular markers lead, IDH first.
+FINDINGS = (
+    Finding("idh_mut", "idh", "molecular", 3),
+    Finding("codel_1p19q", "codel", "molecular", 2),
+    Finding("cdkn_homdel", "cdkn", "molecular", 2),
+    Finding("nmp", "nmp", "histology", 3),
+)
+MOLECULAR = tuple(f for f in FINDINGS if f.group == "molecular")
+(HISTOLOGY,) = (f for f in FINDINGS if f.group == "histology")
+GLIOMA = "glioma"  # the tumour class: the fifth task, loss term and column; it has no branch
+
+FINDING_TERMS = tuple(f.short for f in FINDINGS)
+LOSS_TERMS = (GLIOMA, *FINDING_TERMS, "disent", "lc", "dcc")
 
 ABLATION_FLAGS = (
     "no_graph",    # bypass the marker-correlation graph layer
@@ -188,11 +207,8 @@ def _load(cls, path) -> object:
 def loss_weights(cfg: TrainConfig) -> dict:
     """Each loss term's effective weight, in ``LOSS_TERMS`` order, after ablations."""
     return {
-        "glioma": cfg.w_glioma,
-        "idh": cfg.w_molecular,
-        "codel": cfg.w_molecular,
-        "cdkn": cfg.w_molecular,
-        "nmp": cfg.w_histology,
+        GLIOMA: cfg.w_glioma,
+        **{f.short: getattr(cfg, f"w_{f.group}") for f in FINDINGS},
         "disent": 0.0 if "no_disent" in cfg.ablations else cfg.w_disent,
         "lc": 0.0 if "no_lc" in cfg.ablations else cfg.w_lc,
         "dcc": 0.0 if "no_dcc" in cfg.ablations else cfg.w_dcc,

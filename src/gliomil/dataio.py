@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig, format_config, parse_config, read_utf8
+from .config import MOLECULAR, ConfigError, TrainConfig, format_config, parse_config, read_utf8
 from .synth import (CooccurrenceMatrix, MarkerTuple, PatchBag, cooccurrence_from_counts,
                     derive_glioma_class)
 
@@ -112,7 +112,7 @@ def write_dataset(out_dir, bags) -> None:
         if bag.feats_low.shape != (n, k):
             raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
                                f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
-        lines.append(" ".join(map(str, (bag.case_id, n, k, *vars(bag.markers).values(),
+        lines.append(" ".join(map(str, (bag.case_id, n, k, *bag.markers,
                                         bag.glioma_class, off_high, off_low))))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -135,11 +135,12 @@ def read_dataset(data_dir) -> list:
         raise DatasetError(f"{manifest_path}: header declares {declared} cases, "
                            f"found {len(records)} records")
 
+    width = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
     bags = []
     for record in records:
         tokens = record.split()
-        if len(tokens) != 10:
-            raise DatasetError(f"malformed record (want 10 fields): {record!r}")
+        if len(tokens) != width:
+            raise DatasetError(f"malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
@@ -178,7 +179,8 @@ def _cooccurrence_text(a) -> str:
 
 
 def _counts(text: str) -> np.ndarray:
-    return np.array([np.int64(v) for v in text.split(",")]).reshape(3, 3)
+    m = len(MOLECULAR)
+    return np.array([np.int64(v) for v in text.split(",")]).reshape(m, m)
 
 
 # meta key -> parser of its value, in the order write_checkpoint writes them; the

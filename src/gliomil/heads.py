@@ -1,19 +1,21 @@
 """Task heads: molecular marker branches with a correlation graph layer,
 the histology branch, and the fused tumour classifier.
 
-The three marker branches run in sequence -- IDH first as the upstream
-event, then 1p/19q on IDH's output, then CDKN on 1p/19q's -- so each
-later branch sees the earlier ones' refinements. Their stacked outputs
-pass through one graph convolution whose (fixed) adjacency is the
-marker co-occurrence estimated from training labels, blended back into
-the input by a residual coefficient; a model built without the graph
-(``ModelConfig.use_graph``) reads the refined rows out directly.
+``config.FINDINGS`` names and sizes every branch. The marker branches
+run in its order -- IDH first as the upstream event, then 1p/19q on IDH's
+output, then CDKN on 1p/19q's -- so each later branch sees the earlier
+ones' refinements. Their stacked outputs pass through one graph
+convolution whose (fixed) adjacency is the marker co-occurrence estimated
+from training labels, blended back into the input by a residual
+coefficient; a model built without the graph (``ModelConfig.use_graph``)
+reads the refined rows out directly.
 
 Every finding's branch, marker or histology, ends in the same
 ``BranchState``: the patch rows it pooled, their summary and its logits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -23,8 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .blocks import attention_pool, glorot, init_block, init_pool, row, transformer_block
-
-HISTOLOGY_BLOCK_COUNT = 3
+from .config import MOLECULAR
 
 
 def init_branch(rng: np.random.Generator, k: int, n_blocks: int) -> SimpleNamespace:
@@ -60,11 +61,10 @@ def readout(f: Tensor, p: SimpleNamespace) -> BranchState:
 
 
 def init_molecular(rng: np.random.Generator, k: int) -> SimpleNamespace:
-    """The three marker branches, in ``MarkerTuple`` order, and the marker graph's weight."""
+    """One branch per ``config.MOLECULAR`` row, named by its short name and drawn in
+    the table's order, then the marker graph's weight."""
     return SimpleNamespace(
-        idh=init_branch(rng, k, 3),
-        codel=init_branch(rng, k, 2),
-        cdkn=init_branch(rng, k, 2),
+        **{f.short: init_branch(rng, k, f.blocks) for f in MOLECULAR},
         graph_w=Tensor(rng.normal(scale=math.sqrt(1.0 / k), size=(k, k)),  # (K, K)
                        requires_grad=True),
     )
@@ -74,11 +74,12 @@ def graph_mix(feats_in, adjacency: np.ndarray, graph_w: Tensor, alpha: float):
     """One graph convolution over the marker axis with a residual blend.
 
     mid_i = relu(sum_j A[i, j] * (F_j @ W)); out_i = alpha * mid_i +
-    (1 - alpha) * F_i. The adjacency is a constant 3x3 matrix.
+    (1 - alpha) * F_i. The adjacency is a constant M x M matrix over the M markers.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise ValueError(f"adjacency must be 3x3, got {a.shape}")
+    m = len(MOLECULAR)
+    if a.shape != (m, m):
+        raise ValueError(f"adjacency must be {m}x{m}, got {a.shape}")
     projected = [ad.matmul(f, graph_w) for f in feats_in]
     return tuple(
         ad.graph_mix_row(projected, a[i], ad.scale(f, 1.0 - alpha), alpha)
@@ -93,8 +94,8 @@ def molecular_forward(
     alpha: float,
     use_graph: bool = True,
 ) -> tuple:
-    """The three marker branches' states, in ``MarkerTuple`` order."""
-    branches = (p.idh, p.codel, p.cdkn)
+    """The marker branches' states, in ``config.MOLECULAR`` order."""
+    branches = [getattr(p, f.short) for f in MOLECULAR]
     h = feats
     refined = []
     for branch in branches:
@@ -108,13 +109,13 @@ def molecular_forward(
 def correlation_loss(feats, adjacency: np.ndarray) -> Tensor:
     """Mean squared gap between label co-occurrence and feature cosines.
 
-    The feature side is the 3x3 matrix of flattened (Frobenius) cosine
+    The feature side is the M x M matrix of flattened (Frobenius) cosine
     similarities between marker feature blocks (``ad.cosine_gram``); a
     zero-norm block makes its pairs' cosines 0.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     gap = ad.sub(ad.cosine_gram(feats), a)
-    return ad.scale(ad.sum_all(ad.mul(gap, gap)), 1.0 / 9.0)
+    return ad.scale(ad.sum_all(ad.mul(gap, gap)), 1.0 / a.size)
 
 
 def histology_forward(feats: Tensor, p: SimpleNamespace) -> BranchState:
@@ -125,9 +126,9 @@ def histology_forward(feats: Tensor, p: SimpleNamespace) -> BranchState:
 def fusion_classify(pooled_his: Tensor, pooled_mol, w: Tensor, b: Tensor) -> Tensor:
     """Four-way tumour logits from both tasks' pooled summaries.
 
-    The molecular side enters as the mean of the three marker summaries;
-    the histology side as-is. Both halves concatenate into (1, 2K).
+    The molecular side enters as the mean of the marker summaries, summed
+    left to right; the histology side as-is. Both halves concatenate into (1, 2K).
     """
-    mol_mean = ad.scale(ad.add(ad.add(pooled_mol[0], pooled_mol[1]), pooled_mol[2]), 1.0 / 3.0)
+    mol_mean = ad.scale(functools.reduce(ad.add, pooled_mol), 1.0 / len(pooled_mol))
     joint = ad.concat([pooled_his, mol_mean], axis=1)
     return ad.linear(joint, w, b)

@@ -9,10 +9,13 @@ ratios fall back to 0 when their denominator is empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-TASKS = ("idh_mut", "codel_1p19q", "cdkn_homdel", "nmp", "glioma")
+from .config import FINDINGS, GLIOMA
+
+TASKS = (*(f.name for f in FINDINGS), GLIOMA)
 
 
 @dataclass
@@ -24,13 +27,8 @@ class TaskMetrics:
     f1: float
 
 
-@dataclass
-class MetricReport:
-    idh_mut: TaskMetrics
-    codel_1p19q: TaskMetrics
-    cdkn_homdel: TaskMetrics
-    nmp: TaskMetrics
-    glioma: TaskMetrics
+class MetricReport(SimpleNamespace):
+    """One ``TaskMetrics`` attribute per ``TASKS`` name, in that order."""
 
     def task(self, name: str) -> TaskMetrics:
         return getattr(self, name)
@@ -41,9 +39,9 @@ class CasePrediction:
     """Per-case evaluation record: truth plus predicted scores."""
 
     case_id: str
-    marker_truth: np.ndarray   # (4,) int: idh, codel, cdkn, nmp
+    marker_truth: np.ndarray   # (F,) int: each finding's label, in ``config.FINDINGS`` order
     glioma_truth: int
-    marker_probs: np.ndarray   # (4,) positive-class probabilities
+    marker_probs: np.ndarray   # (F,) each finding's positive-class probability, in that order
     glioma_probs: np.ndarray   # (4,) class probabilities
 
 
@@ -112,11 +110,11 @@ def compute_metrics(predictions) -> MetricReport:
     glioma_truth = np.array([p.glioma_truth for p in predictions], dtype=np.int64)
     glioma_probs = np.array([p.glioma_probs for p in predictions], dtype=np.float64)
     panels = {}
-    for i, name in enumerate(TASKS[:4]):
+    for i, name in enumerate(TASKS[:-1]):  # the findings
         scores = marker_probs[:, i]
         panels[name] = binary_task_metrics(marker_truth[:, i], (scores > 0.5).astype(int), scores)
     glioma_pred = glioma_probs.argmax(axis=1)
-    panels["glioma"] = micro_multiclass_metrics(glioma_truth, glioma_pred, glioma_probs)
+    panels[GLIOMA] = micro_multiclass_metrics(glioma_truth, glioma_pred, glioma_probs)
     return MetricReport(**panels)
 
 

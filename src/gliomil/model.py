@@ -17,8 +17,8 @@ form the molecular group; each group is one contiguous slice of
 on. The disentangler and the fusion classifier follow and are never
 modulated. Both groups begin with a structurally identical branch
 (blocks, pool, classifier), the molecular group leading with its IDH
-branch. The ``ModelConfig`` fixes the structure when the model is
-built, the marker graph included.
+branch; ``config.FINDINGS`` names and sizes each branch. The ``ModelConfig``
+fixes the structure when the model is built, the marker graph included.
 ``Model.grad`` holds the gradient in the same layout: each parameter's
 ``.grad`` is a view of its span, which backward adds into in place.
 """
@@ -32,10 +32,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .blocks import glorot, row
-from .config import TrainConfig
+from .config import HISTOLOGY, MOLECULAR, TrainConfig
 from .disentangle import DisentangledFeatures, disentangle, init_disentangler
 from .heads import (
-    HISTOLOGY_BLOCK_COUNT,
     fusion_classify,
     histology_forward,
     init_branch,
@@ -67,7 +66,7 @@ class ModelConfig:
 @dataclass
 class BagForward:
     disent: DisentangledFeatures
-    branches: tuple              # four BranchStates: IDH, 1p/19q, CDKN, histology
+    branches: tuple              # one BranchState per finding, in ``config.FINDINGS`` order
     glioma_logits: Tensor        # (1, 4)
     conf_wt: ConfidenceVector    # molecular confidence toward IDH-wildtype
     conf_nmp: ConfidenceVector   # histology confidence toward lesion presence
@@ -91,7 +90,7 @@ class Model:
         k = cfg.feat_dim
         # the draw order; the walk below fixes the registry order
         self.disent = init_disentangler(rng, k)
-        self.his = init_branch(rng, k, HISTOLOGY_BLOCK_COUNT)
+        self.his = init_branch(rng, k, HISTOLOGY.blocks)
         self.mol = init_molecular(rng, k)
         self.fusion = SimpleNamespace(w=glorot(rng, 2 * k, 4), b=row(0.0, 4))  # w: (2K, 4)
 
@@ -151,9 +150,9 @@ class Model:
         glioma_logits = fusion_classify(
             his.pooled, [s.pooled for s in markers], self.fusion.w, self.fusion.b
         )
-        idh = markers[0]
+        idh, idh_branch = markers[0], getattr(self.mol, MOLECULAR[0].short)
         conf_wt = confidence_weights(
-            idh.feats, idh.pooled, ad.narrow(self.mol.idh.clf_w, 1, WILDTYPE_COL, 1)
+            idh.feats, idh.pooled, ad.narrow(idh_branch.clf_w, 1, WILDTYPE_COL, 1)
         )
         conf_nmp = confidence_weights(
             his.feats, his.pooled, ad.narrow(self.his.clf_w, 1, LESION_COL, 1)

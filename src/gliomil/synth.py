@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .config import GenConfig
+from .config import FINDINGS, MOLECULAR, GenConfig
 
 CLASS_NAMES = (
     "gbm_grade4",          # IDH wildtype
@@ -31,15 +32,13 @@ CLASS_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class MarkerTuple:
-    idh_mut: int
-    codel_1p19q: int
-    cdkn_homdel: int
-    nmp: int
+class MarkerTuple(namedtuple("MarkerTuple", [f.name for f in FINDINGS])):
+    """A case's 0/1 label of each finding: one field per ``config.FINDINGS`` row, in its order."""
+
+    __slots__ = ()
 
     def as_array(self) -> np.ndarray:
-        return np.fromiter(vars(self).values(), dtype=np.int64)
+        return np.array(self, dtype=np.int64)
 
 
 @dataclass
@@ -53,10 +52,10 @@ class PatchBag:
 
 @dataclass
 class CooccurrenceMatrix:
-    """Symmetrized conditional co-positivity of the three molecular markers."""
+    """Symmetrized conditional co-positivity of the M molecular markers."""
 
-    a: np.ndarray        # (3, 3) float64
-    counts: np.ndarray   # (3, 3) int64 joint-positive counts (diag = marginals)
+    a: np.ndarray        # (M, M) float64
+    counts: np.ndarray   # (M, M) int64 joint-positive counts (diag = marginals)
     n_cases: int
 
 
@@ -92,22 +91,23 @@ def sample_case(rng: np.random.Generator, cfg: GenConfig) -> MarkerTuple:
 
 @functools.lru_cache(maxsize=None)
 def signal_directions(feat_dim: int) -> Mapping:
-    """Fixed unit directions for the four planted signals.
+    """Fixed unit directions for the planted signals, one per finding, keyed by its name.
 
     Derived from a constant-seeded Gaussian draw, orthonormalized when the
     feature space is wide enough, so the same feat_dim always produces the
     same geometry. Computed once per width; the mapping and its arrays
     are read-only, because every caller shares them.
     """
+    n = len(FINDINGS)
     rng = np.random.default_rng(718281828)
-    raw = rng.normal(size=(4, feat_dim))
-    if feat_dim >= 4:
+    raw = rng.normal(size=(n, feat_dim))
+    if feat_dim >= n:
         q, _ = np.linalg.qr(raw.T)
-        dirs = q.T[:4].copy()
+        dirs = q.T[:n].copy()
     else:
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     dirs.flags.writeable = False
-    return MappingProxyType({f.name: d for f, d in zip(fields(MarkerTuple), dirs)})
+    return MappingProxyType({f.name: d for f, d in zip(FINDINGS, dirs)})
 
 
 def generate_bag(
@@ -125,10 +125,10 @@ def generate_bag(
     high = rng.standard_normal((n, k))
     low = rng.standard_normal((n, k))
     n_evidence = min(n, int(round(cfg.evidence_fraction * n)))
-    for (name, direction), value in zip(signal_directions(k).items(), markers.as_array()):
+    for finding, direction, value in zip(FINDINGS, signal_directions(k).values(), markers):
         rows = rng.choice(n, size=n_evidence, replace=False)
         if value == 1 and n_evidence > 0:
-            target = low if name == "nmp" else high
+            target = high if finding.group == "molecular" else low
             target[rows] += cfg.signal_strength * direction
     high = high.astype(np.float32)
     low = low.astype(np.float32)
@@ -152,25 +152,26 @@ def generate_dataset(cfg: GenConfig) -> list:
 
 
 def marker_table(bags) -> np.ndarray:
-    """The (n, 3) table of molecular markers that ``estimate_cooccurrence`` reads."""
-    return np.array([b.markers.as_array()[:3] for b in bags])
+    """The (n, M) table of molecular markers that ``estimate_cooccurrence`` reads."""
+    return np.array([b.markers.as_array()[:len(MOLECULAR)] for b in bags])
 
 
 def estimate_cooccurrence(marker_rows: np.ndarray) -> CooccurrenceMatrix:
-    """Co-occurrence of the three molecular markers over a label table.
+    """Co-occurrence of the M molecular markers over a label table.
 
-    ``marker_rows`` is (n_cases, 3) of 0/1. Entry (i, j) is the average of
-    the two conditional positive rates P(i=1 | j=1) and P(j=1 | i=1); an
-    undefined conditional (marker never positive) counts as 0.
+    ``marker_rows`` is (n_cases, M) of 0/1, the markers in ``config.MOLECULAR``
+    order. Entry (i, j) is the average of the two conditional positive rates
+    P(i=1 | j=1) and P(j=1 | i=1); an undefined conditional (marker never
+    positive) counts as 0.
     """
     rows = np.asarray(marker_rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) marker table, got {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] != len(MOLECULAR):
+        raise ValueError(f"expected an (n, {len(MOLECULAR)}) marker table, got {rows.shape}")
     return cooccurrence_from_counts(rows.T @ rows, rows.shape[0])
 
 
 def cooccurrence_from_counts(counts: np.ndarray, n_cases: int) -> CooccurrenceMatrix:
-    """The co-occurrence matrix of a (3, 3) int64 joint-positive count table over ``n_cases``."""
+    """The co-occurrence matrix of an (M, M) int64 joint-positive count table over ``n_cases``."""
     marginals = np.diag(counts).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(marginals[None, :] > 0, counts / marginals[None, :], 0.0)

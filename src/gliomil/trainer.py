@@ -1,11 +1,11 @@
 """Training loop: multi-term loss, modulated optimization, evaluation.
 
 ``batch_loss`` builds one bag's objective: eight loss terms and their
-weighted sum. The four findings (IDH, 1p/19q, CDKN, histology) each
-have one branch in ``BagForward.branches``, in ``MarkerTuple`` order, so
-the loss and ``evaluate`` take them in one loop; the model itself says
-whether the marker graph runs (``ModelConfig.use_graph``), so neither
-takes the ablations. A step owns the batch mean: it runs forward, loss and
+weighted sum. Each finding of ``config.FINDINGS`` has one branch in
+``BagForward.branches``, in the table's order, so the loss, ``evaluate``
+and the run files' per-finding columns take them in one loop; the model
+itself says whether the marker graph runs (``ModelConfig.use_graph``), so
+neither takes the ablations. A step owns the batch mean: it runs forward, loss and
 backward for one bag at a time, each bag's loss scaled by 1/batch, so
 the leaves' ``.grad``, views of ``Model.grad``, add up to the gradient of
 the batch mean while only one bag's graph is alive. Then (unless ablated)
@@ -25,7 +25,10 @@ from . import autodiff as ad
 from .config import (
     ABLATION_FLAGS,
     FINDING_TERMS,
+    GLIOMA,
+    HISTOLOGY,
     LOSS_TERMS,
+    MOLECULAR,
     TrainConfig,
     loss_weights,
     with_ablations,
@@ -46,10 +49,6 @@ from .optim import AdamW
 from .synth import CooccurrenceMatrix, estimate_cooccurrence, marker_table
 
 
-# short name of each metrics.TASKS entry: the findings' loss terms, then the tumour class
-ACCURACY_KEYS = FINDING_TERMS + ("glioma",)
-
-
 class LossError(RuntimeError):
     """A loss term stopped being finite; training must not continue."""
 
@@ -59,7 +58,7 @@ class EpochRow:
     epoch: int
     losses: dict           # term name -> batch-averaged value, plus "total"
     dcc_overlap: float     # mean top-M agreement across training bags
-    accuracies: dict       # ACCURACY_KEYS name -> held-out accuracy
+    report: MetricReport   # the held-out metrics; the acc_* columns read its accuracies
 
 
 @dataclass
@@ -117,11 +116,11 @@ def batch_loss(fwd, bag, adjacency, cfg: TrainConfig, top_m: int):
     cross-entropy against its label.
     """
     terms = {
-        "glioma": ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class),
+        GLIOMA: ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class),
         **{name: ad.softmax_cross_entropy(state.logits, label)
            for name, state, label in zip(FINDING_TERMS, fwd.branches, bag.markers.as_array())},
         "disent": disentangle_loss(fwd.disent),
-        "lc": correlation_loss([state.feats for state in fwd.branches[:3]], adjacency),
+        "lc": correlation_loss([s.feats for s in fwd.branches[:len(MOLECULAR)]], adjacency),
         "dcc": dcc_surrogate(fwd.conf_wt, fwd.conf_nmp, top_m, cfg.dcc_temperature),
     }
     weighted = [ad.scale(terms[name], w) for name, w in loss_weights(cfg).items() if w != 0.0]
@@ -162,7 +161,7 @@ def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, s
     """
     grads = model.gradient_set()
     if "no_cmg" not in cfg.ablations:
-        vote = majority_vote([bag.markers.nmp for bag in batch])
+        vote = majority_vote([getattr(bag.markers, HISTOLOGY.name) for bag in batch])
         record = cmg_modulate(
             grads,
             model.groups,
@@ -237,13 +236,11 @@ def train_model(bags, cfg: TrainConfig, modulation_hook=None, log=None) -> Train
         scored = bags if epoch == cfg.epochs - 1 else val_bags
         preds, confidences = evaluate(model, scored, cooc.a)
         report = compute_metrics([p for b, p in zip(scored, preds) if id(b) in held_out])
-        accuracies = {key: report.task(task).accuracy for key, task in zip(ACCURACY_KEYS, TASKS)}
-        rows.append(EpochRow(epoch=epoch, losses=term_means,
-                             dcc_overlap=overlap, accuracies=accuracies))
+        rows.append(EpochRow(epoch=epoch, losses=term_means, dcc_overlap=overlap, report=report))
         if log:
             log(
                 f"epoch {epoch:3d}  loss {term_means['total']:.4f}  "
-                f"overlap {overlap:.3f}  val glioma acc {accuracies['glioma']:.3f}"
+                f"overlap {overlap:.3f}  val glioma acc {report.task(GLIOMA).accuracy:.3f}"
             )
     return TrainResult(
         cfg=cfg,
@@ -280,11 +277,13 @@ def run_ablation(bags, cfg: TrainConfig, log=None):
 # ---------------------------------------------------------------------------
 # run artifacts
 
+# one per metrics.TASKS entry: each finding's short name, then the tumour class
+ACCURACY_COLUMNS = [f"acc_{key}" for key in (*FINDING_TERMS, GLIOMA)]
 EPOCH_COLUMNS = (
     ["epoch", "loss_total"]
     + [f"loss_{name}" for name in LOSS_TERMS]
     + ["dcc_overlap"]
-    + [f"acc_{key}" for key in ACCURACY_KEYS]
+    + ACCURACY_COLUMNS
 )
 
 
@@ -294,7 +293,7 @@ def epochs_csv(rows) -> str:
         cells = [str(row.epoch), f"{row.losses['total']:.6f}"]
         cells += [f"{row.losses[name]:.6f}" for name in LOSS_TERMS]
         cells.append(f"{row.dcc_overlap:.6f}")
-        cells += [f"{row.accuracies[key]:.6f}" for key in ACCURACY_KEYS]
+        cells += [f"{row.report.task(task).accuracy:.6f}" for task in TASKS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -307,11 +306,11 @@ def confidences_csv(confidences) -> str:
 
 
 def ablation_csv(results) -> str:
-    header = ["variant", *(f"acc_{key}" for key in ACCURACY_KEYS), "f1_glioma", "auc_glioma"]
+    header = ["variant", *ACCURACY_COLUMNS, f"f1_{GLIOMA}", f"auc_{GLIOMA}"]
     lines = [",".join(header)]
     for name, result in results:
-        r = result.report
-        auc = "NA" if r.glioma.auc is None else f"{r.glioma.auc:.6f}"
-        accs = (f"{r.task(task).accuracy:.6f}" for task in TASKS)
-        lines.append(",".join([name, *accs, f"{r.glioma.f1:.6f}", auc]))
+        glioma = result.report.task(GLIOMA)
+        auc = "NA" if glioma.auc is None else f"{glioma.auc:.6f}"
+        accs = (f"{result.report.task(task).accuracy:.6f}" for task in TASKS)
+        lines.append(",".join([name, *accs, f"{glioma.f1:.6f}", auc]))
     return "\n".join(lines) + "\n"

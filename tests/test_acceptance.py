@@ -10,6 +10,7 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
 from gliomil.autodiff import Tensor
 from gliomil.cli import main
@@ -281,6 +282,7 @@ def test_c6_micro_identity_and_auc_oracle():
     )
 
 
+@pytest.mark.slow
 def test_c7_end_to_end_synthetic_sanity():
     bags = generate_dataset(GenConfig())          # 300 cases, N=32, K=16
     t0 = time.time()

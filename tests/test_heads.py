@@ -3,9 +3,9 @@ import pytest
 
 from gliomil import autodiff as ad
 from gliomil.autodiff import Tensor
+from gliomil.config import HISTOLOGY
 from gliomil.gradcheck import grad_check
 from gliomil.heads import (
-    HISTOLOGY_BLOCK_COUNT,
     BranchState,
     correlation_loss,
     fusion_classify,
@@ -220,7 +220,7 @@ class TestMolecularForward:
 
 class TestHistologyAndFusion:
     def test_histology_shapes(self):
-        p = init_branch(np.random.default_rng(13), 4, HISTOLOGY_BLOCK_COUNT)
+        p = init_branch(np.random.default_rng(13), 4, HISTOLOGY.blocks)
         state = histology_forward(Tensor(np.random.default_rng(14).normal(size=(7, 4))), p)
         assert state.feats.data.shape == (7, 4)
         assert state.pooled.data.shape == (1, 4)
@@ -228,7 +228,7 @@ class TestHistologyAndFusion:
 
     def test_histology_permutation_invariant_summary(self):
         rng = np.random.default_rng(15)
-        p = init_branch(rng, 4, HISTOLOGY_BLOCK_COUNT)
+        p = init_branch(rng, 4, HISTOLOGY.blocks)
         x = rng.normal(size=(6, 4))
         perm = rng.permutation(6)
         a = histology_forward(Tensor(x), p)

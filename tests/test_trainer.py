@@ -1,7 +1,6 @@
 """Training-loop behavior: splits, loss assembly, the bag-by-bag step, the
 optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
-import dataclasses
 import functools
 import hashlib
 import os
@@ -19,7 +18,8 @@ from gliomil import autodiff as ad
 from gliomil import trainer
 from gliomil.config import (
     ABLATION_FLAGS,
-    FINDING_TERMS,
+    FINDINGS,
+    GLIOMA,
     LOSS_TERMS,
     ConfigError,
     GenConfig,
@@ -124,34 +124,56 @@ def test_total_is_weighted_sum_of_terms():
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
 
+def finding_branch(model, finding):
+    """The parameters of ``finding``'s branch: ``mol.<short>``, or the one ``his``."""
+    return getattr(model.mol, finding.short) if finding.group == "molecular" else model.his
+
+
 def test_glioma_term_is_plain_cross_entropy():
     """Every cross-entropy term, the glioma one and each finding's, is its
     logits' plain cross-entropy against the label of the same name."""
     bags = small_bags(4)
     adj = adjacency_of(bags)
     model = fresh_model(bags)
-    # finding term -> (the branch that predicts it, its MarkerTuple field)
-    findings = {
-        "idh": (model.mol.idh, "idh_mut"),
-        "codel": (model.mol.codel, "codel_1p19q"),
-        "cdkn": (model.mol.cdkn, "cdkn_homdel"),
-        "nmp": (model.his, "nmp"),
-    }
-    fields = tuple(f.name for f in dataclasses.fields(MarkerTuple))
-    assert tuple(findings) == FINDING_TERMS
-    assert tuple(field for _, field in findings.values()) == fields
-    assert TASKS[:4] == fields
     for bag in bags:
         fwd = model.forward(bag, adj)
         _, values = batch_loss(fwd, bag, adj, TrainConfig(), top_m=2)
         expect = float(ad.softmax_cross_entropy(fwd.glioma_logits, bag.glioma_class).data)
-        assert values["glioma"] == expect
-        assert len(fwd.branches) == len(findings)
-        for state, (term, (branch, field)) in zip(fwd.branches, findings.items()):
-            logits = ad.linear(state.pooled, branch.clf_w, branch.clf_b)
-            np.testing.assert_array_equal(state.logits.data, logits.data)
-            label = getattr(bag.markers, field)
-            assert values[term] == float(ad.softmax_cross_entropy(state.logits, label).data)
+        assert values[GLIOMA] == expect
+        for finding, state in zip(FINDINGS, fwd.branches, strict=True):
+            ce = ad.softmax_cross_entropy(state.logits, getattr(bag.markers, finding.name))
+            assert values[finding.short] == float(ce.data)
+
+
+def test_each_finding_row_reaches_every_layer():
+    """Row i of ``FINDINGS`` is field i of ``MarkerTuple``, a loss term weighted by its
+    group, branch i of the forward, a report task, an acc_* column of that task's
+    accuracy, and the checkpoint names of a branch with its block count."""
+    bags = small_bags(6)
+    adj = adjacency_of(bags)
+    model = fresh_model(bags)
+    fwd = model.forward(bags[0], adj)
+    report = compute_metrics(evaluate(model, bags, adj)[0])
+    weights = loss_weights(TrainConfig(w_molecular=0.5, w_histology=0.25))
+    row = trainer.EpochRow(epoch=0, losses=dict.fromkeys((*LOSS_TERMS, "total"), 0.0),
+                           dcc_overlap=0.0, report=report)
+    header, cells = (line.split(",")[-len(TASKS):] for line in epochs_csv([row]).splitlines())
+    assert MarkerTuple._fields == TASKS[:-1] == tuple(f.name for f in FINDINGS)
+    assert len(fwd.branches) == len(FINDINGS)
+    for i, finding in enumerate(FINDINGS):
+        assert finding.short in LOSS_TERMS
+        assert weights[finding.short] == {"molecular": 0.5, "histology": 0.25}[finding.group]
+        branch, state = finding_branch(model, finding), fwd.branches[i]
+        logits = ad.linear(state.pooled, branch.clf_w, branch.clf_b)
+        np.testing.assert_array_equal(state.logits.data, logits.data)
+        assert getattr(report, finding.name) is report.task(TASKS[i])
+        assert header[i] == f"acc_{finding.short}"
+        assert cells[i] == f"{report.task(finding.name).accuracy:.6f}"
+        prefix = f"mol.{finding.short}." if finding.group == "molecular" else "his."
+        assert model.params[prefix + "clf_w"] is branch.clf_w
+        blocks = {name[len(prefix):].split(".")[1] for name in model.params
+                  if name.startswith(prefix + "blocks.")}
+        assert len(blocks) == len(branch.blocks) == finding.blocks
 
 
 def test_ablation_flags_drop_terms_from_total():

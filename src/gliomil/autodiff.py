@@ -22,23 +22,23 @@ second backward that reaches a consumed node raises ``GraphConsumedError``
 A rule reads its inputs' ``.data`` when it runs, not copies taken at
 forward time, so an op's inputs must not be changed in place between its
 forward and the backward that consumes it. An op keeps an array for its
-rule only if it cannot recompute it, bit for bit, from those inputs.
+rule only if it cannot recompute it, bit for bit, from those inputs. An
+op may overwrite only scratch arrays it allocated itself, never an
+input's ``.data``.
 
-Four fused ops each record one node in place of a chain of small ones.
+Five fused ops each record one node in place of a chain of small ones.
 They evaluate the chain's numpy expressions in the same order, forward and
 backward, so they match it bit for bit, and keep only what their rule
 reads:
 
-- ``attention_sublayer``: a transformer block's pre-norm residual
-  attention, ``x + softmax(c * q @ k^T, rows) @ v @ wo`` with ``q, k, v``
-  projected from ``LN(x) * gain + bias``; keeps nothing of its own: its
-  rule recomputes the normalised rows, the projections and the
-  (N, N) probabilities from its inputs.
-- ``ffn_sublayer``: the block's pre-norm residual feed-forward,
-  ``x + relu(h @ w1 + b1) @ w2 + b2``; keeps nothing of its own: its rule
-  recomputes ``h`` and the ReLU rows.
-- ``linear``: ``x @ w`` plus a (1, F) bias row, optionally through ReLU;
-  keeps only its output (the ReLU mask is ``out > 0``).
+- ``transformer_block``: a pre-norm residual attention sub-layer, then a
+  pre-norm residual feed-forward; keeps nothing of its own: its rule
+  recomputes the normalised rows, the projections, the (N, N)
+  probabilities, the mid rows between the halves and the ReLU rows.
+- ``mlp``: ``relu(x @ w1 + b1) @ w2 + b2``; keeps nothing of its own.
+- ``attention_pool``: the (1, K) summary ``softmax(tanh(x v^T) w)^T x``
+  over rows; keeps nothing of its own.
+- ``linear``: ``x @ w`` plus a (1, F) bias row; keeps nothing of its own.
 - ``graph_mix_row``: ``alpha * relu(sum_j c_j P_j) + R``; keeps the sign
   mask of the sum.
 
@@ -57,8 +57,9 @@ broadcasting: a (1, F) row enters only as the explicit bias or gain of a
 fused op, or tiled by ``repeat_rows``.
 
 The model never calls ``exp``, ``log``, ``mean_all``, ``mse``, ``relu``,
-``cosine`` or ``layer_norm``; only ``verify`` and the tests do. They
-stay only because ``perfbench/tracer.py`` looks each of them up by name.
+``tanh``, ``transpose``, ``cosine`` or ``layer_norm``; only ``verify`` and
+the tests do. They stay only because ``perfbench/tracer.py`` looks each of
+them up by name.
 """
 from __future__ import annotations
 
@@ -210,35 +211,22 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
 
-def _check_shape(op: str, name: str, t: Tensor, shape: tuple) -> None:
-    if t.data.shape != shape:
-        raise ShapeError(f"{op}: {name} must have shape {shape}, got {t.data.shape}")
-
-
-def linear(x, w, b, relu: bool = False) -> Tensor:
-    """``x @ w`` plus the (1, F) row ``b`` on every row, optionally through ReLU.
+def linear(x, w, b) -> Tensor:
+    """``x @ w`` plus the (1, F) row ``b`` on every row.
 
     One node that evaluates the same numpy expressions in the same order as
-    ``add(matmul(x, w), repeat_rows(b, N))`` (then ``relu``), forward and
-    backward. Only the output is kept; the ReLU mask is read back from it
-    (``out > 0`` exactly where the pre-activation was positive).
+    ``add(matmul(x, w), repeat_rows(b, N))``, forward and backward, and
+    keeps nothing but its inputs.
     """
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"linear: cannot multiply {x.data.shape} @ {w.data.shape}")
-    _check_shape("linear", "bias", b, (1, w.data.shape[1]))
-    out = x.data @ w.data + b.data
-    if relu:
-        out = np.maximum(out, 0.0)
+    _check_shapes("linear", x, (("w", w, (_cols(x), _cols(w))), ("bias", b, (1, _cols(w)))))
 
     def grads(g):
-        if relu:
-            g = g * (out > 0.0)
         yield x, g @ w.data.T
         yield w, x.data.T @ g
         yield b, g.sum(axis=0, keepdims=True)
 
-    return _make(out, (x, w, b), grads)
+    return _make(x.data @ w.data + b.data, (x, w, b), grads)
 
 
 def transpose(a) -> Tensor:
@@ -333,11 +321,14 @@ def softmax(a, axis: int) -> Tensor:
 
 
 def _attention_probs(q, k, c: float):
-    """The transposed keys and the (N, M) row-softmax of ``c * q @ k^T``."""
+    """The transposed keys and the (N, M) row-softmax of ``c * q @ k^T``, in one scratch array."""
     k_t = k.T.copy()
-    scores = (q @ k_t) * c
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return k_t, e / e.sum(axis=1, keepdims=True)
+    p = q @ k_t
+    p *= c
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return k_t, p
 
 
 _NORM_EPS = 1e-5
@@ -371,7 +362,7 @@ def _cols(t: Tensor) -> int:
     return t.data.shape[1] if t.data.ndim == 2 else -1
 
 
-def _check_sublayer(op: str, x: Tensor, weights) -> None:
+def _check_shapes(op: str, x: Tensor, weights) -> None:
     """``x`` is (N, F) and each ``(name, tensor, shape)`` of ``weights`` has its shape.
 
     Each shape may name the columns of an earlier tensor in ``weights``,
@@ -382,105 +373,176 @@ def _check_sublayer(op: str, x: Tensor, weights) -> None:
     for name, t, shape in weights:
         if t.data.ndim != 2:
             raise ShapeError(f"{op}: {name} must be 2-d, got {t.data.shape}")
-        _check_shape(op, name, t, shape)
+        if t.data.shape != shape:
+            raise ShapeError(f"{op}: {name} must have shape {shape}, got {t.data.shape}")
 
 
-def _prenorm(x: Tensor, gain: Tensor, bias: Tensor):
-    """A sub-layer's pre-norm rows ``LN(x) * gain + bias``, the normalised rows
-    and their inverse deviations."""
-    y, inv = _normalize(x.data)
+def _prenorm(data, gain: Tensor, bias: Tensor):
+    """The pre-norm rows ``LN(data) * gain + bias``, the normalised rows and their
+    inverse deviations."""
+    y, inv = _normalize(data)
     return y * gain.data + bias.data, y, inv
 
 
-def _prenorm_grads(x: Tensor, gain: Tensor, bias: Tensor, g, y, inv):
-    """The gradients that the pre-norm rows' gradient ``g`` gives ``x``, ``gain`` and ``bias``."""
-    yield x, _normalize_grad(g * gain.data, y, inv)
+def _prenorm_grads(gain: Tensor, bias: Tensor, g, y, inv):
+    """Yield ``gain``'s and ``bias``'s gradients from the rows' gradient ``g``; return
+    the input's."""
     yield gain, (g * y).sum(axis=0, keepdims=True)
     yield bias, g.sum(axis=0, keepdims=True)
+    return _normalize_grad(g * gain.data, y, inv)
 
 
-def attention_sublayer(x, gain, bias, wq, wk, wv, wo, c: float) -> Tensor:
-    """A pre-norm residual attention sub-layer ``x + softmax(c * q @ k^T, rows) @ v @ wo``.
+def _relu_rows(x, w1: Tensor, b1: Tensor):
+    """``relu(x @ w1 + b1)`` on the rows of the array ``x``, in one scratch array."""
+    r = x @ w1.data
+    r += b1.data
+    return np.maximum(r, 0.0, out=r)
 
-    ``h = LN(x) * gain + bias`` with (1, F) rows ``gain`` and ``bias``, and
-    ``q, k, v = h @ wq, h @ wk, h @ wv``. One node that evaluates the same
-    numpy expressions in the same order as the chain it replaces (the
-    norm, the three projections, ``matmul(softmax(scale(matmul(q,
-    transpose(k)), c), axis=1), v)``, ``matmul(., wo)`` and the residual
-    ``add``), forward and backward. It keeps nothing but its inputs:
-    backward recomputes ``h``, ``q``, ``k``, ``v``, the (N, N)
-    probabilities and the attention rows, and sums the projections'
-    gradients into ``h`` in the chain's order, q, then k, then v.
+
+def _mlp_rows(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """``relu(x @ w1 + b1) @ w2 + b2`` on the rows of the array ``x``."""
+    out = _relu_rows(x, w1, b1) @ w2.data
+    out += b2.data
+    return out
+
+
+def _mlp_grads(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, g):
+    """Yield the weights' gradients from the rows' gradient ``g``; return ``x``'s. The
+    recomputed ReLU rows are ``> 0`` exactly where the pre-activation was positive."""
+    r = _relu_rows(x, w1, b1)
+    yield w2, r.T @ g
+    yield b2, g.sum(axis=0, keepdims=True)
+    gr = g @ w2.data.T
+    gr *= r > 0.0
+    del r
+    yield w1, x.T @ gr
+    yield b1, gr.sum(axis=0, keepdims=True)
+    return gr @ w1.data.T
+
+
+def transformer_block(x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2, b2,
+                      c: float) -> Tensor:
+    """A pre-norm residual block: ``mid = x + Attn(LN1(x))``, then ``mid + FFN(LN2(mid))``.
+
+    ``Attn(h) = softmax(c * q @ k^T, rows) @ v @ wo`` with ``q, k, v = h @ wq,
+    h @ wk, h @ wv``; ``FFN(h) = relu(h @ w1 + b1) @ w2 + b2``; each
+    ``LN(.) * gain + bias`` has (1, F) rows. One node that matches the chain
+    of both sub-layers bit for bit and keeps nothing but its inputs: backward
+    recomputes the attention half once, the mid rows with it, sums their
+    gradient as the chain's ``mid.grad`` (the residual's, then the norm's),
+    and sums the projections' gradients into ``h`` as q, then k, then v.
     """
-    x, gain, bias, wq, wk, wv, wo = (_coerce(t) for t in (x, gain, bias, wq, wk, wv, wo))
-    f, d, e = _cols(x), _cols(wq), _cols(wv)
-    _check_sublayer("attention_sublayer", x, (
-        ("gain", gain, (1, f)), ("bias", bias, (1, f)), ("wq", wq, (f, d)),
+    ts = x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2, b2 = tuple(
+        _coerce(t) for t in (x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2, b2))
+    f, d, e, hidden = _cols(x), _cols(wq), _cols(wv), _cols(w1)
+    _check_shapes("transformer_block", x, (
+        ("gain1", gain1, (1, f)), ("bias1", bias1, (1, f)), ("wq", wq, (f, d)),
         ("wk", wk, (f, d)), ("wv", wv, (f, e)), ("wo", wo, (e, f)),
+        ("gain2", gain2, (1, f)), ("bias2", bias2, (1, f)), ("w1", w1, (f, hidden)),
+        ("b1", b1, (1, hidden)), ("w2", w2, (hidden, f)), ("b2", b2, (1, f)),
     ))
     c = float(c)
 
     def attend():
-        h, y, inv = _prenorm(x, gain, bias)
+        h, y, inv = _prenorm(x.data, gain1, bias1)
         q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
         k_t, p = _attention_probs(q, k, c)
-        return h, y, inv, q, k_t, v, p, p @ v
+        a = p @ v
+        return (h, y, inv, q, k_t, v, p, a), x.data + a @ wo.data
 
-    *_, a = attend()
+    _, mid = attend()
 
     def grads(g):
-        h, y, inv, q, k_t, v, p, a = attend()
-        yield x, g
-        ga = g @ wo.data.T
-        yield wo, a.T @ g
-        gp = ga @ v.T
+        (h, y, inv, q, k_t, v, p, a), mid = attend()
+        h2, y2, inv2 = _prenorm(mid, gain2, bias2)
+        del mid
+        gm = np.add(g, 0.0)  # the chain's mid.grad: the residual's gradient first
+        g2 = yield from _mlp_grads(h2, w1, b1, w2, b2, g)
+        gm += yield from _prenorm_grads(gain2, bias2, g2, y2, inv2)
+        del g2, h2, y2, inv2
+        yield x, gm
+        ga = gm @ wo.data.T
+        yield wo, a.T @ gm
+        del gm, a
         gv = p.T @ ga
-        gs = (gp - (gp * p).sum(axis=1, keepdims=True)) * p * c
+        # the scores' gradient (gp - (gp * p).sum(rows)) * p * c, with gp = ga @ v^T,
+        # in one scratch array: gp is computed again rather than kept beside gp * p
+        gs = ga @ v.T
+        gs *= p
+        row = gs.sum(axis=1, keepdims=True)
+        np.matmul(ga, v.T, out=gs)
+        del ga
+        gs -= row
+        gs *= p
+        del p
+        gs *= c
         gq = gs @ k_t.T
         gk = np.ascontiguousarray((q.T @ gs).T)  # the layout the chain's k.grad had
+        del gs
         yield wq, h.T @ gq
         yield wk, h.T @ gk
         yield wv, h.T @ gv
         gh = gq @ wq.data.T + gk @ wk.data.T + gv @ wv.data.T
-        yield from _prenorm_grads(x, gain, bias, gh, y, inv)
+        yield x, (yield from _prenorm_grads(gain1, bias1, gh, y, inv))
 
-    return _make(x.data + a @ wo.data, (x, gain, bias, wq, wk, wv, wo), grads)
+    h2, _, _ = _prenorm(mid, gain2, bias2)
+    return _make(mid + _mlp_rows(h2, w1, b1, w2, b2), ts, grads)
 
 
-def ffn_sublayer(x, gain, bias, w1, b1, w2, b2) -> Tensor:
-    """A pre-norm residual feed-forward sub-layer ``x + relu(h @ w1 + b1) @ w2 + b2``.
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` with (1, width) rows ``b1`` and ``b2``.
 
-    ``h = LN(x) * gain + bias``; ``gain``, ``bias``, ``b1`` and ``b2`` are
-    (1, width) rows. One node that evaluates the same numpy expressions in
-    the same order as the chain it replaces (the norm, ``linear(relu=True)``,
-    ``linear`` and the residual ``add``), forward and backward. It keeps
-    nothing but its inputs: backward recomputes ``h`` and the ReLU rows,
-    whose mask is ``> 0`` exactly where the pre-activation was positive.
+    One node that matches the chain ``linear(relu(linear(x, w1, b1)), w2,
+    b2)`` bit for bit and keeps nothing but its inputs.
     """
-    x, gain, bias, w1, b1, w2, b2 = (_coerce(t) for t in (x, gain, bias, w1, b1, w2, b2))
-    f, hidden = _cols(x), _cols(w1)
-    _check_sublayer("ffn_sublayer", x, (
-        ("gain", gain, (1, f)), ("bias", bias, (1, f)), ("w1", w1, (f, hidden)),
-        ("b1", b1, (1, hidden)), ("w2", w2, (hidden, f)), ("b2", b2, (1, f)),
-    ))
-
-    def expand():
-        h, y, inv = _prenorm(x, gain, bias)
-        return h, y, inv, np.maximum(h @ w1.data + b1.data, 0.0)
-
-    *_, r = expand()
+    ts = x, w1, b1, w2, b2 = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
+    hidden, out = _cols(w1), _cols(w2)
+    _check_shapes("mlp", x, (("w1", w1, (_cols(x), hidden)), ("b1", b1, (1, hidden)),
+                             ("w2", w2, (hidden, out)), ("b2", b2, (1, out))))
 
     def grads(g):
-        h, y, inv, r = expand()
-        yield x, g
-        yield w2, r.T @ g
-        yield b2, g.sum(axis=0, keepdims=True)
-        gr = (g @ w2.data.T) * (r > 0.0)
-        yield w1, h.T @ gr
-        yield b1, gr.sum(axis=0, keepdims=True)
-        yield from _prenorm_grads(x, gain, bias, gr @ w1.data.T, y, inv)
+        yield x, (yield from _mlp_grads(x.data, w1, b1, w2, b2, g))
 
-    return _make(x.data + (r @ w2.data + b2.data), (x, gain, bias, w1, b1, w2, b2), grads)
+    return _make(_mlp_rows(x.data, w1, b1, w2, b2), ts, grads)
+
+
+def _pool_weights(x, v, w):
+    """An attention pool's transposed scoring basis, its tanh rows ``tanh(x @ v^T)``
+    and its (N, 1) weights ``softmax(tanh rows @ w)`` over the rows."""
+    v_t = v.T.copy()
+    t = np.tanh(x @ v_t)
+    s = t @ w
+    e = np.exp(s - s.max(axis=0, keepdims=True))
+    return v_t, t, e / e.sum(axis=0, keepdims=True)
+
+
+def attention_pool(x, v, w) -> Tensor:
+    """Attention-MIL pooling of (N, K) rows into the (1, K) summary ``a^T @ x``.
+
+    ``a = softmax(tanh(x @ v^T) @ w)`` over the rows, with a (D, K) scoring
+    basis ``v`` and (D, 1) scoring weights ``w``. One node that matches the
+    chain of ``transpose``, ``matmul``, ``tanh`` and ``softmax`` nodes bit
+    for bit and keeps nothing but its inputs: backward recomputes the tanh
+    rows and the weights, and gives ``x`` the summary's gradient first.
+    """
+    x, v, w = _coerce(x), _coerce(v), _coerce(w)
+    d = v.data.shape[:1]  # v's row count D, once v is known to be 2-d
+    _check_shapes("attention_pool", x, (("v", v, (*d, _cols(x))), ("w", w, (*d, 1))))
+
+    def grads(g):
+        v_t, t, a = _pool_weights(x.data, v.data, w.data)
+        yield x, a @ g  # an outer product: one rounding per entry, as the chain's
+        ga = (g @ x.data.T).T
+        gs = (ga - (ga * a).sum(axis=0, keepdims=True)) * a
+        del a, ga
+        yield w, t.T @ gs
+        gu = (gs @ w.data.T) * (1.0 - t * t)
+        del t
+        yield x, gu @ v_t.T
+        yield v, (x.data.T @ gu).T
+
+    *_, a = _pool_weights(x.data, v.data, w.data)
+    return _make(a.T.copy() @ x.data, (x, v, w), grads)
 
 
 def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:

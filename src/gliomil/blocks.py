@@ -46,10 +46,10 @@ def init_block(rng: np.random.Generator, k: int) -> SimpleNamespace:
 
 
 def transformer_block(x: Tensor, p: SimpleNamespace) -> Tensor:
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.)); two graph nodes."""
-    x = ad.attention_sublayer(x, p.ln1_gain, p.ln1_bias, p.wq, p.wk, p.wv, p.wo,
-                              1.0 / math.sqrt(x.data.shape[1]))
-    return ad.ffn_sublayer(x, p.ln2_gain, p.ln2_bias, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
+    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.)); one graph node."""
+    return ad.transformer_block(x, p.ln1_gain, p.ln1_bias, p.wq, p.wk, p.wv, p.wo,
+                                p.ln2_gain, p.ln2_bias, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2,
+                                1.0 / math.sqrt(x.data.shape[1]))
 
 
 def init_pool(rng: np.random.Generator, k: int) -> SimpleNamespace:
@@ -60,13 +60,10 @@ def init_pool(rng: np.random.Generator, k: int) -> SimpleNamespace:
     )
 
 
-def attention_pool(x: Tensor, p: SimpleNamespace):
-    """Softmax-attention pooling of an (N, K) bag into a (1, K) summary.
+def attention_pool(x: Tensor, p: SimpleNamespace) -> Tensor:
+    """Softmax-attention pooling of an (N, K) bag into a (1, K) summary; one graph node.
 
-    Returns (summary, weights); the weights are a positive (N, 1) column
-    summing to one, so the summary is a convex combination of patch rows.
+    The weights are a positive (N, 1) column summing to one, so the summary
+    is a convex combination of patch rows.
     """
-    scores = ad.matmul(ad.tanh(ad.matmul(x, ad.transpose(p.v))), p.w)
-    weights = ad.softmax(scores, axis=0)
-    summary = ad.matmul(ad.transpose(weights), x)
-    return summary, weights
+    return ad.attention_pool(x, p.v, p.w)

@@ -8,10 +8,11 @@ idea at float64: a manifest of named parameter shapes and byte offsets
 
 Both share one private codec: ``_open`` reads a manifest and its blob,
 ``_Blob.array`` checks a span of the blob and returns a read-only view of
-it, and ``_pack`` lays arrays out back to back. Each keeps its record
-syntax. The spans must tile the blob as ``_pack`` writes it: in manifest
-order, each array starts where the previous one ended, the first at byte
-0, and the last ends at the blob's end.
+it, and ``_offsets`` and ``_write_blob`` lay arrays out back to back,
+writing one array at a time. Each keeps its record syntax. The spans must
+tile the blob as ``_write_blob`` writes it: in manifest order, each array
+starts where the previous one ended, the first at byte 0, and the last
+ends at the blob's end.
 """
 from __future__ import annotations
 
@@ -92,11 +93,16 @@ class _Blob:
                              "(the arrays must tile the blob)")
 
 
-def _pack(arrays, dtype: str):
-    """(the arrays' row-major ``dtype`` bytes back to back, each array's byte offset)."""
-    # note: ascontiguousarray would promote 0-d scalars to 1-d
-    chunks = [np.asarray(arr, dtype=dtype).tobytes() for arr in arrays]
-    return b"".join(chunks), list(accumulate(map(len, chunks), initial=0))[:len(chunks)]
+def _offsets(arrays, dtype: str) -> list:
+    """Each array's byte offset when the arrays lie back to back as ``dtype``."""
+    sizes = [np.size(arr) * np.dtype(dtype).itemsize for arr in arrays]
+    return list(accumulate(sizes, initial=0))[:len(sizes)]
+
+
+def _write_blob(path: Path, arrays, dtype: str) -> None:
+    """Write the arrays' row-major ``dtype`` values back to back, one array at a time."""
+    with open(path, "wb", buffering=1 << 18) as f:  # a few system calls per MB, not one per array
+        f.writelines(np.asarray(arr, dtype=dtype).tobytes() for arr in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +111,8 @@ def _pack(arrays, dtype: str):
 def write_dataset(out_dir, bags) -> None:
     """Write bags to ``out_dir``/dataset.{manifest,blob}."""
     bags = list(bags)
-    blob, offsets = _pack([f for bag in bags for f in (bag.feats_high, bag.feats_low)], "<f4")
+    arrays = [f for bag in bags for f in (bag.feats_high, bag.feats_low)]
+    offsets = _offsets(arrays, "<f4")
     lines = [f"{_DATASET_MAGIC} cases={len(bags)}"]
     for bag, off_high, off_low in zip(bags, offsets[::2], offsets[1::2]):
         n, k = bag.feats_high.shape
@@ -117,7 +124,7 @@ def write_dataset(out_dir, bags) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
-    (out_dir / DATASET_BLOB).write_bytes(blob)
+    _write_blob(out_dir / DATASET_BLOB, arrays, "<f4")
 
 
 def read_dataset(data_dir) -> list:
@@ -197,13 +204,14 @@ def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
              f"meta cooccurrence {_cooccurrence_text(cooc.a)}",
              f"meta cooccurrence_counts {counts_flat}", f"meta cooccurrence_cases {cooc.n_cases}"]
     lines += [f"config {key} {text}" for key, text in format_config(train_cfg).items()]
-    blob, offsets = _pack([tensor.data for tensor in params.values()], "<f8")
+    arrays = [tensor.data for tensor in params.values()]
+    offsets = _offsets(arrays, "<f8")
     for (name, tensor), offset in zip(params.items(), offsets):
         lines.append(f"param {name} ({','.join(str(d) for d in tensor.data.shape)}) {offset}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CHECKPOINT_MANIFEST).write_text("\n".join(lines) + "\n")
-    (out_dir / CHECKPOINT_BLOB).write_bytes(blob)
+    _write_blob(out_dir / CHECKPOINT_BLOB, arrays, "<f8")
 
 
 def read_checkpoint(ckpt_dir):

@@ -46,7 +46,7 @@ class DisentangledFeatures:
 
 
 def _head_mlp(x: Tensor, p: SimpleNamespace) -> Tensor:
-    return ad.linear(ad.linear(x, p.w1, p.b1, relu=True), p.w2, p.b2)
+    return ad.mlp(x, p.w1, p.b1, p.w2, p.b2)
 
 
 def disentangle(feats_low: Tensor, feats_high: Tensor, p: SimpleNamespace) -> DisentangledFeatures:

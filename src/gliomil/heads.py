@@ -56,7 +56,7 @@ def refine(h: Tensor, p: SimpleNamespace) -> Tensor:
 
 def readout(f: Tensor, p: SimpleNamespace) -> BranchState:
     """Pool a branch's patch rows and classify the (1, K) summary."""
-    z, _ = attention_pool(f, p.pool)
+    z = attention_pool(f, p.pool)
     return BranchState(feats=f, pooled=z, logits=ad.linear(z, p.clf_w, p.clf_b))
 
 

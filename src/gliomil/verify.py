@@ -60,23 +60,30 @@ def _case(op, **operands):
     return build
 
 
-def _linear_relu(rng):
-    x, w, b = _uniform(3, 4)(rng), _uniform(4, 2)(rng), _uniform(1, 2)(rng)
-    while np.abs(x.data @ w.data + b.data).min() < 1e-3:
-        b.data += 0.01  # keep every ReLU input off the kink
-    return {"x": x, "w": w, "b": b}, lambda: _scalarize(ad.linear(x, w, b, relu=True))
+def _mlp(rng):
+    x, w1, b1 = _uniform(3, 4)(rng), _uniform(4, 5)(rng), _uniform(1, 5)(rng)
+    w2, b2 = _uniform(5, 2)(rng), _uniform(1, 2)(rng)
+    while np.abs(x.data @ w1.data + b1.data).min() < 1e-3:
+        b1.data += 0.01  # keep every ReLU input off the kink
+    params = {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    return params, lambda: _scalarize(ad.mlp(*params.values()))
 
 
-def _ffn_sublayer(rng):
-    params = {name: _uniform(*shape)(rng) for name, shape in (
-        ("x", (3, 4)), ("gain", (1, 4)), ("bias", (1, 4)),
-        ("w1", (4, 5)), ("b1", (1, 5)), ("w2", (5, 4)), ("b2", (1, 4)),
+def _transformer_block(rng):
+    # operands in [-1, 1]: at +/-2 the loss reaches ~100, and its roundoff
+    # over a step of 1e-5 swamps query and key gradients of ~1e-5
+    params = {name: _unit(*shape)(rng) for name, shape in (
+        ("x", (4, 5)), ("gain1", (1, 5)), ("bias1", (1, 5)), ("wq", (5, 3)), ("wk", (5, 3)),
+        ("wv", (5, 2)), ("wo", (2, 5)), ("gain2", (1, 5)), ("bias2", (1, 5)),
+        ("w1", (5, 6)), ("b1", (1, 6)), ("w2", (6, 5)), ("b2", (1, 5)),
     )}
-    x, gain, bias, w1, b1 = (params[name] for name in ("x", "gain", "bias", "w1", "b1"))
-    h = ad.layer_norm(x).data * gain.data + bias.data
+    *front, w1, b1, _, _ = params.values()
+    with ad.no_grad():  # the mid rows: the block's output with a zero second linear
+        mid = ad.transformer_block(*front, w1, b1, np.zeros((6, 5)), np.zeros((1, 5)), 0.5)
+    h = ad.layer_norm(mid).data * params["gain2"].data + params["bias2"].data
     while np.abs(h @ w1.data + b1.data).min() < 1e-2:
         b1.data += 0.01  # keep every ReLU input off the kink
-    return params, lambda: _scalarize(ad.ffn_sublayer(*params.values()))
+    return params, lambda: _scalarize(ad.transformer_block(*params.values(), 0.5))
 
 
 def _concat(rng):
@@ -124,7 +131,7 @@ OP_CASES = {
     "matmul": _case(lambda a, b: ad.matmul(a, b), a=_uniform(3, 4), b=_uniform(4, 2)),
     "linear": _case(lambda x, w, b: ad.linear(x, w, b),
                     x=_uniform(3, 4), w=_uniform(4, 2), b=_uniform(1, 2)),
-    "linear_relu": _linear_relu,
+    "mlp": _mlp,
     "transpose": _case(lambda x: ad.transpose(x), x=_uniform(3, 4)),
     "repeat_rows": _case(lambda row: ad.repeat_rows(row, 4), row=_uniform(1, 5)),
     "concat": _concat,
@@ -135,12 +142,9 @@ OP_CASES = {
     "log": _case(lambda x: ad.log(x), x=_uniform(3, 4, low=0.2)),
     "softmax": _case(lambda x: ad.softmax(x, axis=1), x=_uniform(3, 4)),
     "softmax_axis0": _case(lambda x: ad.softmax(x, axis=0), x=_uniform(5, 3)),
-    # parameters in [-1, 1]: at +/-2 the loss reaches ~100, and its roundoff
-    # over a step of 1e-5 swamps query and key gradients of ~1e-5
-    "attention_sublayer": _case(lambda *ts: ad.attention_sublayer(*ts, 0.5),
-                                x=_uniform(4, 5), gain=_unit(1, 5), bias=_unit(1, 5),
-                                wq=_unit(5, 3), wk=_unit(5, 3), wv=_unit(5, 2), wo=_unit(2, 5)),
-    "ffn_sublayer": _ffn_sublayer,
+    "transformer_block": _transformer_block,
+    "attention_pool": _case(lambda x, v, w: ad.attention_pool(x, v, w),
+                            x=_uniform(5, 4), v=_unit(3, 4), w=_unit(3, 1)),
     "layer_norm": _case(lambda x: ad.layer_norm(x), x=_uniform(4, 6)),
     "graph_mix_row": _graph_mix_row,
     "sum_all": _case(lambda x: ad.sum_all(ad.tanh(x)), x=_uniform(3, 4)),

@@ -211,6 +211,11 @@ def _linear_by_ops(x, w, b, relu=False):
     return ad.relu(out) if relu else out
 
 
+def _mlp_by_ops(x, w1, b1, w2, b2):
+    """The chain a disentangler head's ``mlp`` replaces."""
+    return _linear_by_ops(_linear_by_ops(x, w1, b1, relu=True), w2, b2)
+
+
 def _affine_norm_by_ops(x, gain, bias):
     n = x.data.shape[0]
     return ad.add(ad.mul(ad.layer_norm(x), ad.repeat_rows(gain, n)), ad.repeat_rows(bias, n))
@@ -222,28 +227,40 @@ def _attention_by_five_ops(q, k, v, c):
 
 
 def _attention_sublayer_by_ops(x, gain, bias, wq, wk, wv, wo, c):
-    """The 11-node chain a transformer block's attention sub-layer replaces."""
+    """The 11-node chain of a transformer block's attention sub-layer."""
     h = _affine_norm_by_ops(x, gain, bias)
     attn = _attention_by_five_ops(ad.matmul(h, wq), ad.matmul(h, wk), ad.matmul(h, wv), c)
     return ad.add(x, ad.matmul(attn, wo))
 
 
 def _ffn_sublayer_by_ops(x, gain, bias, w1, b1, w2, b2):
-    """The chain a transformer block's feed-forward sub-layer replaces."""
+    """The chain of a transformer block's feed-forward sub-layer."""
     f = _linear_by_ops(_affine_norm_by_ops(x, gain, bias), w1, b1, relu=True)
     return ad.add(x, _linear_by_ops(f, w2, b2))
 
 
-def _sublayer_arrays(rng, n, op):
-    """Input rows and parameters for one call of ``op``, at width 6 (hidden width 12)."""
-    shapes = {
-        ad.attention_sublayer: [(1, 6), (1, 6), (6, 6), (6, 6), (6, 6), (6, 6)],
-        ad.ffn_sublayer: [(1, 6), (1, 6), (6, 12), (1, 12), (12, 6), (1, 6)],
-    }[op]
-    return [rng.normal(size=(n, 6))] + [rng.normal(scale=0.5, size=s) for s in shapes]
+def _block_by_ops(x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2, b2, c):
+    """The chain a ``transformer_block`` replaces: attention, then the feed-forward."""
+    mid = _attention_sublayer_by_ops(x, gain1, bias1, wq, wk, wv, wo, c)
+    return _ffn_sublayer_by_ops(mid, gain2, bias2, w1, b1, w2, b2)
 
 
-def _run_sublayer(op, arrays, weight, *extra):
+def _attention_pool_by_ops(x, v, w):
+    """The seven-node chain an ``attention_pool`` replaces."""
+    scores = ad.matmul(ad.tanh(ad.matmul(x, ad.transpose(v))), w)
+    return ad.matmul(ad.transpose(ad.softmax(scores, axis=0)), x)
+
+
+BLOCK_PARAM_SHAPES = [(1, 6), (1, 6), (6, 6), (6, 6), (6, 6), (6, 6),     # attention half
+                      (1, 6), (1, 6), (6, 12), (1, 12), (12, 6), (1, 6)]  # feed-forward half
+
+
+def _block_arrays(rng, n):
+    """Input rows and parameters for one ``transformer_block``, at width 6 (hidden width 12)."""
+    return [rng.normal(size=(n, 6))] + [rng.normal(scale=0.5, size=s) for s in BLOCK_PARAM_SHAPES]
+
+
+def _run_op(op, arrays, weight, *extra):
     """Forward value and every input's gradient of ``sum(op(...) * weight)``."""
     ts = [t(a.copy()) for a in arrays]
     out = op(*ts, *extra)
@@ -256,49 +273,55 @@ SUBLAYER_ROWS = [1, 2, 3, 7, 17, 64]
 
 
 class TestFusedAttention:
-    """``attention_sublayer`` equals its chain (five-op attention inside), bit for bit."""
+    """``transformer_block`` equals its chain (five-op attention inside, then the
+    feed-forward), bit for bit."""
 
     @pytest.mark.parametrize("n", SUBLAYER_ROWS)
     def test_bitwise_equal_to_the_five_op_composition(self, n):
         rng = np.random.default_rng(n)
-        arrays = _sublayer_arrays(rng, n, ad.attention_sublayer)
+        arrays = _block_arrays(rng, n)
         weight = Tensor(rng.normal(size=(n, 6)))
         c = 1.0 / np.sqrt(6)
-        _assert_bitwise(_run_sublayer(ad.attention_sublayer, arrays, weight, c),
-                        _run_sublayer(_attention_sublayer_by_ops, arrays, weight, c))
+        _assert_bitwise(_run_op(ad.transformer_block, arrays, weight, c),
+                        _run_op(_block_by_ops, arrays, weight, c))
 
     def test_shared_input_accumulates_in_the_same_order(self):
         # the model's layout: a block's input also feeds other layers (here a
         # tanh term whose gradient reaches it first, so the order of the
-        # sub-layer's two contributions shows), two sub-layers run in
-        # sequence, and every bag of a batch shares the parameters
+        # block's two contributions shows), two blocks run in sequence, and
+        # every bag of a batch shares the parameters
         rng = np.random.default_rng(4)
         xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
-        rows = [_sublayer_arrays(rng, 1, ad.attention_sublayer)[1:] for _ in range(2)]
+        rows = [_block_arrays(rng, 1)[1:] for _ in range(2)]
 
-        def run(sublayer):
+        def run(block):
             xs = [t(x.copy()) for x in xs_data]
             params = [[t(a.copy()) for a in layer] for layer in rows]
             loss = None
             for x in xs:
-                h = sublayer(sublayer(x, *params[0], 0.4), *params[1], 0.4)
+                h = block(block(x, *params[0], 0.4), *params[1], 0.4)
                 term = ad.add(ad.sum_all(ad.tanh(x)), ad.sum_all(ad.tanh(h)))
                 loss = term if loss is None else ad.add(loss, term)
             backward(loss)
             return [x.grad for x in xs] + [p.grad for layer in params for p in layer]
 
-        _assert_bitwise(run(ad.attention_sublayer), run(_attention_sublayer_by_ops))
+        _assert_bitwise(run(ad.transformer_block), run(_block_by_ops))
 
     def test_shape_mismatch_raises(self):
         x, row, w = Tensor(np.zeros((3, 4))), Tensor(np.ones((1, 4))), Tensor(np.eye(4))
-        with pytest.raises(ad.ShapeError, match="attention_sublayer: expects a 2-d input"):
-            ad.attention_sublayer(Tensor(np.zeros(4)), row, row, w, w, w, w, 1.0)
-        with pytest.raises(ad.ShapeError, match="attention_sublayer: wk"):
-            ad.attention_sublayer(x, row, row, w, Tensor(np.zeros((4, 3))), w, w, 1.0)
-        with pytest.raises(ad.ShapeError, match="attention_sublayer: wo"):
-            ad.attention_sublayer(x, row, row, w, w, Tensor(np.zeros((4, 2))), w, 1.0)
-        with pytest.raises(ad.ShapeError, match="attention_sublayer: wq must be 2-d"):
-            ad.attention_sublayer(x, row, row, Tensor(np.zeros(4)), w, w, w, 1.0)
+        ffn = (row, row, Tensor(np.zeros((4, 8))), Tensor(np.zeros((1, 8))),
+               Tensor(np.zeros((8, 4))), row)
+        with pytest.raises(ad.ShapeError, match="transformer_block: expects a 2-d input"):
+            ad.transformer_block(Tensor(np.zeros(4)), row, row, w, w, w, w, *ffn, 1.0)
+        with pytest.raises(ad.ShapeError, match="transformer_block: wk"):
+            ad.transformer_block(x, row, row, w, Tensor(np.zeros((4, 3))), w, w, *ffn, 1.0)
+        with pytest.raises(ad.ShapeError, match="transformer_block: wo"):
+            ad.transformer_block(x, row, row, w, w, Tensor(np.zeros((4, 2))), w, *ffn, 1.0)
+        with pytest.raises(ad.ShapeError, match="transformer_block: wq must be 2-d"):
+            ad.transformer_block(x, row, row, Tensor(np.zeros(4)), w, w, w, *ffn, 1.0)
+        with pytest.raises(ad.ShapeError, match="transformer_block: w2"):
+            ad.transformer_block(x, row, row, w, w, w, w, *ffn[:4], Tensor(np.zeros((4, 4))),
+                                 row, 1.0)
 
 
 def _graph_mix_row_by_ops(projected, coeffs, residual, alpha):
@@ -314,27 +337,33 @@ class TestFusedRowOps:
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("n", [1, 3, 17])
     def test_linear_bitwise_equal_to_its_composition(self, n, relu):
+        # with ``relu``, the ReLU linear as the model runs it: the first layer of an ``mlp``
         rng = np.random.default_rng(n)
         arrays = rng.normal(size=(n, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
-        weight = Tensor(rng.normal(size=(n, 4)))
-
-        def run(linear):
-            x, w, b = (t(a.copy()) for a in arrays)
-            out = linear(x, w, b, relu=relu)
-            value = out.data.copy()
-            backward(ad.sum_all(ad.mul(out, weight)))
-            return value, x.grad, w.grad, b.grad
-
-        _assert_bitwise(run(ad.linear), run(_linear_by_ops))
+        if relu:
+            arrays += rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        weight = Tensor(rng.normal(size=(n, 3 if relu else 4)))
+        fused, chain = (ad.mlp, _mlp_by_ops) if relu else (ad.linear, _linear_by_ops)
+        _assert_bitwise(_run_op(fused, arrays, weight), _run_op(chain, arrays, weight))
 
     @pytest.mark.parametrize("n", SUBLAYER_ROWS)
     def test_affine_norm_bitwise_equal_to_its_composition(self, n):
-        # the affine norm runs inside each sub-layer; here the row-wise one
+        # the affine norms run inside the block; here on rows far from zero
+        # mean and unit deviation, so the normalisation does real work
         rng = np.random.default_rng(n + 100)
-        arrays = _sublayer_arrays(rng, n, ad.ffn_sublayer)
+        arrays = _block_arrays(rng, n)
+        arrays[0] = 40.0 + 9.0 * arrays[0]
         weight = Tensor(rng.normal(size=(n, 6)))
-        _assert_bitwise(_run_sublayer(ad.ffn_sublayer, arrays, weight),
-                        _run_sublayer(_ffn_sublayer_by_ops, arrays, weight))
+        _assert_bitwise(_run_op(ad.transformer_block, arrays, weight, 0.3),
+                        _run_op(_block_by_ops, arrays, weight, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_attention_pool_bitwise_equal_to_its_composition(self, n):
+        rng = np.random.default_rng(n + 300)
+        arrays = rng.normal(size=(n, 6)), rng.normal(size=(6, 6)), rng.normal(size=(6, 1))
+        weight = Tensor(rng.normal(size=(1, 6)))
+        _assert_bitwise(_run_op(ad.attention_pool, arrays, weight),
+                        _run_op(_attention_pool_by_ops, arrays, weight))
 
     @pytest.mark.parametrize("n", [1, 3, 17])
     def test_graph_mix_row_bitwise_equal_to_its_composition(self, n):
@@ -354,46 +383,66 @@ class TestFusedRowOps:
 
     def test_linear_shared_weights_accumulate_in_the_same_order(self):
         # the model's layout: every bag of a batch runs through the same two
-        # layers, and one weight matrix also serves both layers
+        # layers, and here one weight matrix also serves both layers of the mlp
         rng = np.random.default_rng(5)
         xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
         ws_data = rng.normal(size=(6, 6)), rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
 
-        def run(linear):
+        def run(mlp):
             xs = [t(x.copy()) for x in xs_data]
             w, b1, b2 = (t(a.copy()) for a in ws_data)
             loss = None
             for x in xs:
-                h = linear(linear(x, w, b1, relu=True), w, b2)
-                term = ad.sum_all(ad.tanh(h))
+                term = ad.sum_all(ad.tanh(mlp(x, w, b1, w, b2)))
                 loss = term if loss is None else ad.add(loss, term)
             backward(loss)
             return [x.grad for x in xs] + [w.grad, b1.grad, b2.grad]
 
-        _assert_bitwise(run(ad.linear), run(_linear_by_ops))
+        _assert_bitwise(run(ad.mlp), run(_mlp_by_ops))
 
     def test_affine_norm_shared_gain_accumulates_in_the_same_order(self):
-        # a transformer block's pattern for each bag of a batch: each sub-layer's
+        # a transformer block's pattern for each bag of a batch: each half's
         # input feeds both its norm and its residual sum, and every bag shares
         # the gain and bias rows and the weights
         rng = np.random.default_rng(6)
         xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
-        attn_rows = _sublayer_arrays(rng, 1, ad.attention_sublayer)[1:]
-        ffn_rows = _sublayer_arrays(rng, 1, ad.ffn_sublayer)[1:]
+        rows = _block_arrays(rng, 1)[1:]
 
-        def run(attention_sublayer, ffn_sublayer):
+        def run(block):
             xs = [t(x.copy()) for x in xs_data]
-            attn, ffn = [t(a.copy()) for a in attn_rows], [t(a.copy()) for a in ffn_rows]
+            params = [t(a.copy()) for a in rows]
             loss = None
             for x in xs:
-                h = ffn_sublayer(attention_sublayer(x, *attn, 0.4), *ffn)
-                term = ad.sum_all(ad.tanh(h))
+                term = ad.sum_all(ad.tanh(block(x, *params, 0.4)))
                 loss = term if loss is None else ad.add(loss, term)
             backward(loss)
-            return [x.grad for x in xs] + [p.grad for p in attn + ffn]
+            return [x.grad for x in xs] + [p.grad for p in params]
 
-        _assert_bitwise(run(ad.attention_sublayer, ad.ffn_sublayer),
-                        run(_attention_sublayer_by_ops, _ffn_sublayer_by_ops))
+        _assert_bitwise(run(ad.transformer_block), run(_block_by_ops))
+
+    def test_attention_pool_shared_input_accumulates_in_the_same_order(self):
+        # the model's layout: a branch's pooled rows also feed its patch
+        # confidences (through the summary) and a tanh term, and every bag of
+        # a batch shares the scoring basis and weights
+        rng = np.random.default_rng(10)
+        xs_data = [rng.normal(size=(n, 6)) for n in (17, 3, 1)]
+        vw_data = rng.normal(size=(6, 6)), rng.normal(size=(6, 1))
+        col = Tensor(rng.normal(size=(6, 1)))
+
+        def run(pool):
+            xs = [t(x.copy()) for x in xs_data]
+            v, w = (t(a.copy()) for a in vw_data)
+            loss = None
+            for x in xs:
+                z = pool(x, v, w)
+                conf = ad.matmul(ad.mul(x, ad.repeat_rows(z, x.data.shape[0])), col)
+                term = ad.add(ad.sum_all(ad.tanh(x)),
+                              ad.add(ad.sum_all(ad.tanh(z)), ad.sum_all(ad.tanh(conf))))
+                loss = term if loss is None else ad.add(loss, term)
+            backward(loss)
+            return [x.grad for x in xs] + [v.grad, w.grad]
+
+        _assert_bitwise(run(ad.attention_pool), run(_attention_pool_by_ops))
 
     def test_graph_mix_shared_projection_accumulates_in_the_same_order(self):
         # the layout of heads.graph_mix: three rows read one shared weight
@@ -416,6 +465,20 @@ class TestFusedRowOps:
 
         _assert_bitwise(run(ad.graph_mix_row), run(_graph_mix_row_by_ops))
 
+    def test_fused_ops_leave_their_inputs_unchanged(self):
+        # each overwrites its own scratch in place (the attention's (N, N)
+        # scores, the ReLU rows), never an input
+        rng = np.random.default_rng(12)
+        mlp_shapes = (9, 5), (5, 8), (1, 8), (8, 4), (1, 4)
+        pool_shapes = (9, 5), (3, 5), (3, 1)
+        for op, arrays, extra in (
+                (ad.transformer_block, _block_arrays(rng, 17), (0.4,)),
+                (ad.mlp, [rng.normal(size=s) for s in mlp_shapes], ()),
+                (ad.attention_pool, [rng.normal(size=s) for s in pool_shapes], ())):
+            ts = [t(a.copy()) for a in arrays]
+            backward(ad.sum_all(op(*ts, *extra)))
+            assert all(_bits(x.data) == _bits(a) for x, a in zip(ts, arrays))
+
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 3), (1, 4, 1)])
     def test_linear_bias_must_be_a_row(self, shape):
         with pytest.raises(ad.ShapeError, match="linear: bias"):
@@ -426,16 +489,28 @@ class TestFusedRowOps:
             ad.linear(Tensor(np.zeros((3, 5))), Tensor(np.zeros((4, 4))),
                       Tensor(np.zeros((1, 4))))
 
+    def test_mlp_and_pool_shape_errors(self):
+        x, row = Tensor(np.zeros((3, 5))), Tensor(np.zeros((1, 4)))
+        with pytest.raises(ad.ShapeError, match="mlp: w1"):
+            ad.mlp(x, Tensor(np.zeros((4, 4))), row, Tensor(np.zeros((4, 2))), row)
+        with pytest.raises(ad.ShapeError, match="mlp: b2"):
+            ad.mlp(x, Tensor(np.zeros((5, 4))), row, Tensor(np.zeros((4, 2))), row)
+        with pytest.raises(ad.ShapeError, match="attention_pool: expects a 2-d input"):
+            ad.attention_pool(Tensor(np.zeros(5)), Tensor(np.zeros((3, 5))),
+                              Tensor(np.zeros((3, 1))))
+        with pytest.raises(ad.ShapeError, match="attention_pool: v"):
+            ad.attention_pool(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 1))))
+        with pytest.raises(ad.ShapeError, match="attention_pool: w"):
+            ad.attention_pool(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros((2, 1))))
+
     @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5), (6, 1)])
     def test_affine_norm_gain_and_bias_must_be_rows(self, shape):
         rng = np.random.default_rng(8)
-        for op in (ad.attention_sublayer, ad.ffn_sublayer):
-            x, gain, bias, *rest = [Tensor(a) for a in _sublayer_arrays(rng, 3, op)]
-            extra = (1.0,) if op is ad.attention_sublayer else ()
-            with pytest.raises(ad.ShapeError, match=f"{op.__name__}: gain"):
-                op(x, Tensor(np.ones(shape)), bias, *rest, *extra)
-            with pytest.raises(ad.ShapeError, match=f"{op.__name__}: bias"):
-                op(x, gain, Tensor(np.zeros(shape)), *rest, *extra)
+        x, *params = [Tensor(a) for a in _block_arrays(rng, 3)]
+        for i, name in ((0, "gain1"), (1, "bias1"), (6, "gain2"), (7, "bias2")):
+            bad = params[:i] + [Tensor(np.ones(shape))] + params[i + 1:]
+            with pytest.raises(ad.ShapeError, match=f"transformer_block: {name}"):
+                ad.transformer_block(x, *bad, 1.0)
 
     def test_graph_mix_row_shape_errors(self):
         p = [Tensor(np.zeros((3, 4))) for _ in range(3)]

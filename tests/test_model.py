@@ -1,13 +1,15 @@
 """The flat parameter layout, where every parameter is a view of ``Model.theta``,
 and what one bag's recorded graph holds."""
+import collections
 import dataclasses
 import hashlib
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from gliomil.autodiff import Tensor, no_grad
+from gliomil.autodiff import Tensor, backward, no_grad
 from gliomil.config import GenConfig, TrainConfig
 from gliomil.dataio import read_checkpoint, write_checkpoint
 from gliomil.model import Model, ModelConfig
@@ -228,15 +230,16 @@ def _rule(node):
 
 
 def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
-    # each transformer block is two sub-layer nodes that keep only their inputs:
-    # the gradient rule recomputes the norm rows, projections, (N, N) probabilities
-    # and ReLU rows from them
+    # each transformer block, disentangler head and attention pool is one node
+    # that keeps only its inputs: the gradient rule recomputes the norm rows,
+    # projections, (N, N) probabilities, mid rows, ReLU rows and tanh rows from them
     n = 64
     nodes = _bag_graph_nodes(n, 8)
-    sublayers = [node for node in nodes if _rule(node).__qualname__
-                 in ("attention_sublayer.<locals>.grads", "ffn_sublayer.<locals>.grads")]
-    assert len(sublayers) == 2 * 10  # two per transformer block, ten blocks
-    for node in sublayers:
+    counts = {"transformer_block.<locals>.grads": 10, "mlp.<locals>.grads": 4,
+              "attention_pool.<locals>.grads": 4}
+    fused = [node for node in nodes if _rule(node).__qualname__ in counts]
+    assert collections.Counter(_rule(node).__qualname__ for node in fused) == counts
+    for node in fused:
         assert not any(isinstance(c.cell_contents, np.ndarray)
                        for c in _rule(node).__closure__)
         inputs = {id(p.data) for p in node._parents}
@@ -246,12 +249,13 @@ def test_a_bag_graph_keeps_no_attention_probabilities_or_norm_rows():
             assert arr.shape != (n, n), _rule(node).__qualname__
 
 
-def test_a_bag_records_at_most_140_nodes():
-    # ten transformer blocks of two nodes each, and a five-node label-correlation loss
-    assert len(_bag_graph_nodes(32, 16)) <= 140
+def test_a_bag_records_at_most_100_nodes():
+    # one node per transformer block, disentangler head and attention pool,
+    # and a five-node label-correlation loss
+    assert len(_bag_graph_nodes(32, 16)) <= 100
 
 
-def test_a_wide_bag_graph_holds_at_most_3_5_mib():
+def test_a_wide_bag_graph_holds_at_most_2_1_mib():
     # what a 190 x 32 bag's graph owns: its nodes' outputs and the arrays their
     # closures keep, but not the leaves (parameters and the bag's features)
     nodes = _bag_graph_nodes(190, 32)
@@ -260,4 +264,21 @@ def test_a_wide_bag_graph_holds_at_most_3_5_mib():
     for node in nodes:
         owned.update((id(arr), arr) for arr in _closure_arrays(node._backward)
                      if id(arr) not in leaves)
-    assert sum(arr.nbytes for arr in owned.values()) <= 3.5 * 2**20
+    assert sum(arr.nbytes for arr in owned.values()) <= 2.1 * 2**20
+
+
+def test_a_wide_bag_step_traces_at_most_4_2_mb():
+    # the largest bag's forward, loss and backward, as a training step runs
+    # them, with the model and its gradient buffer allocated before tracing
+    bags = generate_dataset(GenConfig(n_cases=2, n_patches=192, feat_dim=32, seed=0))
+    adjacency = estimate_cooccurrence(marker_table(bags)).a
+    cfg = TrainConfig(seed=0)
+    model = Model(ModelConfig.of(32, cfg), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        loss, _ = batch_loss(model.forward(bags[0], adjacency), bags[0], adjacency, cfg, 6)
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2e6

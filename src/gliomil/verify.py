@@ -69,14 +69,43 @@ def _mlp(rng):
     return params, lambda: _scalarize(ad.mlp(*params.values()))
 
 
-def _transformer_block(rng):
+def _block_operands(rng):
     # operands in [-1, 1]: at +/-2 the loss reaches ~100, and its roundoff
     # over a step of 1e-5 swamps query and key gradients of ~1e-5
-    params = {name: _unit(*shape)(rng) for name, shape in (
+    return {name: _unit(*shape)(rng) for name, shape in (
         ("x", (4, 5)), ("gain1", (1, 5)), ("bias1", (1, 5)), ("wq", (5, 3)), ("wk", (5, 3)),
         ("wv", (5, 2)), ("wo", (2, 5)), ("gain2", (1, 5)), ("bias2", (1, 5)),
         ("w1", (5, 6)), ("b1", (1, 6)), ("w2", (6, 5)), ("b2", (1, 5)),
     )}
+
+
+def _block_half(operands, zeroed, checked):
+    """``transformer_block`` with the ``zeroed`` operands held at 0 and only the
+    ``checked`` ones perturbed: one sub-layer's gradient with the other inert."""
+    for name in zeroed:
+        operands[name] = np.zeros_like(operands[name].data)
+    params = {name: operands[name] for name in checked}
+    return params, lambda: _scalarize(ad.transformer_block(*operands.values(), 0.5))
+
+
+def _attention_sublayer(rng):
+    # a zero second linear: the feed-forward half adds exactly 0, so no ReLU kink matters
+    return _block_half(_block_operands(rng), ("w2", "b2"),
+                       ("x", "gain1", "bias1", "wq", "wk", "wv", "wo"))
+
+
+def _ffn_sublayer(rng):
+    # a zero wo: the attention half adds exactly 0, so the mid rows are x
+    operands = _block_operands(rng)
+    h = ad.layer_norm(operands["x"]).data * operands["gain2"].data + operands["bias2"].data
+    w1, b1 = operands["w1"], operands["b1"]
+    while np.abs(h @ w1.data + b1.data).min() < 1e-2:
+        b1.data += 0.01  # keep every ReLU input off the kink
+    return _block_half(operands, ("wo",), ("x", "gain2", "bias2", "w1", "b1", "w2", "b2"))
+
+
+def _transformer_block(rng):
+    params = _block_operands(rng)
     *front, w1, b1, _, _ = params.values()
     with ad.no_grad():  # the mid rows: the block's output with a zero second linear
         mid = ad.transformer_block(*front, w1, b1, np.zeros((6, 5)), np.zeros((1, 5)), 0.5)
@@ -143,6 +172,8 @@ OP_CASES = {
     "softmax": _case(lambda x: ad.softmax(x, axis=1), x=_uniform(3, 4)),
     "softmax_axis0": _case(lambda x: ad.softmax(x, axis=0), x=_uniform(5, 3)),
     "transformer_block": _transformer_block,
+    "attention_sublayer": _attention_sublayer,
+    "ffn_sublayer": _ffn_sublayer,
     "attention_pool": _case(lambda x, v, w: ad.attention_pool(x, v, w),
                             x=_uniform(5, 4), v=_unit(3, 4), w=_unit(3, 1)),
     "layer_norm": _case(lambda x: ad.layer_norm(x), x=_uniform(4, 6)),

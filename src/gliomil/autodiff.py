@@ -623,7 +623,7 @@ def _unit_rows(blocks):
     x = np.stack([b.data.ravel() for b in blocks])
     norms = np.sqrt((x * x).sum(axis=1))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    return x * inv[:, None], inv
+    return np.multiply(x, inv[:, None], out=x), inv
 
 
 def cosine_gram(blocks) -> Tensor:
@@ -644,8 +644,12 @@ def cosine_gram(blocks) -> Tensor:
     def grads(g):
         u, inv = _unit_rows(blocks)
         gu = (g + g.T) @ u
-        gx = (gu - (gu * u).sum(axis=1, keepdims=True) * u) * inv[:, None]
-        for b, row in zip(blocks, gx):
+        t = gu * u  # the one scratch array: at most three (m, N*K) arrays are alive
+        np.multiply(t.sum(axis=1, keepdims=True), u, out=t)
+        gu -= t
+        del t, u
+        gu *= inv[:, None]
+        for b, row in zip(blocks, gu):
             yield b, row.reshape(b.data.shape)
 
     return _make(u @ u.T, tuple(blocks), grads)

@@ -70,7 +70,7 @@ class TrainResult:
     report: MetricReport
     train_ids: list
     val_ids: list
-    confidences: list      # (case_id, patch_index, conf_wt, conf_nmp) tuples
+    confidences: tuple     # the final pass's (case_ids, sizes, values), as evaluate returns them
     seconds: float
 
 
@@ -128,9 +128,14 @@ def batch_loss(fwd, bag, adjacency, cfg: TrainConfig, top_m: int):
 
 
 def evaluate(model: Model, bags, adjacency):
-    """Forward every bag without recording; returns predictions + confidences."""
+    """Forward every bag without recording; returns predictions + confidences.
+
+    The confidences are ``(case_ids, sizes, values)``: per bag an id and a patch
+    count (int64), and ``values`` stacks each bag's (N, 2) rows of ``conf_wt``
+    and ``conf_nmp`` in ``bags``' order.
+    """
     predictions = []
-    confidences = []
+    blocks = []
     with ad.no_grad():
         for bag in bags:
             fwd = model.forward(bag, adjacency)
@@ -146,11 +151,10 @@ def evaluate(model: Model, bags, adjacency):
                     glioma_probs=glioma_probs.copy(),
                 )
             )
-            for i in range(fwd.conf_wt.values.size):
-                confidences.append(
-                    (bag.case_id, i, float(fwd.conf_wt.values[i]), float(fwd.conf_nmp.values[i]))
-                )
-    return predictions, confidences
+            blocks.append(np.stack([fwd.conf_wt.values, fwd.conf_nmp.values], axis=1))
+    sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
+    values = np.concatenate(blocks) if blocks else np.empty((0, 2))
+    return predictions, ([bag.case_id for bag in bags], sizes, values)
 
 
 def _update(model, batch, cfg: TrainConfig, optimizer, modulation_hook, epoch, step) -> None:
@@ -299,10 +303,15 @@ def epochs_csv(rows) -> str:
 
 
 def confidences_csv(confidences) -> str:
-    lines = ["case_id,patch_index,conf_wt,conf_nmp"]
-    for case_id, idx, wt, nmp in confidences:
-        lines.append(f"{case_id},{idx},{wt:.6g},{nmp:.6g}")
-    return "\n".join(lines) + "\n"
+    blocks = ["case_id,patch_index,conf_wt,conf_nmp\n"]
+    case_ids, sizes, values = confidences
+    start = 0
+    for case_id, n in zip(case_ids, sizes.tolist()):
+        rows = values[start:start + n].tolist()
+        blocks.append("".join(f"{case_id},{i},{wt:.6g},{nmp:.6g}\n"
+                              for i, (wt, nmp) in enumerate(rows)))
+        start += n
+    return "".join(blocks)
 
 
 def ablation_csv(results) -> str:

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -545,6 +546,34 @@ class TestCosineGram:
         backward(ad.sum_all(ad.mul(ad.cosine_gram(rest), Tensor(weight[1:, 1:]))))
         for b, r in zip(blocks[1:], rest):
             np.testing.assert_allclose(b.grad, r.grad, rtol=0, atol=1e-15)
+
+    def test_gradient_equals_the_unfused_expression_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        arrays = [rng.normal(size=(192, 32)) for _ in range(3)]
+        weight = rng.normal(size=(3, 3))
+        blocks = [t(a) for a in arrays]
+        backward(ad.sum_all(ad.mul(ad.cosine_gram(blocks), Tensor(weight))))
+        x = np.stack([a.ravel() for a in arrays])
+        inv = 1.0 / np.sqrt((x * x).sum(axis=1))
+        u = x * inv[:, None]
+        gu = (weight + weight.T) @ u
+        gx = (gu - (gu * u).sum(axis=1, keepdims=True) * u) * inv[:, None]
+        for b, row in zip(blocks, gx):
+            assert b.grad.tobytes() == (row.reshape(192, 32) + 0.0).tobytes()
+
+    def test_backward_of_three_wide_blocks_traces_at_most_0_45_mb(self):
+        # the rule's scratch is the unit rows, their gradient and one product:
+        # three (3, 192 * 32) arrays at most, 0.44 MB
+        rng = np.random.default_rng(33)
+        blocks = [t(rng.normal(size=(192, 32))) for _ in range(3)]
+        loss = ad.sum_all(ad.mul(ad.cosine_gram(blocks), Tensor(rng.normal(size=(3, 3)))))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.45e6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError, match="cosine_gram"):

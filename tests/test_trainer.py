@@ -478,6 +478,13 @@ def test_no_guide_always_modulates_molecular():
 # determinism and artifacts
 
 
+def assert_same_confidences(a, b):
+    (ids_a, sizes_a, values_a), (ids_b, sizes_b, values_b) = a, b
+    assert ids_a == ids_b
+    assert sizes_a.tolist() == sizes_b.tolist()
+    assert values_a.tobytes() == values_b.tobytes()
+
+
 def test_training_is_bitwise_deterministic():
     bags = small_bags(20)
     cfg = TrainConfig(epochs=2, seed=9)
@@ -488,7 +495,7 @@ def test_training_is_bitwise_deterministic():
         np.testing.assert_array_equal(r1.model.params[name].data,
                                       r2.model.params[name].data)
     assert r1.val_ids == r2.val_ids
-    assert r1.confidences == r2.confidences
+    assert_same_confidences(r1.confidences, r2.confidences)
 
 
 def test_seed_changes_the_run():
@@ -567,11 +574,13 @@ def test_loss_decreases_over_training():
 
 
 def test_confidences_cover_every_patch_of_every_case():
-    bags = small_bags(10)
+    bags = sized_bags([5, 8, 1, 12, 8, 3, 8, 9, 2, 8])
     result = train_model(bags, TrainConfig(epochs=1, seed=0))
-    assert len(result.confidences) == sum(b.feats_high.shape[0] for b in bags)
-    ids = {c[0] for c in result.confidences}
-    assert ids == {b.case_id for b in bags}
+    case_ids, sizes, values = result.confidences
+    assert values.shape == (sum(b.feats_high.shape[0] for b in bags), 2)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [b.feats_high.shape[0] for b in bags]
+    assert case_ids == [b.case_id for b in bags]
 
 
 def test_final_scoring_matches_separate_held_out_and_all_bag_passes():
@@ -581,7 +590,53 @@ def test_final_scoring_matches_separate_held_out_and_all_bag_passes():
     val_preds, _ = evaluate(result.model, val_bags, result.cooc.a)
     _, confidences = evaluate(result.model, bags, result.cooc.a)
     assert report_text(result.report) == report_text(compute_metrics(val_preds))
-    assert result.confidences == confidences
+    assert_same_confidences(result.confidences, confidences)
+
+
+def _confidences_csv_by_rows(confidences) -> str:
+    """The row-by-row writer: one tuple and one line per patch."""
+    case_ids, sizes, values = confidences
+    lines = ["case_id,patch_index,conf_wt,conf_nmp"]
+    start = 0
+    for case_id, n in zip(case_ids, sizes):
+        for idx in range(n):
+            wt, nmp = values[start + idx]
+            lines.append(f"{case_id},{idx},{float(wt):.6g},{float(nmp):.6g}")
+        start += n
+    return "\n".join(lines) + "\n"
+
+
+def _confidences_of(sizes, values):
+    ids = [f"case_{i:04d}" for i in range(len(sizes))]
+    return ids, np.array(sizes, dtype=np.int64), np.asarray(values, float)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, -1e-5, 0.5, 123456.5, -123456.5, 1e16, -1e16]
+
+
+@pytest.mark.parametrize("sizes", [[1], [32], [192], [1, 32, 192, 7], []])
+def test_confidences_csv_matches_row_by_row_writer(sizes):
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    n = sum(sizes)
+    randoms = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 9, size=(n, 2))
+    for values in (randoms, np.resize(EDGE_VALUES, (n, 2))):  # every edge value from 32 rows
+        conf = _confidences_of(sizes, values)
+        assert trainer.confidences_csv(conf) == _confidences_csv_by_rows(conf)
+
+
+def test_confidences_retain_16_bytes_per_patch():
+    """The record a run keeps holds its (sum N, 2) float64 rows, no object per patch."""
+    bags = generate_dataset(GenConfig(n_cases=40, seed=0))
+    n_patches = sum(b.feats_high.shape[0] for b in bags)
+    tracemalloc.start()
+    try:
+        result = train_model(bags, TrainConfig(epochs=1, seed=0))
+        held = tracemalloc.get_traced_memory()[0]
+        result.confidences = None
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 16 * n_patches + 16 * 1024, (retained, n_patches)
 
 
 def test_train_time_does_not_go_back_with_the_wall_clock(monkeypatch):

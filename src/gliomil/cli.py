@@ -89,11 +89,13 @@ def _cmd_gen(args) -> int:
 
 
 def _check_run_dir(out: Path) -> None:
-    """``out`` must be new, empty or a run directory, since a new run replaces it whole."""
+    """``out`` must be new, empty or a run directory, since a new run replaces it whole;
+    a new ``out`` must lie below a directory, not below a file."""
+    nearest = out if out.exists() else next(p for p in out.absolute().parents if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"{nearest}: not a directory")
     if not out.exists():
         return
-    if not out.is_dir():
-        raise NotADirectoryError(f"{out}: not a directory")
     if Path.cwd().is_relative_to(out.resolve()):
         raise IsADirectoryError(f"{out}: holds the working directory, which a run cannot replace")
     foreign = sorted(p.name for p in out.iterdir() if p.name not in RUN_FILES)

@@ -94,7 +94,8 @@ class GenConfig:
     n_cases: int = _setting(300, "[1, inf)")
     n_patches: int = _setting(32, "[1, inf)")
     feat_dim: int = _setting(16, "[1, inf)")
-    signal_strength: float = _setting(5.0, "(-inf, inf)")
+    # the three molecular signals may share a row: 3 * 1e38 plus noise stays below float32's 3.4e38
+    signal_strength: float = _setting(5.0, "[-1e38, 1e38]")
     evidence_fraction: float = _setting(0.25, "[0, 1]")
     p_idh_mut: float = _setting(0.5, "[0, 1]")
     p_codel_given_mut: float = _setting(0.4, "[0, 1]")

@@ -3,10 +3,11 @@ modulation between the histology and molecular parameter groups.
 
 Patch confidences score how much each patch drives a branch's decision
 for one class of interest (IDH-wildtype for the molecular side, lesion
-presence for the histology side). The overlap of the two top-M patch
-sets is both a monitored metric and -- through a softened surrogate -- a
-loss that pulls the tasks toward agreeing on which patches matter, with
-M shrinking on a schedule so agreement is demanded only on the most
+presence for the histology side): one (N, 1) column per bag, ranked by
+``top_m`` alone. The overlap of the two top-M patch sets is both a
+monitored metric and -- through a softened surrogate -- a loss that
+pulls the tasks toward agreeing on which patches matter, with M
+shrinking on a schedule so agreement is demanded only on the most
 decisive patches as training progresses.
 
 Gradient modulation projects one parameter group's gradient to be
@@ -40,30 +41,15 @@ _TINY_NORM = 1e-12
 # ---------------------------------------------------------------------------
 # patch confidences
 
-@dataclass
-class ConfidenceVector:
-    """Per-patch confidence for one branch's class of interest.
-
-    ``order`` ranks patches by descending confidence, ties broken toward
-    the lower patch index. ``column`` keeps the differentiable (N, 1)
-    tensor for the surrogate loss.
-    """
-
-    values: np.ndarray  # (N,) float64
-    order: np.ndarray   # (N,) int64
-    column: Tensor      # (N, 1)
-
-    def top(self, m: int) -> np.ndarray:
-        return self.order[:m]
-
-
-def confidence_weights(feats: Tensor, pooled: Tensor, class_col: Tensor) -> ConfidenceVector:
-    """c_n = (f_n * pooled) . class_col for every patch row f_n."""
+def confidence_weights(feats: Tensor, pooled: Tensor, class_col: Tensor) -> Tensor:
+    """The (N, 1) column c_n = (f_n * pooled) . class_col for every patch row f_n."""
     n = feats.data.shape[0]
-    column = ad.matmul(ad.mul(feats, ad.repeat_rows(pooled, n)), class_col)
-    values = column.data.ravel().copy()
-    order = np.argsort(-values, kind="stable")
-    return ConfidenceVector(values=values, order=order, column=column)
+    return ad.matmul(ad.mul(feats, ad.repeat_rows(pooled, n)), class_col)
+
+
+def top_m(column: Tensor, m: int) -> np.ndarray:
+    """The min(m, N) patch indices of highest confidence, best first, ties toward the lower index."""
+    return np.argsort(-column.data.ravel(), kind="stable")[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +58,31 @@ def confidence_weights(feats: Tensor, pooled: Tensor, class_col: Tensor) -> Conf
 def curriculum_m(epoch: int, cfg: TrainConfig) -> int:
     """Top-M for ``epoch``: ``dcc_top_m`` decayed every ``dcc_decay_every`` epochs, floored, >= 1.
 
-    A bag with fewer patches takes all of them: ``ConfidenceVector.top``
-    slices to at most N.
+    A bag with fewer patches takes all of them: ``top_m`` slices to at most N.
     """
     return max(int(cfg.dcc_top_m * cfg.dcc_decay ** (epoch // cfg.dcc_decay_every)), 1)
 
 
-def dcc_overlap(a: ConfidenceVector, b: ConfidenceVector, m: int) -> float:
-    """Fraction of the two top-M patch sets that coincide; each holds min(M, N) patches."""
-    top_a = a.top(m)
-    return len(set(top_a.tolist()).intersection(b.top(m).tolist())) / top_a.size
+def dcc_overlap(a: Tensor, b: Tensor, m: int) -> float:
+    """Fraction of two (N, 1) columns' top-M patch sets that coincide; each holds min(M, N) patches."""
+    top_a = top_m(a, m)
+    return len(set(top_a.tolist()).intersection(top_m(b, m).tolist())) / top_a.size
 
 
-def dcc_surrogate(a: ConfidenceVector, b: ConfidenceVector, m: int, temperature: float) -> Tensor:
-    """Differentiable stand-in for (1 - overlap).
+def dcc_surrogate(a: Tensor, b: Tensor, m: int, temperature: float) -> Tensor:
+    """Differentiable stand-in for (1 - overlap) of two (N, 1) confidence columns.
 
     Each side's confidences are softened into a distribution over patches;
     the loss is 1 minus the average mass each distribution places on the
     *other* side's current top-M set. The top-M memberships are treated
     as constants, so gradients flow only through the softened masses.
     """
-    n = a.values.size
-    q_a = ad.softmax(ad.scale(a.column, 1.0 / temperature), axis=0)
-    q_b = ad.softmax(ad.scale(b.column, 1.0 / temperature), axis=0)
-    mask_a = np.zeros((n, 1))
-    mask_a[a.top(m)] = 1.0
-    mask_b = np.zeros((n, 1))
-    mask_b[b.top(m)] = 1.0
+    q_a = ad.softmax(ad.scale(a, 1.0 / temperature), axis=0)
+    q_b = ad.softmax(ad.scale(b, 1.0 / temperature), axis=0)
+    mask_a = np.zeros(a.data.shape)
+    mask_a[top_m(a, m)] = 1.0
+    mask_b = np.zeros(b.data.shape)
+    mask_b[top_m(b, m)] = 1.0
     cross = ad.add(
         ad.sum_all(ad.mul(q_b, Tensor(mask_a))),
         ad.sum_all(ad.mul(q_a, Tensor(mask_b))),
@@ -149,9 +133,8 @@ class ModulationRecord:
 
 def majority_vote(flags) -> int:
     """1 when positives are at least as many as negatives."""
-    flags = list(flags)
-    positives = sum(1 for f in flags if f)
-    return int(positives * 2 >= len(flags))
+    flags = [bool(f) for f in flags]
+    return int(2 * sum(flags) >= len(flags))
 
 
 def cmg_modulate(
@@ -170,10 +153,7 @@ def cmg_modulate(
     is always the one modulated. The modulated slice of ``grad`` is
     rewritten in place; returns the record of what happened.
     """
-    if guide:
-        group = "molecular" if nmp_majority == 1 else "histology"
-    else:
-        group = "molecular"
+    group = "histology" if guide and nmp_majority != 1 else "molecular"
     other = "histology" if group == "molecular" else "molecular"
     vec = grad[groups[group]]
     norm_before = math.sqrt(_dot(vec, vec))

@@ -42,7 +42,7 @@ from .heads import (
     molecular_forward,
 )
 from .dataio import CheckpointError
-from .interaction import ConfidenceVector, confidence_weights
+from .interaction import confidence_weights
 from .synth import PatchBag
 
 # classifier column conventions: binary heads order logits (negative, positive)
@@ -68,8 +68,8 @@ class BagForward:
     disent: DisentangledFeatures
     branches: tuple              # one BranchState per finding, in ``config.FINDINGS`` order
     glioma_logits: Tensor        # (1, 4)
-    conf_wt: ConfidenceVector    # molecular confidence toward IDH-wildtype
-    conf_nmp: ConfidenceVector   # histology confidence toward lesion presence
+    conf_wt: Tensor              # (N, 1) molecular confidence toward IDH-wildtype
+    conf_nmp: Tensor             # (N, 1) histology confidence toward lesion presence
 
 
 def _walk(obj, prefix, out):
@@ -151,16 +151,12 @@ class Model:
             his.pooled, [s.pooled for s in markers], self.fusion.w, self.fusion.b
         )
         idh, idh_branch = markers[0], getattr(self.mol, MOLECULAR[0].short)
-        conf_wt = confidence_weights(
-            idh.feats, idh.pooled, ad.narrow(idh_branch.clf_w, 1, WILDTYPE_COL, 1)
-        )
-        conf_nmp = confidence_weights(
-            his.feats, his.pooled, ad.narrow(self.his.clf_w, 1, LESION_COL, 1)
-        )
         return BagForward(
             disent=d,
             branches=(*markers, his),
             glioma_logits=glioma_logits,
-            conf_wt=conf_wt,
-            conf_nmp=conf_nmp,
+            conf_wt=confidence_weights(idh.feats, idh.pooled,
+                                       ad.narrow(idh_branch.clf_w, 1, WILDTYPE_COL, 1)),
+            conf_nmp=confidence_weights(his.feats, his.pooled,
+                                        ad.narrow(self.his.clf_w, 1, LESION_COL, 1)),
         )

@@ -131,8 +131,8 @@ def evaluate(model: Model, bags, adjacency):
     """Forward every bag without recording; returns predictions + confidences.
 
     The confidences are ``(case_ids, sizes, values)``: per bag an id and a patch
-    count (int64), and ``values`` stacks each bag's (N, 2) rows of ``conf_wt``
-    and ``conf_nmp`` in ``bags``' order.
+    count (int64), and ``values`` stacks each bag's (N, 2) rows -- its
+    ``conf_wt`` and ``conf_nmp`` columns side by side -- in ``bags``' order.
     """
     predictions = []
     blocks = []
@@ -151,7 +151,7 @@ def evaluate(model: Model, bags, adjacency):
                     glioma_probs=glioma_probs.copy(),
                 )
             )
-            blocks.append(np.stack([fwd.conf_wt.values, fwd.conf_nmp.values], axis=1))
+            blocks.append(np.concatenate([fwd.conf_wt.data, fwd.conf_nmp.data], axis=1))
     sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
     values = np.concatenate(blocks) if blocks else np.empty((0, 2))
     return predictions, ([bag.case_id for bag in bags], sizes, values)

@@ -60,11 +60,22 @@ def _case(op, **operands):
     return build
 
 
+def _off_kink(h, w1, b1, margin):
+    """Raise ``b1`` by 0.01 until every ReLU input of ``h @ w1 + b1`` is ``margin`` off 0."""
+    while np.abs(h @ w1.data + b1.data).min() < margin:
+        b1.data += 0.01
+
+
+def _ffn_off_kink(mid, operands):
+    """Keep the feed-forward half's ReLU inputs off the kink for the block's ``mid`` rows."""
+    h = ad.layer_norm(mid).data * operands["gain2"].data + operands["bias2"].data
+    _off_kink(h, operands["w1"], operands["b1"], 1e-2)
+
+
 def _mlp(rng):
     x, w1, b1 = _uniform(3, 4)(rng), _uniform(4, 5)(rng), _uniform(1, 5)(rng)
     w2, b2 = _uniform(5, 2)(rng), _uniform(1, 2)(rng)
-    while np.abs(x.data @ w1.data + b1.data).min() < 1e-3:
-        b1.data += 0.01  # keep every ReLU input off the kink
+    _off_kink(x.data, w1, b1, 1e-3)
     params = {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
     return params, lambda: _scalarize(ad.mlp(*params.values()))
 
@@ -97,10 +108,7 @@ def _attention_sublayer(rng):
 def _ffn_sublayer(rng):
     # a zero wo: the attention half adds exactly 0, so the mid rows are x
     operands = _block_operands(rng)
-    h = ad.layer_norm(operands["x"]).data * operands["gain2"].data + operands["bias2"].data
-    w1, b1 = operands["w1"], operands["b1"]
-    while np.abs(h @ w1.data + b1.data).min() < 1e-2:
-        b1.data += 0.01  # keep every ReLU input off the kink
+    _ffn_off_kink(operands["x"], operands)
     return _block_half(operands, ("wo",), ("x", "gain2", "bias2", "w1", "b1", "w2", "b2"))
 
 
@@ -109,9 +117,7 @@ def _transformer_block(rng):
     *front, w1, b1, _, _ = params.values()
     with ad.no_grad():  # the mid rows: the block's output with a zero second linear
         mid = ad.transformer_block(*front, w1, b1, np.zeros((6, 5)), np.zeros((1, 5)), 0.5)
-    h = ad.layer_norm(mid).data * params["gain2"].data + params["bias2"].data
-    while np.abs(h @ w1.data + b1.data).min() < 1e-2:
-        b1.data += 0.01  # keep every ReLU input off the kink
+    _ffn_off_kink(mid, params)
     return params, lambda: _scalarize(ad.transformer_block(*params.values(), 0.5))
 
 

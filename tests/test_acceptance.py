@@ -17,11 +17,11 @@ from gliomil.cli import main
 from gliomil.config import ABLATION_FLAGS, GenConfig, TrainConfig
 from gliomil.heads import correlation_loss, graph_mix
 from gliomil.interaction import (
-    ConfidenceVector,
     curriculum_m,
     dcc_overlap,
     project_perp,
     rescale,
+    top_m,
 )
 from gliomil.metrics import micro_multiclass_metrics, rank_auc
 from gliomil.model import Model, ModelConfig
@@ -44,13 +44,8 @@ def _check(name: str, ok: bool, detail: str):
     assert ok, line
 
 
-def _confidence(values: np.ndarray) -> ConfidenceVector:
-    values = np.asarray(values, dtype=np.float64)
-    return ConfidenceVector(
-        values=values,
-        order=np.argsort(-values, kind="stable"),
-        column=Tensor(values.reshape(-1, 1)),
-    )
+def _confidence(values: np.ndarray) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ def test_c4_correlation_loss_overlap_and_curriculum():
         m = int(rng.integers(1, n + 1))
         ca = _confidence(rng.standard_normal(n))
         cb = _confidence(rng.standard_normal(n))
-        expect = len(set(ca.top(m).tolist()) & set(cb.top(m).tolist())) / m
+        expect = len(set(top_m(ca, m).tolist()) & set(top_m(cb, m).tolist())) / m
         if dcc_overlap(ca, cb, m) != expect:
             overlap_ok = False
 

@@ -101,7 +101,7 @@ def test_gen_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-1e300"])
 def test_gen_rejects_non_finite_signal_strength(tmp_path, capsys, value):
     cfg = write_cfg(tmp_path / "g.cfg", f"n_cases = 4\nsignal_strength = {value}\n")
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -202,10 +202,14 @@ def test_train_replaces_a_previous_run_whole(tmp_path, small_data):
         "data", "fresh", "gen.cfg", "run", "train.cfg"]
 
 
-@pytest.mark.parametrize("kind", ["dir", "file", "cwd"])
-def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, monkeypatch, kind):
+@pytest.mark.parametrize("command,kind", [
+    ("train", "dir"), ("train", "file"), ("train", "cwd"), ("train", "under_a_file"),
+    ("ablate", "under_a_file"),
+], ids=["dir", "file", "cwd", "under_a_file", "ablate_under_a_file"])
+def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, monkeypatch,
+                                                command, kind):
     out = tmp_path / "notes"
-    if kind == "file":
+    if kind in ("file", "under_a_file"):
         out.write_text("keep me\n")
     else:
         out.mkdir()
@@ -214,10 +218,16 @@ def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, mo
     if kind == "cwd":
         monkeypatch.chdir(out)
         out = Path(".")
+    if kind == "under_a_file":
+        out = out / "run"
     cfg = quick_train_cfg(tmp_path)
     before = _snapshot(tmp_path)
-    assert main(["train", "--data", str(small_data), "--config", cfg, "--out", str(out)]) == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    capsys.readouterr()
+    assert main([command, "--data", str(small_data), "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    # refused before training: no epoch or variant was logged
+    assert not [ln for ln in captured.out.splitlines() if ln.startswith(("epoch", "variant"))]
     assert _snapshot(tmp_path) == before
 
 

@@ -9,7 +9,6 @@ from gliomil import autodiff as ad
 from gliomil.autodiff import Tensor
 from gliomil.config import TrainConfig
 from gliomil.interaction import (
-    ConfidenceVector,
     cmg_modulate,
     confidence_weights,
     curriculum_m,
@@ -18,6 +17,7 @@ from gliomil.interaction import (
     majority_vote,
     project_perp,
     rescale,
+    top_m,
 )
 
 
@@ -29,12 +29,8 @@ def padded_or_truncated(ref, length):
 
 
 def cv(values):
-    values = np.asarray(values, dtype=np.float64)
-    return ConfidenceVector(
-        values=values.copy(),
-        order=np.argsort(-values, kind="stable"),
-        column=Tensor(values.reshape(-1, 1)),
-    )
+    """A bag's (N, 1) confidence column holding ``values``."""
+    return Tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
 
 
 class TestConfidenceWeights:
@@ -43,11 +39,24 @@ class TestConfidenceWeights:
         pooled = Tensor(np.array([[0.5, 1.0]]))
         col = Tensor(np.array([[1.0], [-1.0]]))
         c = confidence_weights(feats, pooled, col)
-        assert c.values.ravel()[0] == pytest.approx(-2.0)
+        assert c.data.shape == (1, 1)
+        assert c.data[0, 0] == pytest.approx(-2.0)
 
     def test_descending_order_with_stable_ties(self):
         c = cv([1.0, 3.0, 3.0, -1.0])
-        assert c.order.tolist() == [1, 2, 0, 3]
+        assert top_m(c, 4).tolist() == [1, 2, 0, 3]
+        assert top_m(c, 2).tolist() == [1, 2]
+        assert top_m(c, 9).tolist() == [1, 2, 0, 3]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_top_m_matches_sorted_with_ties(self, data):
+        """Drawn from a small integer set, the values tie often; ties go to the lower index."""
+        n = data.draw(st.integers(1, 30))
+        m = data.draw(st.integers(1, n + 3))
+        v = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        expect = sorted(range(n), key=lambda i: (-v[i], i))[:m]
+        assert top_m(cv(v), m).tolist() == expect
 
     def test_matches_loop(self):
         rng = np.random.default_rng(0)
@@ -57,7 +66,7 @@ class TestConfidenceWeights:
         c = confidence_weights(feats, pooled, col)
         for n in range(6):
             expect = (feats.data[n] * pooled.data.ravel()) @ col.data.ravel()
-            assert c.values[n] == pytest.approx(expect, abs=1e-12)
+            assert c.data[n, 0] == pytest.approx(expect, abs=1e-12)
 
 
 def schedule(start, decay, every):
@@ -106,7 +115,7 @@ class TestOverlap:
         a, b = cv(rng.normal(size=n)), cv(rng.normal(size=n))
 
         def brute_top(c):
-            ranked = sorted(range(n), key=lambda i: (-c.values[i], i))
+            ranked = sorted(range(n), key=lambda i: (-c.data[i, 0], i))
             return set(ranked[:m])
 
         expect = len(brute_top(a) & brute_top(b)) / m
@@ -145,14 +154,11 @@ class TestSurrogate:
             prev = val
 
     def test_gradient_flows_to_confidence_columns(self):
-        values = Tensor(np.array([[0.5], [-0.2], [0.1]]), requires_grad=True)
-        a = ConfidenceVector(values=values.data.ravel().copy(),
-                             order=np.argsort(-values.data.ravel(), kind="stable"),
-                             column=values)
+        a = Tensor(np.array([[0.5], [-0.2], [0.1]]), requires_grad=True)
         b = cv([0.0, 1.0, 2.0])
         loss = dcc_surrogate(a, b, 1, temperature=0.7)
         ad.backward(loss)
-        assert values.grad is not None and np.any(values.grad != 0.0)
+        assert a.grad is not None and np.any(a.grad != 0.0)
 
 
 class TestProjection:

@@ -183,7 +183,7 @@ def test_forward_widens_float32_bags_exactly():
         for a, b in zip([got.glioma_logits] + [s.logits for s in got.branches],
                         [want.glioma_logits] + [s.logits for s in want.branches]):
             assert a.data.tobytes() == b.data.tobytes()
-        assert got.conf_wt.values.tobytes() == want.conf_wt.values.tobytes()
+        assert got.conf_wt.data.tobytes() == want.conf_wt.data.tobytes()
 
 
 def _bag_graph_nodes(n, k):

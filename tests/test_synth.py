@@ -120,6 +120,17 @@ class TestBagGeneration:
         acc = np.mean(np.sign(x @ w) == y)
         assert acc >= 0.95
 
+    @pytest.mark.parametrize("strength", [1e38, -1e38])
+    def test_strongest_signal_stays_finite_in_float32(self, strength):
+        """At the bound every marker set fits float32 when its signals share every row: at
+        feat_dim 1 the IDH and 1p/19q directions are both +1, so they add to 2 * strength."""
+        for k in (1, 2, 3, 4):
+            cfg = GenConfig(n_patches=4, feat_dim=k, signal_strength=strength,
+                            evidence_fraction=1.0)
+            for markers in itertools.product((0, 1), repeat=4):
+                bag = generate_bag(MarkerTuple(*markers), cfg, rng_for_case(0, "x"))
+                assert np.isfinite(bag.feats_high).all() and np.isfinite(bag.feats_low).all()
+
     def test_nmp_signal_lives_at_low_magnification(self):
         cfg = GenConfig(evidence_fraction=1.0)
         on = generate_bag(MarkerTuple(0, 0, 0, 1), cfg, rng_for_case(1, "a"))

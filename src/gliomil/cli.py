@@ -31,6 +31,8 @@ from .config import (
 from .dataio import (
     CHECKPOINT_BLOB,
     CHECKPOINT_MANIFEST,
+    DATASET_BLOB,
+    DATASET_MANIFEST,
     CheckpointError,
     DatasetError,
     read_checkpoint,
@@ -57,7 +59,11 @@ REPORT_FILE = "report.txt"
 EPOCHS_FILE = "epochs.csv"
 CONFIDENCES_FILE = "confidences.csv"
 ABLATION_FILE = "ablation.csv"
-RUN_FILES = (EPOCHS_FILE, REPORT_FILE, CONFIDENCES_FILE, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB)
+# the entries each command writes under --out: file name -> None, subdirectory -> its layout
+DATASET_LAYOUT = dict.fromkeys((DATASET_MANIFEST, DATASET_BLOB))
+RUN_LAYOUT = dict.fromkeys(
+    (EPOCHS_FILE, REPORT_FILE, CONFIDENCES_FILE, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB))
+ABLATE_LAYOUT = {ABLATION_FILE: None, **dict.fromkeys(("full",) + ABLATION_FLAGS, RUN_LAYOUT)}
 
 _INPUT_ERRORS = (
     ConfigError,
@@ -72,10 +78,10 @@ _INPUT_ERRORS = (
 
 def _cmd_gen(args) -> int:
     cfg = load_gen_config(args.config) if args.config else GenConfig()
-    bags = generate_dataset(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out, bags)
+    _check_out(out, DATASET_LAYOUT)
+    bags = generate_dataset(cfg)
+    _replace_dir(out, DATASET_LAYOUT, lambda new: write_dataset(new, bags))
     cooc = estimate_cooccurrence(marker_table(bags))
     print(f"wrote {len(bags)} cases to {out}")
     print("marker co-occurrence:")
@@ -88,61 +94,64 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_run_dir(out: Path) -> None:
-    """``out`` must be new, empty or a run directory, since a new run replaces it whole;
-    a new ``out`` must lie below a directory, not below a file."""
+def _check_out(out: Path, layout: dict) -> None:
+    """Refuse an ``out`` that is a file, lies below one, holds the working directory or
+    holds an entry ``layout`` does not name; a subdirectory is checked against its layout."""
     nearest = out if out.exists() else next(p for p in out.absolute().parents if p.exists())
     if not nearest.is_dir():
         raise NotADirectoryError(f"{nearest}: not a directory")
     if not out.exists():
         return
     if Path.cwd().is_relative_to(out.resolve()):
-        raise IsADirectoryError(f"{out}: holds the working directory, which a run cannot replace")
-    foreign = sorted(p.name for p in out.iterdir() if p.name not in RUN_FILES)
+        raise IsADirectoryError(f"{out}: holds the working directory, which cannot be replaced")
+    foreign = sorted(p.name for p in out.iterdir() if p.name not in layout)
     if foreign:
-        raise FileExistsError(f"{out}: holds {', '.join(foreign)}, which a run does not write; "
-                              "choose a new or empty directory")
+        raise FileExistsError(f"{out}: holds {', '.join(foreign)}, which this command does not "
+                              "write; choose a new or empty directory")
+    for name, sub in layout.items():
+        if sub is not None:
+            _check_out(out / name, sub)
 
 
-def _write_run(out: Path, result) -> None:
-    """Write the run into a sibling temp directory, then move it into place.
-
-    A run already at ``out`` is replaced only after the new one is complete;
-    an interrupted write leaves the old run (or nothing) and no temp directory.
-    """
-    _check_run_dir(out)
+def _replace_dir(out: Path, layout: dict, write) -> None:
+    """Check ``out``, ``write`` a new directory beside it, then swap it in with ``os.replace``;
+    on any failure the old ``out`` (or none) is left, and no temp directory."""
+    _check_out(out, layout)
+    out = out.resolve()  # a symlinked out keeps its link, and its target is replaced
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}.new-"))
-    old = None
+    work = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}.tmp-"))
+    new, old = work / "new", work / "old"
     try:
-        (tmp / EPOCHS_FILE).write_text(epochs_csv(result.rows))
-        (tmp / REPORT_FILE).write_text(report_text(result.report, title="held-out metrics"))
-        (tmp / CONFIDENCES_FILE).write_text(confidences_csv(result.confidences))
-        write_checkpoint(tmp, result.model.params,
-                         result.model.cfg.feat_dim, result.cooc, result.cfg)
+        new.mkdir()  # under the umask, unlike mkdtemp's private 0o700
+        write(new)
         if out.exists():
-            old = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}.old-"))
             os.replace(out, old)
-        os.replace(tmp, out)
+        os.replace(new, out)
     except BaseException:
-        if old is not None and not out.exists():
+        if old.exists() and not out.exists():
             os.replace(old, out)
-            old = None
         raise
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if old is not None:
-            shutil.rmtree(old, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _write_run(run: Path, result) -> None:
+    """Write a run's files into the directory ``run``."""
+    run.mkdir(exist_ok=True)
+    (run / EPOCHS_FILE).write_text(epochs_csv(result.rows))
+    (run / REPORT_FILE).write_text(report_text(result.report, title="held-out metrics"))
+    (run / CONFIDENCES_FILE).write_text(confidences_csv(result.confidences))
+    write_checkpoint(run, result.model.params, result.model.cfg.feat_dim, result.cooc, result.cfg)
 
 
 def _cmd_train(args) -> int:
     cfg = with_ablations(load_train_config(args.config) if args.config else TrainConfig(),
                          args.ablate)
     out = Path(args.out)
-    _check_run_dir(out)
+    _check_out(out, RUN_LAYOUT)
     bags = read_dataset(Path(args.data))
     result = train_model(bags, cfg, log=print)
-    _write_run(out, result)
+    _replace_dir(out, RUN_LAYOUT, lambda new: _write_run(new, result))
     # timing goes to stderr so stdout stays byte-identical across reruns
     print(f"training time {result.seconds:.1f}s", file=sys.stderr)
     print(f"trained {cfg.epochs} epochs "
@@ -186,13 +195,16 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     out = Path(args.out)
-    for name in ("full",) + ABLATION_FLAGS:
-        _check_run_dir(out / name)
+    _check_out(out, ABLATE_LAYOUT)
     bags = read_dataset(Path(args.data))
     results = run_ablation(bags, cfg, log=print)
-    for name, result in results:
-        _write_run(out / name, result)
-    (out / ABLATION_FILE).write_text(ablation_csv(results))
+
+    def write(new: Path) -> None:
+        for name, result in results:
+            _write_run(new / name, result)
+        (new / ABLATION_FILE).write_text(ablation_csv(results))
+
+    _replace_dir(out, ABLATE_LAYOUT, write)
     print((out / ABLATION_FILE).read_text())
     return 0
 

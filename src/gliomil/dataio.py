@@ -5,6 +5,8 @@ A dataset is a text manifest (`dataset.manifest`) plus a raw blob
 low-magnification matrix per case, row-major. A checkpoint is the same
 idea at float64: a manifest of named parameter shapes and byte offsets
 (`checkpoint.manifest`) plus the packed values (`checkpoint.blob`).
+``write_dataset`` and ``write_checkpoint`` write in place, manifest first;
+the CLI is what makes them atomic (``cli._replace_dir``).
 
 Both share one private codec: ``_open`` reads a manifest and its blob,
 ``_Blob.array`` checks a span of the blob and returns a read-only view of

@@ -1,4 +1,5 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gliomil import cli
+from gliomil import cli, dataio
 from gliomil.cli import main
 from gliomil.config import ABLATION_FLAGS, GenConfig
 from gliomil.dataio import CHECKPOINT_BLOB, read_dataset, write_checkpoint, write_dataset
@@ -168,7 +169,9 @@ def _checkpoint_write_fails_after_manifest(*args):
 
 
 def _snapshot(root):
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    """Every file's bytes and every directory (as None) below ``root``."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.parametrize("previous", [False, True])
@@ -190,6 +193,46 @@ def test_interrupted_train_leaves_the_previous_run_or_none(tmp_path, small_data,
     assert code == (0 if previous else 2)
 
 
+def test_interrupted_gen_leaves_the_previous_dataset(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shape = "n_cases = 8\nn_patches = 4\nfeat_dim = 4\n"
+    assert main(["gen", "--config", write_cfg(tmp_path / "gen.cfg", shape + "seed = 1\n"),
+                 "--out", str(data)]) == 0
+    cfg = write_cfg(tmp_path / "gen.cfg", shape + "seed = 2\n")
+    before = _snapshot(tmp_path)
+
+    def interrupted(*args):
+        raise Interrupted
+
+    monkeypatch.setattr(dataio, "_write_blob", interrupted)
+    with pytest.raises(Interrupted):
+        main(["gen", "--config", cfg, "--out", str(data)])
+    # no seed-2 manifest beside the seed-1 blob, and no temp directory
+    assert _snapshot(tmp_path) == before
+
+
+def test_interrupted_ablate_leaves_the_previous_ablation(tmp_path, small_data, monkeypatch):
+    out = tmp_path / "ablation"
+    argv = ["ablate", "--data", str(small_data), "--out", str(out), "--config"]
+    assert main(argv + [write_cfg(tmp_path / "t.cfg", "epochs = 1\nseed = 1\n")]) == 0
+    cfg = write_cfg(tmp_path / "t.cfg", "epochs = 1\nseed = 2\n")
+    before = _snapshot(tmp_path)
+    calls = []
+
+    def third_write_fails(*args):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise Interrupted
+        write_checkpoint(*args)
+
+    monkeypatch.setattr(cli, "write_checkpoint", third_write_fails)
+    with pytest.raises(Interrupted):
+        main(argv + [cfg])
+    assert len(calls) == 3
+    # the first two seed-2 variants were written, but none replaced its seed-1 one
+    assert _snapshot(tmp_path) == before
+
+
 def test_train_replaces_a_previous_run_whole(tmp_path, small_data):
     run, fresh = tmp_path / "run", tmp_path / "fresh"
     assert main(["train", "--data", str(small_data), "--config", quick_train_cfg(tmp_path),
@@ -202,10 +245,37 @@ def test_train_replaces_a_previous_run_whole(tmp_path, small_data):
         "data", "fresh", "gen.cfg", "run", "train.cfg"]
 
 
-@pytest.mark.parametrize("command,kind", [
-    ("train", "dir"), ("train", "file"), ("train", "cwd"), ("train", "under_a_file"),
-    ("ablate", "under_a_file"),
-], ids=["dir", "file", "cwd", "under_a_file", "ablate_under_a_file"])
+# every command that writes an --out -> its argv, given tmp_path, a dataset and the out
+OUT_COMMANDS = {
+    "gen": lambda tmp, data, out: ["gen", "--config", write_cfg(tmp / "g.cfg", "n_cases = 4\n"),
+                                   "--out", out],
+    "train": lambda tmp, data, out: ["train", "--data", str(data),
+                                     "--config", quick_train_cfg(tmp), "--out", out],
+    "ablate": lambda tmp, data, out: ["ablate", "--data", str(data),
+                                      "--config", quick_train_cfg(tmp), "--out", out],
+}
+REFUSED_OUTS = [(command, kind) for command in OUT_COMMANDS
+                for kind in ("dir", "file", "cwd", "under_a_file")] + [("ablate", "variant_dir")]
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_a_symlinked_out_keeps_its_link(tmp_path, small_data, command):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.mkdir()
+    link.symlink_to(target)
+    assert main(OUT_COMMANDS[command](tmp_path, small_data, str(link))) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    written = cli.DATASET_LAYOUT if command == "gen" else cli.RUN_LAYOUT
+    assert sorted(p.name for p in target.iterdir()) == sorted(written)
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("worked before refusing --out")
+
+
+@pytest.mark.parametrize("command,kind", REFUSED_OUTS,
+                         ids=[kind if command == "train" else f"{command}_{kind}"
+                              for command, kind in REFUSED_OUTS])
 def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, monkeypatch,
                                                 command, kind):
     out = tmp_path / "notes"
@@ -215,20 +285,33 @@ def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, mo
         out.mkdir()
     if kind == "dir":
         (out / "todo.txt").write_text("keep me\n")
+    if kind == "variant_dir":  # a foreign file where a variant's run files belong
+        (out / "full").mkdir()
+        (out / "full" / "todo.txt").write_text("keep me\n")
     if kind == "cwd":
         monkeypatch.chdir(out)
         out = Path(".")
     if kind == "under_a_file":
         out = out / "run"
-    cfg = quick_train_cfg(tmp_path)
+    argv = OUT_COMMANDS[command](tmp_path, small_data, str(out))
+    for name in ("generate_dataset", "train_model", "run_ablation"):
+        monkeypatch.setattr(cli, name, _not_reached)
     before = _snapshot(tmp_path)
     capsys.readouterr()
-    assert main([command, "--data", str(small_data), "--config", cfg, "--out", str(out)]) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert len(captured.err.strip().splitlines()) == 1
-    # refused before training: no epoch or variant was logged
-    assert not [ln for ln in captured.out.splitlines() if ln.startswith(("epoch", "variant"))]
+    _one_error_line(captured.err, "error:")
+    assert captured.out == ""
     assert _snapshot(tmp_path) == before
+
+
+def test_every_out_option_is_refused_when_it_cannot_be_replaced():
+    """A subcommand with an --out is in ``OUT_COMMANDS``, so the refusal test covers it."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    writers = {name for name, sub in commands.choices.items()
+               if "--out" in sub._option_string_actions}
+    assert writers == set(OUT_COMMANDS)
 
 
 BAD_TRAIN_VALUES = (
@@ -593,26 +676,42 @@ def _empty_dataset(dest):
     return dest
 
 
-def _junk_header(dest):
-    _write_bags(dest, GenConfig(n_cases=12, n_patches=4, feat_dim=4))
-    manifest = dest / "dataset.manifest"
-    manifest.write_text(manifest.read_text().replace("bagset v1 ", "bagset v12 junk ", 1))
-    return dest
+TWELVE_CASES = GenConfig(n_cases=12, n_patches=4, feat_dim=4)
+
+
+def _with_header(header):
+    """A builder of a twelve-case dataset whose manifest header reads ``header``."""
+    def build(dest):
+        _write_bags(dest, TWELVE_CASES)
+        manifest = dest / "dataset.manifest"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header] + lines[1:]) + "\n")
+        return dest
+
+    return build
 
 
 # dataset builder -> text the one error line must contain
 BAD_DATASETS = {
-    "junk_header": (_junk_header, "malformed header"),
-    "repeated_case_id": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
+    "junk_header": (_with_header("bagset v12 junk cases=12"), "malformed header"),
+    "declared_count": (_with_header("bagset v1 cases=13"),
+                       "header declares 13 cases, found 12 records"),
+    "repeated_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case0001")),
                          "case0001: repeated case id"),
     "mixed_width": (lambda d: _write_bags(d, GenConfig(n_cases=6, n_patches=4, feat_dim=4),
                                          GenConfig(n_cases=6, n_patches=4, feat_dim=6)),
                     "feature width"),
-    "zero_patches": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
-                                           edit_record=_set_field(1, "0")), "empty bag"),
-    "zero_width": (lambda d: _write_bags(d, GenConfig(n_cases=12, n_patches=4, feat_dim=4),
-                                         edit_record=_set_field(2, "0")), "empty bag"),
+    "zero_patches": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "0")),
+                     "empty bag"),
+    "zero_width": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(2, "0")),
+                   "empty bag"),
+    "label_not_binary": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(3, "2")),
+                         "labels must be 0/1"),
+    "field_not_integer": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "x")),
+                          "a field is not an integer"),
+    "short_record": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=lambda f: f.pop()),
+                     "malformed record (want 10 fields)"),
     "no_cases": (_empty_dataset, "no cases"),
 }
 

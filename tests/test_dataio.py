@@ -95,6 +95,23 @@ class TestDatasetRoundTrip:
             assert np.array_equal(back.feats_high, bag.feats_high)
             assert np.array_equal(back.feats_low, bag.feats_low)
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_magnification_shape_mismatch_is_refused_before_writing(self, tmp_path, small_bags,
+                                                                    existing):
+        """The last bag's low magnification has a patch too few: nothing is written."""
+        out = tmp_path / "data"
+        if existing:
+            write_dataset(out, small_bags[:2])
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        last = small_bags[-1]
+        bad = small_bags[:-1] + [dataclasses.replace(last, feats_low=last.feats_low[:-1])]
+        with pytest.raises(DatasetError, match=f"case {last.case_id}: magnification shapes"):
+            write_dataset(out, bad)
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+
 
 class TestCheckpointRoundTrip:
     def test_roundtrip(self, tmp_path):

@@ -1,5 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
+An op is a function that ``OPS`` holds: each public function of this module
+but ``no_grad`` and ``backward`` registers itself there with ``@_op``.
+Callers call an op as ``ad.<name>``, a module attribute that a test spy
+or a tracer may replace; ``OPS`` keeps the function it was defined as.
+
 Tensors wrap numpy arrays. Every op computes its result eagerly and states
 its inputs' gradients as one rule: given the output's gradient ``g``, it
 yields ``(input, gradient)`` pairs. When any input requires gradients,
@@ -77,6 +82,14 @@ class GraphConsumedError(RuntimeError):
 
 
 _GRAD_ENABLED = True
+
+OPS: dict = {}  # op name -> function; for listing the ops, never for calling them
+
+
+def _op(fn):
+    """Register ``fn`` in ``OPS`` under its name; return it unchanged."""
+    OPS[fn.__name__] = fn
+    return fn
 
 
 @contextlib.contextmanager
@@ -166,28 +179,33 @@ def _fit(t: Tensor, g):
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
+@_op
 def add(a, b) -> Tensor:
     a, b = _operands("add", a, b)
     return _make(a.data + b.data, (a, b), lambda g: ((a, _fit(a, g)), (b, _fit(b, g))))
 
 
+@_op
 def sub(a, b) -> Tensor:
     a, b = _operands("sub", a, b)
     return _make(a.data - b.data, (a, b), lambda g: ((a, _fit(a, g)), (b, _fit(b, -g))))
 
 
+@_op
 def mul(a, b) -> Tensor:
     a, b = _operands("mul", a, b)
     return _make(a.data * b.data, (a, b),
                  lambda g: ((a, _fit(a, g * b.data)), (b, _fit(b, g * a.data))))
 
 
+@_op
 def div(a, b) -> Tensor:
     a, b = _operands("div", a, b)
     return _make(a.data / b.data, (a, b), lambda g: (
         (a, _fit(a, g / b.data)), (b, _fit(b, -g * a.data / (b.data * b.data)))))
 
 
+@_op
 def scale(a, c: float) -> Tensor:
     """Multiply by a plain python constant (no gradient for the constant)."""
     a = _coerce(a)
@@ -198,6 +216,7 @@ def scale(a, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
+@_op
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -211,6 +230,7 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
 
+@_op
 def linear(x, w, b) -> Tensor:
     """``x @ w`` plus the (1, F) row ``b`` on every row.
 
@@ -229,6 +249,7 @@ def linear(x, w, b) -> Tensor:
     return _make(x.data @ w.data + b.data, (x, w, b), grads)
 
 
+@_op
 def transpose(a) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 2:
@@ -236,6 +257,7 @@ def transpose(a) -> Tensor:
     return _make(a.data.T.copy(), (a,), lambda g: ((a, g.T),))
 
 
+@_op
 def repeat_rows(a, n: int) -> Tensor:
     """Tile a (1, K) row vector into an (n, K) matrix."""
     a = _coerce(a)
@@ -247,6 +269,7 @@ def repeat_rows(a, n: int) -> Tensor:
                  lambda g: ((a, g.sum(axis=0, keepdims=True)),))
 
 
+@_op
 def concat(parts, axis: int) -> Tensor:
     parts = [_coerce(p) for p in parts]
     if not parts:
@@ -265,6 +288,7 @@ def concat(parts, axis: int) -> Tensor:
     return _make(out, tuple(parts), grads)
 
 
+@_op
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``."""
     a = _coerce(a)
@@ -289,28 +313,33 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
+@_op
 def tanh(a) -> Tensor:
     a = _coerce(a)
     y = np.tanh(a.data)
     return _make(y, (a,), lambda g: ((a, g * (1.0 - y * y)),))
 
 
+@_op
 def relu(a) -> Tensor:
     a = _coerce(a)
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: ((a, g * (a.data > 0.0)),))
 
 
+@_op
 def exp(a) -> Tensor:
     a = _coerce(a)
     y = np.exp(a.data)
     return _make(y, (a,), lambda g: ((a, g * y),))
 
 
+@_op
 def log(a) -> Tensor:
     a = _coerce(a)
     return _make(np.log(a.data), (a,), lambda g: ((a, g / a.data),))
 
 
+@_op
 def softmax(a, axis: int) -> Tensor:
     """Numerically stable softmax along ``axis`` (max subtracted first)."""
     a = _coerce(a)
@@ -334,22 +363,24 @@ def _attention_probs(q, k, c: float):
 _NORM_EPS = 1e-5
 
 
+def _row_mean(a):
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit, without its Python-level dispatch."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def _normalize(data):
     """Zero-mean / unit-variance rows of ``data`` and the inverse deviations."""
-    mu = data.mean(axis=-1, keepdims=True)
-    centered = data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_EPS)
+    centered = data - _row_mean(data)
+    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + _NORM_EPS)
     return centered * inv, inv
 
 
 def _normalize_grad(g, y, inv):
     """Gradient of ``_normalize`` w.r.t. its input, given its output ``y``."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gym = (g * y).mean(axis=-1, keepdims=True)
-    return inv * (g - gm - y * gym)
+    return inv * (g - _row_mean(g) - y * _row_mean(g * y))
 
 
+@_op
 def layer_norm(a) -> Tensor:
     """Normalize each row (the last axis) to zero mean / unit variance (no affine part)."""
     a = _coerce(a)
@@ -420,6 +451,7 @@ def _mlp_grads(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, g):
     return gr @ w1.data.T
 
 
+@_op
 def transformer_block(x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2, b2,
                       c: float) -> Tensor:
     """A pre-norm residual block: ``mid = x + Attn(LN1(x))``, then ``mid + FFN(LN2(mid))``.
@@ -489,6 +521,7 @@ def transformer_block(x, gain1, bias1, wq, wk, wv, wo, gain2, bias2, w1, b1, w2,
     return _make(mid + _mlp_rows(h2, w1, b1, w2, b2), ts, grads)
 
 
+@_op
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """``relu(x @ w1 + b1) @ w2 + b2`` with (1, width) rows ``b1`` and ``b2``.
 
@@ -516,6 +549,7 @@ def _pool_weights(x, v, w):
     return v_t, t, e / e.sum(axis=0, keepdims=True)
 
 
+@_op
 def attention_pool(x, v, w) -> Tensor:
     """Attention-MIL pooling of (N, K) rows into the (1, K) summary ``a^T @ x``.
 
@@ -545,6 +579,7 @@ def attention_pool(x, v, w) -> Tensor:
     return _make(a.T.copy() @ x.data, (x, v, w), grads)
 
 
+@_op
 def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
     """``alpha * relu(sum_j coeffs[j] * projected[j]) + residual`` as one node.
 
@@ -582,11 +617,13 @@ def graph_mix_row(projected, coeffs, residual, alpha: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and composites
 
+@_op
 def sum_all(a) -> Tensor:
     a = _coerce(a)
     return _make(np.asarray(a.data.sum()), (a,), lambda g: ((a, np.full_like(a.data, float(g))),))
 
 
+@_op
 def mean_all(a) -> Tensor:
     a = _coerce(a)
     n = a.data.size
@@ -594,6 +631,7 @@ def mean_all(a) -> Tensor:
                  lambda g: ((a, np.full_like(a.data, float(g) / n)),))
 
 
+@_op
 def l2norm(a) -> Tensor:
     """Euclidean norm of all entries (Frobenius norm for matrices)."""
     a = _coerce(a)
@@ -602,6 +640,7 @@ def l2norm(a) -> Tensor:
                  lambda g: ((a, (float(g) / val) * a.data),) if val > 0.0 else ())
 
 
+@_op
 def cosine(a, b) -> Tensor:
     """Cosine similarity of two same-shaped tensors, flattened.
 
@@ -626,6 +665,7 @@ def _unit_rows(blocks):
     return np.multiply(x, inv[:, None], out=x), inv
 
 
+@_op
 def cosine_gram(blocks) -> Tensor:
     """The (m, m) flattened (Frobenius) cosines of m same-shaped blocks, as one node.
 
@@ -655,6 +695,7 @@ def cosine_gram(blocks) -> Tensor:
     return _make(u @ u.T, tuple(blocks), grads)
 
 
+@_op
 def mse(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.shape != b.data.shape:
@@ -663,6 +704,7 @@ def mse(a, b) -> Tensor:
     return mean_all(mul(d, d))
 
 
+@_op
 def softmax_cross_entropy(logits, label: int) -> Tensor:
     """Cross-entropy of integer ``label`` under softmax(logits).
 

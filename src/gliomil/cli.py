@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal/check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -96,7 +97,13 @@ def _cmd_gen(args) -> int:
 
 def _check_out(out: Path, layout: dict) -> None:
     """Refuse an ``out`` that is a file, lies below one, holds the working directory or
-    holds an entry ``layout`` does not name; a subdirectory is checked against its layout."""
+    holds an entry ``layout`` does not name, or resolves through a symlink loop; a
+    subdirectory is checked against its layout."""
+    try:
+        out.stat()
+    except OSError as exc:  # Path.exists() reads a loop as absent
+        if exc.errno == errno.ELOOP:
+            raise NotADirectoryError(f"{out}: resolves through a symlink loop") from None
     nearest = out if out.exists() else next(p for p in out.absolute().parents if p.exists())
     if not nearest.is_dir():
         raise NotADirectoryError(f"{nearest}: not a directory")

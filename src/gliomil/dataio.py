@@ -151,6 +151,8 @@ def read_dataset(data_dir) -> list:
         if len(tokens) != width:
             raise DatasetError(f"malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
+        if "," in case_id:  # the run files are comma-separated, with the case id a field
+            raise DatasetError(f"case {case_id}: a case id may not hold a comma")
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
         except ValueError:

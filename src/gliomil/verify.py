@@ -1,8 +1,9 @@
 """Runtime gradient verification: per-op checks plus an end-to-end model check.
 
 This is the machinery behind the ``gradcheck`` CLI command and the test
-suite's per-op gradient tests. ``OP_CASES`` is the one registry of op
-cases: name -> ``build(rng) -> (params, loss_fn)``. ``check_op`` runs one
+suite's per-op gradient tests. ``OP_CASES`` is the one table of op
+cases: name -> ``build(rng) -> (params, loss_fn)``; a case named ``op`` or
+``op_<variant>`` covers that op of ``autodiff.OPS``. ``check_op`` runs one
 case's randomized finite-difference trials, each trial drawing its
 operands from a stream keyed by (seed, case name, trial), so adding or
 removing a case changes no other case's draws. The full model gets a

@@ -255,7 +255,8 @@ OUT_COMMANDS = {
                                       "--config", quick_train_cfg(tmp), "--out", out],
 }
 REFUSED_OUTS = [(command, kind) for command in OUT_COMMANDS
-                for kind in ("dir", "file", "cwd", "under_a_file")] + [("ablate", "variant_dir")]
+                for kind in ("dir", "file", "cwd", "under_a_file", "symlink_loop")] + [
+                    ("ablate", "variant_dir")]
 
 
 @pytest.mark.parametrize("command", ["gen", "train"])
@@ -281,6 +282,8 @@ def test_train_refuses_an_out_it_cannot_replace(tmp_path, small_data, capsys, mo
     out = tmp_path / "notes"
     if kind in ("file", "under_a_file"):
         out.write_text("keep me\n")
+    elif kind == "symlink_loop":
+        out.symlink_to(out.name)
     else:
         out.mkdir()
     if kind == "dir":
@@ -713,6 +716,9 @@ BAD_DATASETS = {
     "short_record": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=lambda f: f.pop()),
                      "malformed record (want 10 fields)"),
     "no_cases": (_empty_dataset, "no cases"),
+    "comma_in_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
+                                               edit_record=_set_field(0, "case,0001")),
+                         "case,0001"),
 }
 
 

@@ -1,6 +1,6 @@
 """Finite-difference verification of every differentiable primitive.
 
-The op cases live in one registry, ``gliomil.verify.OP_CASES``, which the
+The op cases live in one table, ``gliomil.verify.OP_CASES``, which the
 ``gradcheck`` CLI runs too; each case gets 100 randomized trials through
 ``verify.check_op``. The tests below that exercise ``grad_check`` itself.
 """
@@ -22,11 +22,13 @@ def test_op_gradients_match_finite_differences(name):
 
 
 def test_every_autodiff_op_has_a_registry_case(monkeypatch):
-    """Each public op is called by a case named after it (``op`` or ``op_<variant>``)."""
-    ops = {
+    """Each op of ``ad.OPS`` is called by a case named after it (``op`` or ``op_<variant>``),
+    and every public function of the module but two is such an op."""
+    public = {
         name for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
-    } - {"no_grad", "backward"}
+    }
+    assert public - set(ad.OPS) == {"no_grad", "backward"} and set(ad.OPS) <= public
     called = set()
 
     def spy(name, fn):
@@ -35,7 +37,7 @@ def test_every_autodiff_op_has_a_registry_case(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ops:
+    for name in ad.OPS:
         monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
     covered = set()
     for case, build in verify.OP_CASES.items():
@@ -43,7 +45,7 @@ def test_every_autodiff_op_has_a_registry_case(monkeypatch):
         _, loss = build(np.random.default_rng(0))
         loss()
         covered |= {op for op in called if case == op or case.startswith(op + "_")}
-    assert ops - covered == set()
+    assert set(ad.OPS) - covered == set()
 
 
 def test_three_layer_mlp_composite():

@@ -1,8 +1,11 @@
 """The whole CLI output matrix, pinned by sha256.
 
 One small run of each command (12 cases of 5 patches at K = 6, 2 epochs)
-writes every file a user gets. The test compares the digest of each such
-file, and of each command's stdout, with ``PINNED``:
+writes every file a user gets. Training takes ``dcc_top_m = 3``: at the
+default of 8, every patch of a 5-patch bag falls in both top-M sets, DCC
+adds exactly 0, and ``ablation/no_dcc`` trains as ``ablation/full`` does.
+The test compares the digest of each such file, and of each command's
+stdout, with ``PINNED``:
 
 - ``gen``;
 - ``ablate``: ``train`` for the full model and each ablation variant, and
@@ -67,7 +70,7 @@ def _table(digests: dict) -> str:
 def digests(tmp_path_factory) -> dict:
     root = tmp_path_factory.mktemp("matrix")
     (root / "gen.cfg").write_text(GEN_CFG)
-    (root / "train.cfg").write_text("epochs = 2\n")
+    (root / "train.cfg").write_text("epochs = 2\ndcc_top_m = 3\n")
     write_dataset(root / "ragged", _ragged_bags())
     found = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -87,64 +90,64 @@ def digests(tmp_path_factory) -> dict:
 
 PINNED = """\
 bc1eabfefed93c92b73d8240f7e28837aee120c30e11348a4a8562ab2b587f91  ablation/ablation.csv
-cc3b8c35674b3c23cf4f465c49f206ea0408575268b7ca7df2f5d4c5cf099e4f  ablation/full/checkpoint.blob
-6729253bc1e10dd2b42f9a31203a4a1ef0dcd84f0467159b76c5e93e5924662b  ablation/full/checkpoint.manifest
-5c6bfa33ed10e2f3790bb0c0269a9a26e1e7bf3a9b40854350948231be76558c  ablation/full/confidences.csv
-ecdcd0ddc5f8628484daf8c540d8d61dfec7394e6d0b85477daecd54ebd34a3e  ablation/full/epochs.csv
+c86ecf4e445eb2c47c9ffd18f893165467cf618e94e2a6a731a3eaf7eed68c1d  ablation/full/checkpoint.blob
+5e157e2a035b1caf32e04265b69ffd329f405ece9fbaccce06727cea1cd841b2  ablation/full/checkpoint.manifest
+65c2323a300b9694df05284695f60e94de17231c56872b78947faae347f4f1af  ablation/full/confidences.csv
+01bf55ee2d50165492f8ba8fe8ecd095bafd982b78d03cac7e34ea65079894e7  ablation/full/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/full/report.txt
-2bbea4edaabaa9130f02c8abd89f712a7a875c1f7de94b71b2de975080e475d7  ablation/no_cmg/checkpoint.blob
-f93f73aecb394c5336f6a6db04782ebcd4c028d8cbec30c735b5b78786c51364  ablation/no_cmg/checkpoint.manifest
-1465bc915b2aa5d8b6b3821d836b9cdf97f1173f658705d11795f9d8a839afea  ablation/no_cmg/confidences.csv
-39b733b5ce3da8409881a1a7698c7665f71f50192281379917164fa52ff093c5  ablation/no_cmg/epochs.csv
+91d07de292db709dc10fa91d51d078b695df870fb2f4d31c4be77e26e3c69dbc  ablation/no_cmg/checkpoint.blob
+85fd836c1f4715f8a781dfd053dd26cb8e08fa5ba680e89f1641308cfcaad21d  ablation/no_cmg/checkpoint.manifest
+6e1ea4b996c978ba96093e1b467396aa4230841bf0fc0202ba4587fa80402981  ablation/no_cmg/confidences.csv
+075c1cd2764ee970503c7f32b8066bb93bfc50ce205c634e02316ac9e7426a8e  ablation/no_cmg/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_cmg/report.txt
 9a8aec1989e633b51627281bd0d4fd7eec3a8302478d8f6e09d7115cd0a93044  ablation/no_dcc/checkpoint.blob
-5853f0453cdf0d312717c040034ec392055fbbb102cdcc0ad98d3d5c335847af  ablation/no_dcc/checkpoint.manifest
+efcaca6438d20755ab872fd941fddfa9a63ae8d0df0bd0ef235d8d8fed80c3d8  ablation/no_dcc/checkpoint.manifest
 5c6bfa33ed10e2f3790bb0c0269a9a26e1e7bf3a9b40854350948231be76558c  ablation/no_dcc/confidences.csv
-ecdcd0ddc5f8628484daf8c540d8d61dfec7394e6d0b85477daecd54ebd34a3e  ablation/no_dcc/epochs.csv
+b02de19ce42cf1068229fb8106c403b244f6deb5088b51cecc9eed531a304970  ablation/no_dcc/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_dcc/report.txt
-f1537d4b3316775fae53a2d18db3dd9fa5f21935c0e41cd783089a73a55ee27f  ablation/no_disent/checkpoint.blob
-da9f6979c7f268e0d40f3e762d74fa4331eab2c1f5e6716983c54a1a8ff0c7d9  ablation/no_disent/checkpoint.manifest
-536d62ae7b572d00fe1a94ba2ef30c33cfba25f3fd417bf98b8b211725dfecfd  ablation/no_disent/confidences.csv
-08b23dea167f1baafabe9df936a923226c62ede2721a7d9adbe1042140384587  ablation/no_disent/epochs.csv
+402baff26c985bc27696d2247b88cbf06b5fc6e2a19b07447f263aa3fe7c7fb5  ablation/no_disent/checkpoint.blob
+ee771c166f1eb4cf4498eb9ef6816558e864161f44069f6f1416ebd12113a861  ablation/no_disent/checkpoint.manifest
+d9174e4b0100662508072c1c340e4ee61cf4d0375e8e34f100967d2375f4d8cb  ablation/no_disent/confidences.csv
+97013188e17e56ac4ab0dfa070cefbedd228a85aea867509311c214b52fc112a  ablation/no_disent/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_disent/report.txt
-819b43fa19bae78937087952af5df5bf8a3119d047f0a96129e3f767d3ad5d0c  ablation/no_graph/checkpoint.blob
-0eeaed85c4ec80dce72b0bc2a4df0cde93e0af949015fe98a7487aab50737131  ablation/no_graph/checkpoint.manifest
-2acaa70bab886bed7f9142b3539cd2d742cbc3634e95ccac6faeb84026878f4e  ablation/no_graph/confidences.csv
-dfd55f38792bcbb0f89138d5ca4168fd29d0afd05c6dca281d8b63c8828fbb64  ablation/no_graph/epochs.csv
+00be22409543736bf70b54e545313677cabc93bc57be9c6466d419c83dd908b1  ablation/no_graph/checkpoint.blob
+23998069c364a92dc4831a989a817b430969da80edc91949c6adcfbc5155ec3c  ablation/no_graph/checkpoint.manifest
+889bb2bc6cdabd9a6c083e6a8476434b9ecd18f4496bbbcaf6b1fcc3d36c5628  ablation/no_graph/confidences.csv
+5b3c5a71eb5cd1ee8e7e1740a4e5d0882fe949583296a0a8618ef94b1eca5707  ablation/no_graph/epochs.csv
 fca50ab4c69a1dd9428a4186aaceed4d79f038a5e60ee1157f95fd3ce57cf5c8  ablation/no_graph/report.txt
-fd11b9da662e7e7f137e7c68e68e9f001434649f9c47f5e73aaa4e67d2594c49  ablation/no_guide/checkpoint.blob
-b6fcc64dc013096697dfe8e88022fa209b12819abb94e4491d30eda37506f59b  ablation/no_guide/checkpoint.manifest
-8b896fe9dbe11546e3d7fc46261146b01ad4f2bdf6f0565ffd58507acfaa3a5d  ablation/no_guide/confidences.csv
-25c4649ed5997e70d01930de1ed5dfffcde4a32579cee18225fe538be83f0e52  ablation/no_guide/epochs.csv
+3b66c1551f50b2855c860238aa8f58a0e55b60d118d4bd9f4e74edf1bcaea621  ablation/no_guide/checkpoint.blob
+63626cc188f23b73f2f16053e584c8e678778fa40ac6263769ef5020452e1eb1  ablation/no_guide/checkpoint.manifest
+ca01f8a1ef9b14844a63b90739f531ab212ffabf9aba34af8729028c34a7ae4e  ablation/no_guide/confidences.csv
+a5645e4c45fa4102821d8af5e83c1bff26264565ed848bca51a5015bf8959053  ablation/no_guide/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_guide/report.txt
-d4e772b084199e4572e2ec99f146504e2c5c2c5219ec8c82f738d0d5d760994a  ablation/no_lc/checkpoint.blob
-10c9d281f84f0f0a655560b55fd763dec50fda1b45028a17297a661108a6eb03  ablation/no_lc/checkpoint.manifest
-7b4a9b071d7cfc94f3c37844c94cfbb9ea76bceda972c01e5b069e97371e48e0  ablation/no_lc/confidences.csv
-b9a3449a89da68b1dc03b6982a371663a43bac1edae00145ac69009d243a5f07  ablation/no_lc/epochs.csv
+cbca815467d057582f32d70f4a613ec9f67dccb7b8ea3943fd5e951882a2ccd9  ablation/no_lc/checkpoint.blob
+59ac5f5817148bae0c68b5c1098a14ca4e1f26c7a04531686095139a205d290a  ablation/no_lc/checkpoint.manifest
+14ca2e51d62069e8b6bc15bf08aeac0ec79bc11e8e383d1cdf6d7d12e06179e3  ablation/no_lc/confidences.csv
+eb1088390f48ad61062e0b5b75447936edb0a2597c7fe691ba61db2989a30e01  ablation/no_lc/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_lc/report.txt
-58efdf7a25b8a8fd519d6844f5a917bb5249450c0b757bdbb172ee7abe650bc6  ablation/no_rescale/checkpoint.blob
-423b8db53d15caa8ab433c083d1a4d421130529279becf96e2ed414478483646  ablation/no_rescale/checkpoint.manifest
-8a32a05f30fc6a8da3678b32dc8a80e70db213d86aa8c25cd3a4a5d19f214b62  ablation/no_rescale/confidences.csv
-2737c6f6ba615a7024ac3df0d7f27f80d8b114f6c0df97b61047862dbedebe9c  ablation/no_rescale/epochs.csv
+5da809b7f0eb1d39d350f600d84df28f9b6fc2ae08614da948b70677f29eafdd  ablation/no_rescale/checkpoint.blob
+347c9075a5dfab513b42d096321784f5f7a17b18c5f65c8daa7630fc1129be46  ablation/no_rescale/checkpoint.manifest
+2cb582f43a69130708f7f7f7007ca343602df9f6d00bb4da1b9c940edc1534b9  ablation/no_rescale/confidences.csv
+a53aa66c93268d77e4b8b22845f4e6036cf5b5ce781d8c83f46f6def1704d851  ablation/no_rescale/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_rescale/report.txt
 320cc8b6f89612e4c5bfb3a8293ccdfdd0ee3572b1ecba6b539382c264503d5b  data/dataset.blob
 009b4bdd5f231ce2391bcdf6e4e72fa3ea8c8d98dafe855657255a52f2575d1c  data/dataset.manifest
 872b30bcfd14c842ae5025bf560aa7f0a9bc9f48da8b27892590427c5ba1ded2  ragged/dataset.blob
 d7b649535537406232eb17696946feb74923cb3cafd5999ff25c137f660e9809  ragged/dataset.manifest
-eddfddc9f5c2f715f08fb7926fdd53167e7b3fc0663503e3a35360b7aa0001b4  ragged_run/checkpoint.blob
-6729253bc1e10dd2b42f9a31203a4a1ef0dcd84f0467159b76c5e93e5924662b  ragged_run/checkpoint.manifest
-9061f42229b468acf6a811b0ddb6dea3025384ed3f0eb2ec0fcb326e967cfcd1  ragged_run/confidences.csv
-f6d7bdcae56ae1c7a6f6700d377b30ad67c5ce9e67d5f950750b414f667ec0aa  ragged_run/epochs.csv
-01897cf09cc779cc6ca0679d4658da035361db876032110d89322a64233fde47  ragged_run/report.txt
+b01ec1419184ae3b12ee63b65f0eeae13200147e7e8b335e52890b7a291924bd  ragged_run/checkpoint.blob
+5e157e2a035b1caf32e04265b69ffd329f405ece9fbaccce06727cea1cd841b2  ragged_run/checkpoint.manifest
+024735c2de508680e21fab9aa9d5128938af610b9c976cd5b21879abb07cb238  ragged_run/confidences.csv
+7a756f3c5cb2fab74e2ab700f50ff05952edc96764726c275680625abead7b11  ragged_run/epochs.csv
+7f772514a1e04e2bd234465cadd707ab12f564cd2d5be4277a074a2fb8861a59  ragged_run/report.txt
 90beb9fb64e2f5ba249c165d004a9a8aee797a699a3ae144cdb314828ac8a625  stdout of gliomil ablate --data data --config train.cfg --out ablation
-4f972df2e4250af9639d8a4aaec0bf5e9c3cb68395a322614220a49b716e1331  stdout of gliomil eval --data data --checkpoint ablation/full --split all
-281b4042b0653e70e3142f157655275a1bd4622db166d49b437dc714272c885b  stdout of gliomil eval --data data --checkpoint ablation/full --split train
+1ed285d6209747a284e648f3c1e68929db4665c0e1242c5b735fa3d1bb5433ff  stdout of gliomil eval --data data --checkpoint ablation/full --split all
+9973047a559e92c7de7ea73028b0687a61845f8858c261384b9cfaccb2245143  stdout of gliomil eval --data data --checkpoint ablation/full --split train
 9d8ea346f076355d5730c9a33a19836510ac31338fa7f66c02b1b659524fe904  stdout of gliomil eval --data data --checkpoint ablation/full --split val
 77dc0229c29dd0ed8e08b403c24173888d7c4283db763d011e5d65f03c99011f  stdout of gliomil gen --config gen.cfg --out data
 3b8f87ec368990c487e8c97d719bb6ebfe41cc582c0f2c559058d8e1141f123c  stdout of gliomil gradcheck --trials 2 --model-seeds 1
 d54445c6253337992bc622361deb46ffe920ed44cd614c145c3e847f425b57f8  stdout of gliomil report --run ablation
-0d639dad3a00382330edbb3cd7610f030341df083b06f260c27d60f166077cac  stdout of gliomil report --run ablation/full
-eaeedb3f2342d37ce8062c82b3cef9b0dea56675328c59f482472ed8b26728b5  stdout of gliomil train --data ragged --config train.cfg --out ragged_run
+ac0ce2e5e77ddb9e34bc0d0fb42dabd41cf6245d5188b7da7f01fcb2489c1a9a  stdout of gliomil report --run ablation/full
+ed76e0a6f68570c836c06c0f0b601d9c43dcd6b2f37e3c9dcc340bfc28abddd5  stdout of gliomil train --data ragged --config train.cfg --out ragged_run
 """
 
 

@@ -110,19 +110,44 @@ def _write_blob(path: Path, arrays, dtype: str) -> None:
 # ---------------------------------------------------------------------------
 # datasets
 
+def _check_case_id(case_id: str) -> None:
+    """The one case-id rule of writer and reader: non-empty, no whitespace, no comma.
+
+    A manifest record splits on whitespace, and the run files are
+    comma-separated with the case id a field.
+    """
+    if not case_id or re.search(r"[\s,]", case_id):
+        raise DatasetError(f"case {case_id!r}: a case id must be non-empty "
+                           "and hold no whitespace or comma")
+
+
+def _check_unique(case_ids) -> None:
+    seen = set()
+    for case_id in case_ids:
+        if case_id in seen:
+            raise DatasetError(f"case {case_id}: repeated case id")
+        seen.add(case_id)
+
+
 def write_dataset(out_dir, bags) -> None:
-    """Write bags to ``out_dir``/dataset.{manifest,blob}."""
+    """Write bags to ``out_dir``/dataset.{manifest,blob}.
+
+    A case id or a shape that ``read_dataset`` would refuse raises before
+    anything is written.
+    """
     bags = list(bags)
     arrays = [f for bag in bags for f in (bag.feats_high, bag.feats_low)]
     offsets = _offsets(arrays, "<f4")
     lines = [f"{_DATASET_MAGIC} cases={len(bags)}"]
     for bag, off_high, off_low in zip(bags, offsets[::2], offsets[1::2]):
+        _check_case_id(bag.case_id)
         n, k = bag.feats_high.shape
         if bag.feats_low.shape != (n, k):
             raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
                                f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
         lines.append(" ".join(map(str, (bag.case_id, n, k, *bag.markers,
                                         bag.glioma_class, off_high, off_low))))
+    _check_unique(bag.case_id for bag in bags)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
@@ -151,8 +176,7 @@ def read_dataset(data_dir) -> list:
         if len(tokens) != width:
             raise DatasetError(f"malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
-        if "," in case_id:  # the run files are comma-separated, with the case id a field
-            raise DatasetError(f"case {case_id}: a case id may not hold a comma")
+        _check_case_id(case_id)
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
         except ValueError:
@@ -173,11 +197,8 @@ def read_dataset(data_dir) -> list:
         bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
                              markers=markers, glioma_class=glioma))
     blob.check_end()
-    case_ids = set()
-    for bag in bags:  # after the per-record checks, whose errors come first
-        if bag.case_id in case_ids:
-            raise DatasetError(f"case {bag.case_id}: repeated case id")
-        case_ids.add(bag.case_id)
+    # after the per-record checks, whose errors come first
+    _check_unique(bag.case_id for bag in bags)
     return bags
 
 
@@ -218,6 +239,13 @@ def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
     _write_blob(out_dir / CHECKPOINT_BLOB, arrays, "<f8")
 
 
+def _shape(text: str) -> tuple:
+    """A shape as ``write_checkpoint`` writes it, ``(d1,...,dn)`` in decimal or ``()``."""
+    if not re.fullmatch(r"\((?:[0-9]+(?:,[0-9]+)*)?\)", text):
+        raise ValueError(f"malformed shape {text!r}")
+    return tuple(int(d) for d in text[1:-1].split(",") if d)
+
+
 def read_checkpoint(ckpt_dir):
     """Return (params: dict[str, ndarray], feat_dim, CooccurrenceMatrix, TrainConfig).
 
@@ -238,7 +266,7 @@ def read_checkpoint(ckpt_dir):
         if kind == "param":
             try:
                 key, shape_s, offset_s = rest.rsplit(" ", 2)
-                dims = tuple(int(d) for d in shape_s.strip("()").split(",") if d)
+                dims = _shape(shape_s)
                 offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None

@@ -2,12 +2,13 @@
 
 One small run of each command (12 cases of 5 patches at K = 6, 2 epochs)
 writes every file a user gets. Training takes ``dcc_top_m = 3``: at the
-default of 8, every patch of a 5-patch bag falls in both top-M sets, DCC
-adds exactly 0, and ``ablation/no_dcc`` trains as ``ablation/full`` does.
-The test compares the digest of each such file, and of each command's
-stdout, with ``PINNED``:
+default of 8, every patch of a 5-patch bag falls in both top-M sets, so
+DCC's loss reads +/-0 and ``ablation/full`` and ``ablation/no_dcc`` write
+the same ``epochs.csv`` and ``confidences.csv``. The test compares the
+digest of each such file, and of each command's stdout, with ``PINNED``:
 
-- ``gen``;
+- ``gen``, whose two files were first pinned when bags were held as
+  float64 in memory: the in-memory dtype must not reach the files;
 - ``ablate``: ``train`` for the full model and each ablation variant, and
   ``ablation.csv``;
 - ``eval --split val|train|all`` on the full model's run;

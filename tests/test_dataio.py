@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ class TestDatasetRoundTrip:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("case_id,refusal", [
+        ("case 1", "case 'case 1': a case id"),
+        ("case,1", "case 'case,1': a case id"),
+        ("", "case '': a case id"),
+        ("case\t1", "case 'case\\t1': a case id"),
+        ("case0001", "case case0001: repeated case id"),
+    ], ids=["space", "comma", "empty", "tab", "repeated"])
+    def test_a_case_id_the_reader_refuses_is_refused_before_writing(self, tmp_path, small_bags,
+                                                                    case_id, refusal):
+        bags = small_bags[:3] + [dataclasses.replace(small_bags[3], case_id=case_id)]
+        with pytest.raises(DatasetError, match=re.escape(refusal)):
+            write_dataset(tmp_path / "data", bags)
+        assert not (tmp_path / "data").exists()
 
 
 class TestCheckpointRoundTrip:

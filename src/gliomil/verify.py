@@ -57,7 +57,7 @@ class CheckLine:
         return f"{tag:4s} {self.name:24s} trials={self.trials:<4d} max rel err {self.max_rel_err:.3e}"
 
 
-def verdict(name: str, trials: int, lines) -> CheckLine:
+def verdict(name: str, trials: int, lines: list[CheckLine]) -> CheckLine:
     """One line for many: passed if every line passed, with the worst error (0.0 for none)."""
     return CheckLine(name=name, trials=trials, passed=all(line.passed for line in lines),
                      max_rel_err=max((line.max_rel_err for line in lines), default=0.0))
@@ -81,7 +81,7 @@ def grad_check(
     f: Callable[[], Tensor],
     params: Mapping[str, Tensor],
     coords: Optional[Mapping[str, Sequence[int]]] = None,
-) -> list:
+) -> list[CheckLine]:
     """Compare analytic gradients of ``f()`` against central differences.
 
     Returns one ``CheckLine`` per parameter, its trials the entries

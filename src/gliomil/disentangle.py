@@ -10,8 +10,8 @@ fused features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ def init_disentangler(rng: np.random.Generator, k: int) -> SimpleNamespace:
     )
 
 
-@dataclass
-class DisentangledFeatures:
+class DisentangledFeatures(NamedTuple):
     shared_mol: Tensor  # (N, K)
     indep_mol: Tensor
     shared_his: Tensor

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ def init_branch(rng: np.random.Generator, k: int, n_blocks: int) -> SimpleNamesp
     )
 
 
-@dataclass
-class BranchState:
+class BranchState(NamedTuple):
     """One finding's branch output: the rows it pooled, their summary, its logits."""
 
     feats: Tensor   # (N, K) patch rows; a marker branch's are the post-graph rows

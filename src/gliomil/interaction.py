@@ -27,7 +27,7 @@ gives the same bits at any BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def rescale(vec: np.ndarray, target_norm: float) -> None:
 # ---------------------------------------------------------------------------
 # modulation
 
-@dataclass
-class ModulationRecord:
+class ModulationRecord(NamedTuple):
     """What modulation did that its caller cannot read off the gradient afterwards."""
 
     modulated_group: str       # "histology" or "molecular"

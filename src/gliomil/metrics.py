@@ -8,8 +8,7 @@ ratios fall back to 0 when their denominator is empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from .config import FINDINGS, GLIOMA
 TASKS = (*(f.name for f in FINDINGS), GLIOMA)
 
 
-@dataclass
-class TaskMetrics:
+class TaskMetrics(NamedTuple):
     accuracy: float
     sensitivity: float
     specificity: float
@@ -27,15 +25,16 @@ class TaskMetrics:
     f1: float
 
 
-class MetricReport(SimpleNamespace):
-    """One ``TaskMetrics`` attribute per ``TASKS`` name, in that order."""
+class MetricReport(NamedTuple("MetricReport", [(name, TaskMetrics) for name in TASKS])):
+    """One ``TaskMetrics`` field per ``TASKS`` name, in that order."""
+
+    __slots__ = ()
 
     def task(self, name: str) -> TaskMetrics:
         return getattr(self, name)
 
 
-@dataclass
-class CasePrediction:
+class CasePrediction(NamedTuple):
     """Per-case evaluation record: truth plus predicted scores."""
 
     case_id: str
@@ -101,7 +100,7 @@ def micro_multiclass_metrics(labels, preds, probs) -> TaskMetrics:
     classes = np.arange(probs.shape[1])
     pooled = binary_task_metrics((labels[:, None] == classes).ravel(),
                                  (preds[:, None] == classes).ravel(), probs.ravel())
-    return replace(pooled, accuracy=_ratio(int((preds == labels).sum()), labels.size))
+    return pooled._replace(accuracy=_ratio(int((preds == labels).sum()), labels.size))
 
 
 def compute_metrics(predictions) -> MetricReport:

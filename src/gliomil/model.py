@@ -24,8 +24,8 @@ fixes the structure when the model is built, the marker graph included.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ WILDTYPE_COL = 0  # IDH branch: wildtype = label 0
 LESION_COL = 1    # histology branch: lesion present = label 1
 
 
-@dataclass
-class ModelConfig:
+class ModelConfig(NamedTuple):
     feat_dim: int
     graph_alpha: float
     use_graph: bool  # run the marker graph between the marker branches and their pools
@@ -63,8 +62,7 @@ class ModelConfig:
                    use_graph="no_graph" not in cfg.ablations)
 
 
-@dataclass
-class BagForward:
+class BagForward(NamedTuple):
     disent: DisentangledFeatures
     branches: tuple              # one BranchState per finding, in ``config.FINDINGS`` order
     glioma_logits: Tensor        # (1, 4)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +31,7 @@ CLASS_NAMES = (
 )
 
 
-class MarkerTuple(namedtuple("MarkerTuple", [f.name for f in FINDINGS])):
+class MarkerTuple(NamedTuple("MarkerTuple", [(f.name, int) for f in FINDINGS])):
     """A case's 0/1 label of each finding: one field per ``config.FINDINGS`` row, in its order."""
 
     __slots__ = ()
@@ -41,8 +40,7 @@ class MarkerTuple(namedtuple("MarkerTuple", [f.name for f in FINDINGS])):
         return np.array(self, dtype=np.int64)
 
 
-@dataclass
-class PatchBag:
+class PatchBag(NamedTuple):
     case_id: str
     feats_high: np.ndarray  # (N, K) float32, as stored on disk
     feats_low: np.ndarray   # (N, K) float32, as stored on disk
@@ -50,8 +48,7 @@ class PatchBag:
     glioma_class: int
 
 
-@dataclass
-class CooccurrenceMatrix:
+class CooccurrenceMatrix(NamedTuple):
     """Symmetrized conditional co-positivity of the M molecular markers."""
 
     a: np.ndarray        # (M, M) float64

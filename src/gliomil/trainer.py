@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +53,14 @@ class LossError(RuntimeError):
     """A loss term stopped being finite; training must not continue."""
 
 
-@dataclass
-class EpochRow:
+class EpochRow(NamedTuple):
     epoch: int
     losses: dict           # term name -> batch-averaged value, plus "total"
     dcc_overlap: float     # mean top-M agreement across training bags
     report: MetricReport   # the held-out metrics; the acc_* columns read its accuracies
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     cfg: TrainConfig
     model: Model
     cooc: CooccurrenceMatrix

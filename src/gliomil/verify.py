@@ -26,8 +26,7 @@ import functools
 import math
 import time
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +42,7 @@ DEFAULT_TOL = 1e-4
 _ABS_FLOOR = 1e-6  # below this magnitude, compare absolutely
 
 
-@dataclass
-class CheckLine:
+class CheckLine(NamedTuple):
     """One verdict: what was checked, over how many trials or entries, and the worst error."""
 
     name: str

@@ -1,7 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
 import argparse
 import contextlib
-import dataclasses
 import io
 import re
 from pathlib import Path
@@ -644,7 +643,7 @@ def _write_bags(dest, *gen_cfgs, edit_record=None):
 
     The bags of the second and later configs get case ids of their own.
     """
-    bags = [dataclasses.replace(bag, case_id=f"{bag.case_id}.{i}") if i else bag
+    bags = [bag._replace(case_id=f"{bag.case_id}.{i}") if i else bag
             for i, cfg in enumerate(gen_cfgs) for bag in generate_dataset(cfg)]
     write_dataset(dest, bags)
     if edit_record is not None:

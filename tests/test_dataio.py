@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 
@@ -105,7 +104,7 @@ class TestDatasetRoundTrip:
             write_dataset(out, small_bags[:2])
         before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
         last = small_bags[-1]
-        bad = small_bags[:-1] + [dataclasses.replace(last, feats_low=last.feats_low[:-1])]
+        bad = small_bags[:-1] + [last._replace(feats_low=last.feats_low[:-1])]
         with pytest.raises(DatasetError, match=f"case {last.case_id}: magnification shapes"):
             write_dataset(out, bad)
         if existing:
@@ -122,7 +121,7 @@ class TestDatasetRoundTrip:
     ], ids=["space", "comma", "empty", "tab", "repeated"])
     def test_a_case_id_the_reader_refuses_is_refused_before_writing(self, tmp_path, small_bags,
                                                                     case_id, refusal):
-        bags = small_bags[:3] + [dataclasses.replace(small_bags[3], case_id=case_id)]
+        bags = small_bags[:3] + [small_bags[3]._replace(case_id=case_id)]
         with pytest.raises(DatasetError, match=re.escape(refusal)):
             write_dataset(tmp_path / "data", bags)
         assert not (tmp_path / "data").exists()
@@ -197,7 +196,7 @@ class TestCheckpointRoundTrip:
         cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
         write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
         assert read_checkpoint(tmp_path)[2].a.tobytes() == cooc.a.tobytes()
-        one_ulp_off = dataclasses.replace(cooc, a=np.nextafter(cooc.a, 2.0))
+        one_ulp_off = cooc._replace(a=np.nextafter(cooc.a, 2.0))
         write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, one_ulp_off, TrainConfig())
         with pytest.raises(CheckpointError, match="bad metadata: cooccurrence "):
             read_checkpoint(tmp_path)

@@ -262,7 +262,7 @@ class TestModulation:
     def test_record_holds_no_array(self):
         grad, groups = toy_grads([1.0, 1.0], [1.0, 0.0])
         record = cmg_modulate(grad, groups, nmp_majority=1)
-        assert not any(isinstance(v, np.ndarray) for v in vars(record).values())
+        assert not any(isinstance(v, np.ndarray) for v in record._asdict().values())
 
     def test_unequal_sizes_orthogonal_and_norm_preserving(self):
         rng = np.random.default_rng(3)

@@ -1,7 +1,6 @@
 """Metric oracles: rank AUC against the pairwise definition, the
 micro-average identity, the micro panel against per-class pooled
 counts, average ranks against scipy, and report assembly."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -142,8 +141,8 @@ def test_micro_panel_matches_per_class_pooled_counts():
         probs = tied if trial % 2 else rng.random((n, 4))
         draws.append((labels, preds, probs))
     for labels, preds, probs in draws:
-        got = dataclasses.asdict(micro_multiclass_metrics(labels, preds, probs))
-        assert got == dataclasses.asdict(pooled_count_panel(labels, preds, probs))
+        got = micro_multiclass_metrics(labels, preds, probs)._asdict()
+        assert got == pooled_count_panel(labels, preds, probs)._asdict()
 
 
 # finite scores, with ties and -0.0 beside 0.0 drawn often

@@ -1,7 +1,6 @@
 """The flat parameter layout, where every parameter is a view of ``Model.theta``,
 and what one bag's recorded graph holds."""
 import collections
-import dataclasses
 import hashlib
 import tracemalloc
 import types
@@ -176,8 +175,8 @@ def test_forward_widens_float32_bags_exactly():
     model = build(feat_dim=4)
     for bag in bags:
         assert bag.feats_high.dtype == bag.feats_low.dtype == np.float32
-        wide = dataclasses.replace(bag, feats_high=bag.feats_high.astype(np.float64),
-                                   feats_low=bag.feats_low.astype(np.float64))
+        wide = bag._replace(feats_high=bag.feats_high.astype(np.float64),
+                            feats_low=bag.feats_low.astype(np.float64))
         with no_grad():
             got, want = model.forward(bag, adjacency), model.forward(wide, adjacency)
         for a, b in zip([got.glioma_logits] + [s.logits for s in got.branches],

@@ -632,7 +632,7 @@ def test_confidences_retain_16_bytes_per_patch():
     try:
         result = train_model(bags, TrainConfig(epochs=1, seed=0))
         held = tracemalloc.get_traced_memory()[0]
-        result.confidences = None
+        result = result._replace(confidences=None)
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -179,9 +179,10 @@ def parse_config(cls, raw: dict):
 
 
 def format_config(cfg) -> dict:
-    """Field name -> text, in field order; ``parse_config`` inverts it."""
-    return {k: ",".join(v) if isinstance(v, tuple) else str(v)
-            for k, v in dataclasses.asdict(cfg).items()}
+    """Field name -> text, in field order, each value as its field's type (an int in a float
+    field as a float); ``parse_config`` inverts it, and a checkpoint holds only this text."""
+    return {f.name: ",".join(v) if isinstance(v := getattr(cfg, f.name), tuple)
+            else str(type(f.default)(v)) for f in dataclasses.fields(cfg)}
 
 
 def read_utf8(path, error) -> str:

@@ -15,6 +15,12 @@ writing one array at a time. Each keeps its record syntax. The spans must
 tile the blob as ``_write_blob`` writes it: in manifest order, each array
 starts where the previous one ended, the first at byte 0, and the last
 ends at the blob's end.
+
+Writer and reader share one renderer per manifest line kind (the dataset
+header and ``_record``, the checkpoint's ``_param``, ``_meta`` and
+``config.format_config``): a reader accepts a line only if it renders
+back from the values parsed from it, so ``+4`` or ``0_4`` for 4 is
+refused. A writer refuses what its reader refuses, with its message.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ DATASET_BLOB = "dataset.blob"
 CHECKPOINT_MANIFEST = "checkpoint.manifest"
 CHECKPOINT_BLOB = "checkpoint.blob"
 
-_DATASET_MAGIC = "bagset v1"
+_DATASET_HEADER = "bagset v1 cases={}"
 _CHECKPOINT_MAGIC = "paramset v1"
 
 
@@ -83,8 +89,7 @@ class _Blob:
             raise self.error(f"{what}: truncated blob (need bytes up to {self.end}, "
                              f"blob has {len(self.data)})")
         arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise self.error(f"{what}: non-finite values")
+        _check_finite(arr, what, self.error)
         return arr
 
     def check_end(self) -> None:
@@ -93,6 +98,17 @@ class _Blob:
             raise self.error(f"{self.path}: {len(self.data) - self.end} bytes past the last "
                              f"array, which ends at byte {self.end} "
                              "(the arrays must tile the blob)")
+
+
+def _check_finite(arr: np.ndarray, what: str, error) -> None:
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # half the time of .all() on a bag
+        raise error(f"{what}: non-finite values")
+
+
+def _as_written(what: str, text: str, written: str, error) -> None:
+    """Raise ``error`` unless ``text`` is ``written``: what the writer writes for its values."""
+    if text != written:
+        raise error(f"{what} {text!r} is not as written: the writer writes {written!r}")
 
 
 def _offsets(arrays, dtype: str) -> list:
@@ -121,6 +137,24 @@ def _check_case_id(case_id: str) -> None:
                            "and hold no whitespace or comma")
 
 
+def _record(case_id: str, n: int, k: int, labels: list, glioma: int, offsets, width: int) -> str:
+    """A case's manifest record as ``write_dataset`` writes it, once it passes the record
+    rules of writer and reader: a valid case id, 0/1 labels, a non-empty bag as wide as
+    the first case (``width``) and the class its markers give."""
+    record = " ".join(map(str, (case_id, n, k, *labels, glioma, *offsets)))
+    _check_case_id(case_id)
+    if any(v not in (0, 1) for v in labels):
+        raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
+    if min(n, k) < 1:
+        raise DatasetError(f"case {case_id}: empty bag in {record!r}")
+    if k != width:
+        raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
+                           f"case's {width}")
+    if glioma != derive_glioma_class(MarkerTuple(*labels)):
+        raise DatasetError(f"case {case_id}: stored class {glioma} contradicts markers {labels}")
+    return record
+
+
 def _check_unique(case_ids) -> None:
     seen = set()
     for case_id in case_ids:
@@ -132,25 +166,29 @@ def _check_unique(case_ids) -> None:
 def write_dataset(out_dir, bags) -> None:
     """Write bags to ``out_dir``/dataset.{manifest,blob}.
 
-    A case id or a shape that ``read_dataset`` would refuse raises before
+    A bag that ``read_dataset`` would refuse raises its message before
     anything is written.
     """
     bags = list(bags)
-    arrays = [f for bag in bags for f in (bag.feats_high, bag.feats_low)]
+    with np.errstate(over="ignore"):  # as stored: a value past float32's range is inf
+        arrays = [np.asarray(f, dtype="<f4")
+                  for bag in bags for f in (bag.feats_high, bag.feats_low)]
     offsets = _offsets(arrays, "<f4")
-    lines = [f"{_DATASET_MAGIC} cases={len(bags)}"]
-    for bag, off_high, off_low in zip(bags, offsets[::2], offsets[1::2]):
-        _check_case_id(bag.case_id)
+    lines = [_DATASET_HEADER.format(len(bags))]
+    for i, bag in enumerate(bags):
         n, k = bag.feats_high.shape
         if bag.feats_low.shape != (n, k):
             raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
                                f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
-        lines.append(" ".join(map(str, (bag.case_id, n, k, *bag.markers,
-                                        bag.glioma_class, off_high, off_low))))
+        pair = slice(2 * i, 2 * i + 2)  # the bag's arrays and offsets
+        lines.append(_record(bag.case_id, n, k, list(bag.markers), bag.glioma_class,
+                             offsets[pair], bags[0].feats_high.shape[1]))
+        for feats in arrays[pair]:
+            _check_finite(feats, f"case {bag.case_id}", DatasetError)
     _check_unique(bag.case_id for bag in bags)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
+    (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_blob(out_dir / DATASET_BLOB, arrays, "<f4")
 
 
@@ -158,10 +196,11 @@ def read_dataset(data_dir) -> list:
     """Read bags back, each with its stored patch count, as read-only float32 views of the blob."""
     manifest_path, lines, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB, DatasetError)
     head = lines[0] if lines else ""
-    header = re.fullmatch(f"{_DATASET_MAGIC} cases=([0-9]+)", head)
+    header = re.fullmatch(_DATASET_HEADER.format("([0-9]+)"), head)
     if header is None:
         raise DatasetError(f"{manifest_path}: malformed header {head!r}")
     declared = int(header[1])
+    _as_written(f"{manifest_path}: header", head, _DATASET_HEADER.format(declared), DatasetError)
     records = [ln for ln in lines[1:] if ln.strip()]
     if not records:
         raise DatasetError(f"{manifest_path}: no cases")
@@ -169,33 +208,24 @@ def read_dataset(data_dir) -> list:
         raise DatasetError(f"{manifest_path}: header declares {declared} cases, "
                            f"found {len(records)} records")
 
-    width = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
+    n_fields = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
     bags = []
     for record in records:
         tokens = record.split()
-        if len(tokens) != width:
-            raise DatasetError(f"malformed record (want {width} fields): {record!r}")
+        if len(tokens) != n_fields:
+            raise DatasetError(f"malformed record (want {n_fields} fields): {record!r}")
         case_id = tokens[0]
-        _check_case_id(case_id)
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
         except ValueError:
             raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}") from None
-        if any(v not in (0, 1) for v in labels):
-            raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
-        if min(n, k) < 1:
-            raise DatasetError(f"case {case_id}: empty bag in {record!r}")
-        if bags and k != bags[0].feats_high.shape[1]:
-            raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
-                               f"case's {bags[0].feats_high.shape[1]}")
+        width = bags[0].feats_high.shape[1] if bags else k
+        written = _record(case_id, n, k, labels, glioma, (off_high, off_low), width)
+        _as_written(f"case {case_id}: record", record, written, DatasetError)
         high, low = (blob.array("<f4", (n, k), off, f"case {case_id}")
                      for off in (off_high, off_low))
-        markers = MarkerTuple(*labels)
-        if glioma != derive_glioma_class(markers):
-            raise DatasetError(f"case {case_id}: stored class {glioma} "
-                               f"contradicts markers {labels}")
         bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
-                             markers=markers, glioma_class=glioma))
+                             markers=MarkerTuple(*labels), glioma_class=glioma))
     blob.check_end()
     # after the per-record checks, whose errors come first
     _check_unique(bag.case_id for bag in bags)
@@ -205,45 +235,43 @@ def read_dataset(data_dir) -> list:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _cooccurrence_text(a) -> str:
-    """The co-occurrence matrix as the manifest stores it: ``repr`` of each float."""
-    return ",".join(repr(float(v)) for v in np.asarray(a).ravel())
-
-
 def _counts(text: str) -> np.ndarray:
     m = len(MOLECULAR)
     return np.array([np.int64(v) for v in text.split(",")]).reshape(m, m)
 
 
 # meta key -> parser of its value, in the order write_checkpoint writes them; the
-# matrix stays text, to be compared with the one its counts give
+# matrix stays text, which only its counts' matrix, as written, may match
 _META_PARSERS = {"feat_dim": int, "cooccurrence": str, "cooccurrence_counts": _counts,
                  "cooccurrence_cases": int}
 
 
+def _meta(feat_dim: int, cooc: CooccurrenceMatrix) -> dict:
+    """Each meta key's value as the manifest stores it; the matrix is ``repr`` of each float."""
+    return dict(zip(_META_PARSERS, (
+        str(feat_dim), ",".join(repr(float(v)) for v in np.asarray(cooc.a).ravel()),
+        ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel()), str(cooc.n_cases))))
+
+
+def _param(name: str, shape: tuple, offset: int) -> str:
+    return f"param {name} ({','.join(map(str, shape))}) {offset}"
+
+
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
-    """Write named float64 parameters plus the run metadata needed to eval."""
-    counts_flat = ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel())
-    lines = [_CHECKPOINT_MAGIC, f"meta feat_dim {feat_dim}",
-             f"meta cooccurrence {_cooccurrence_text(cooc.a)}",
-             f"meta cooccurrence_counts {counts_flat}", f"meta cooccurrence_cases {cooc.n_cases}"]
-    lines += [f"config {key} {text}" for key, text in format_config(train_cfg).items()]
+    """Write named float64 parameters plus the run metadata needed to eval; a non-finite
+    parameter raises the reader's message before anything is written."""
     arrays = [tensor.data for tensor in params.values()]
-    offsets = _offsets(arrays, "<f8")
-    for (name, tensor), offset in zip(params.items(), offsets):
-        lines.append(f"param {name} ({','.join(str(d) for d in tensor.data.shape)}) {offset}")
+    for name, arr in zip(params, arrays):
+        _check_finite(arr, f"param {name}", CheckpointError)
+    lines = [_CHECKPOINT_MAGIC,
+             *(f"meta {key} {text}" for key, text in _meta(feat_dim, cooc).items()),
+             *(f"config {key} {text}" for key, text in format_config(train_cfg).items()),
+             *map(_param, params, (arr.shape for arr in arrays), _offsets(arrays, "<f8"))]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / CHECKPOINT_MANIFEST).write_text("\n".join(lines) + "\n")
+    (out_dir / CHECKPOINT_MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_blob(out_dir / CHECKPOINT_BLOB, arrays, "<f8")
-
-
-def _shape(text: str) -> tuple:
-    """A shape as ``write_checkpoint`` writes it, ``(d1,...,dn)`` in decimal or ``()``."""
-    if not re.fullmatch(r"\((?:[0-9]+(?:,[0-9]+)*)?\)", text):
-        raise ValueError(f"malformed shape {text!r}")
-    return tuple(int(d) for d in text[1:-1].split(",") if d)
 
 
 def read_checkpoint(ckpt_dir):
@@ -266,10 +294,11 @@ def read_checkpoint(ckpt_dir):
         if kind == "param":
             try:
                 key, shape_s, offset_s = rest.rsplit(" ", 2)
-                dims = _shape(shape_s)
+                dims = tuple(int(d) for d in shape_s[1:-1].split(",") if d)
                 offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
+            _as_written(f"{manifest_path}: line", line, _param(key, dims, offset), CheckpointError)
             value = blob.array("<f8", dims, offset, f"param {key}")
         else:
             key, _, value = rest.partition(" ")
@@ -295,9 +324,8 @@ def read_checkpoint(ckpt_dir):
         raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence_counts "
                               f"{meta['cooccurrence_counts']!r} over {cases} cases")
     cooc = cooccurrence_from_counts(counts, cases)
-    if parsed["cooccurrence"] != _cooccurrence_text(cooc.a):
-        raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence "
-                              f"{meta['cooccurrence']!r} is not the matrix of its counts")
+    for key, text in _meta(parsed["feat_dim"], cooc).items():
+        _as_written(f"{manifest_path}: bad metadata: {key}", meta[key], text, CheckpointError)
     missing = [f.name for f in fields(TrainConfig) if f.name not in config_raw]
     if missing:
         raise CheckpointError(f"{manifest_path}: bad config: missing keys {missing}")
@@ -305,4 +333,6 @@ def read_checkpoint(ckpt_dir):
         cfg = parse_config(TrainConfig, config_raw)
     except ConfigError as exc:
         raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
+    for key, text in format_config(cfg).items():
+        _as_written(f"{manifest_path}: bad config: {key}", config_raw[key], text, CheckpointError)
     return params, parsed["feat_dim"], cooc, cfg

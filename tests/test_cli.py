@@ -439,6 +439,18 @@ BAD_CHECKPOINT_MANIFESTS = {
         _replace_line("meta cooccurrence_counts ",
                       lambda _: "meta cooccurrence_counts 5,9,0,9,5,0,0,0,5"),
         "bad metadata: cooccurrence_counts"),
+    # values int() reads, spelled as no writer writes them
+    "param_offset_plus": (
+        _replace_line("param his.blocks.0.ln1_gain ", _set_param_field(3, "+0")),
+        "the writer writes 'param his.blocks.0.ln1_gain (1,4) 0'"),
+    "meta_feat_dim_underscore": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim 0_4"),
+                                 "bad metadata: feat_dim '0_4'"),
+    "meta_counts_spaced": (
+        _replace_line("meta cooccurrence_counts ",
+                      lambda ln: ln.replace("counts ", "counts  ").replace(",", ", ")),
+        "bad metadata: cooccurrence_counts"),
+    "config_epochs_underscore": (_replace_line("config epochs ", lambda _: "config epochs 0_1"),
+                                 "bad config: epochs '0_1'"),
 }
 
 
@@ -638,20 +650,35 @@ def test_train_rejects_negative_seed(tmp_path, small_data, capsys):
     _one_error_line(capsys.readouterr().err, "seed")
 
 
-def _write_bags(dest, *gen_cfgs, edit_record=None):
-    """Write the bags of every generator config into one dataset at ``dest``.
-
-    The bags of the second and later configs get case ids of their own.
-    """
-    bags = [bag._replace(case_id=f"{bag.case_id}.{i}") if i else bag
+def _bags(*gen_cfgs):
+    """The bags of every generator config; the second and later get case ids of their own."""
+    return [bag._replace(case_id=f"{bag.case_id}.{i}") if i else bag
             for i, cfg in enumerate(gen_cfgs) for bag in generate_dataset(cfg)]
-    write_dataset(dest, bags)
+
+
+def _write_bags(dest, *gen_cfgs, edit_record=None):
+    """Write the bags of every generator config into one dataset at ``dest``."""
+    write_dataset(dest, _bags(*gen_cfgs))
     if edit_record is not None:
         lines = (dest / "dataset.manifest").read_text().splitlines()
         fields = lines[1].split()
         edit_record(fields)
         lines[1] = " ".join(fields)
-        (dest / "dataset.manifest").write_text("\n".join(lines) + "\n")
+        (dest / "dataset.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return dest
+
+
+def _write_unchecked(dest, bags):
+    """The manifest and blob ``write_dataset`` would write for ``bags``, without its checks."""
+    dest.mkdir()
+    arrays = [f for bag in bags for f in (bag.feats_high, bag.feats_low)]
+    offsets = np.cumsum([0] + [f.nbytes for f in arrays])
+    lines = [f"bagset v1 cases={len(bags)}"] + [
+        " ".join(map(str, (bag.case_id, *bag.feats_high.shape, *bag.markers, bag.glioma_class,
+                           offsets[2 * i], offsets[2 * i + 1])))
+        for i, bag in enumerate(bags)]
+    (dest / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    (dest / "dataset.blob").write_bytes(b"".join(f.tobytes() for f in arrays))
     return dest
 
 
@@ -692,8 +719,10 @@ BAD_DATASETS = {
     "repeated_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case0001")),
                          "case0001: repeated case id"),
-    "mixed_width": (lambda d: _write_bags(d, GenConfig(n_cases=6, n_patches=4, feat_dim=4),
-                                         GenConfig(n_cases=6, n_patches=4, feat_dim=6)),
+    # write_dataset refuses bags of two widths, so this one is written by hand
+    "mixed_width": (lambda d: _write_unchecked(d, _bags(
+                        GenConfig(n_cases=6, n_patches=4, feat_dim=4),
+                        GenConfig(n_cases=6, n_patches=4, feat_dim=6))),
                     "feature width"),
     "zero_patches": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "0")),
                      "empty bag"),
@@ -709,6 +738,16 @@ BAD_DATASETS = {
     "comma_in_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case,0001")),
                          "case,0001"),
+    # values int() reads, spelled as no writer writes them
+    "header_leading_zero": (_with_header("bagset v1 cases=012"),
+                            "the writer writes 'bagset v1 cases=12'"),
+    "patch_count_plus": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "+4")),
+                         "the writer writes 'case0000 4 4 "),
+    "patch_count_arabic_indic": (
+        lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "\u0664")),
+        "the writer writes 'case0000 4 4 "),
+    "width_underscore": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(2, "0_4")),
+                         "the writer writes 'case0000 4 4 "),
 }
 
 

@@ -1,11 +1,15 @@
 import hashlib
 import re
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliomil.config import GenConfig, TrainConfig, ConfigError, load_gen_config, load_train_config
 from gliomil.dataio import (
+    CHECKPOINT_MANIFEST,
     DATASET_BLOB,
     DATASET_MANIFEST,
     DatasetError,
@@ -112,22 +116,39 @@ class TestDatasetRoundTrip:
         else:
             assert not out.exists()
 
-    @pytest.mark.parametrize("case_id,refusal", [
-        ("case 1", "case 'case 1': a case id"),
-        ("case,1", "case 'case,1': a case id"),
-        ("", "case '': a case id"),
-        ("case\t1", "case 'case\\t1': a case id"),
-        ("case0001", "case case0001: repeated case id"),
-    ], ids=["space", "comma", "empty", "tab", "repeated"])
+    @pytest.mark.parametrize("edit,refusal", [
+        (dict(case_id="case 1"), "case 'case 1': a case id"),
+        (dict(case_id="case,1"), "case 'case,1': a case id"),
+        (dict(case_id=""), "case '': a case id"),
+        (dict(case_id="case\t1"), "case 'case\\t1': a case id"),
+        (dict(case_id="case0001"), "case case0001: repeated case id"),
+        # a bag the reader refuses for what else its record or blob holds
+        (dict(glioma_class=0), "case case0003: stored class 0 contradicts markers [1, 1, 1, 0]"),
+        (dict(markers=MarkerTuple(2, 1, 1, 0)), "case case0003: labels must be 0/1, got [2, 1, 1, 0]"),
+        (dict(feats_high=np.zeros((0, 5), np.float32), feats_low=np.zeros((0, 5), np.float32)),
+         "case case0003: empty bag in 'case0003 0 5 "),
+        (dict(feats_high=np.full((6, 5), np.nan, np.float32)), "case case0003: non-finite values"),
+        (dict(feats_low=np.full((6, 5), 1e39)), "case case0003: non-finite values"),  # inf as f4
+        (dict(feats_high=np.zeros((6, 4), np.float32), feats_low=np.zeros((6, 4), np.float32)),
+         "case case0003: feature width 4 differs from the first case's 5"),
+    ], ids=["space", "comma", "empty", "tab", "repeated", "class", "label", "empty_bag", "nan",
+            "float32_overflow", "width"])
     def test_a_case_id_the_reader_refuses_is_refused_before_writing(self, tmp_path, small_bags,
-                                                                    case_id, refusal):
-        bags = small_bags[:3] + [small_bags[3]._replace(case_id=case_id)]
+                                                                    edit, refusal):
+        bags = small_bags[:3] + [small_bags[3]._replace(**edit)]
         with pytest.raises(DatasetError, match=re.escape(refusal)):
             write_dataset(tmp_path / "data", bags)
         assert not (tmp_path / "data").exists()
 
 
 class TestCheckpointRoundTrip:
+    def test_a_non_finite_param_is_refused_before_writing(self, tmp_path):
+        cooc = estimate_cooccurrence(np.zeros((1, 3), dtype=int))
+        params = {"w": Tensor(np.ones(2)), "b": Tensor(np.array([0.5, np.nan]))}
+        with pytest.raises(CheckpointError, match=re.escape("param b: non-finite values")):
+            write_checkpoint(tmp_path / "ckpt", params, 2, cooc, TrainConfig())
+        assert not (tmp_path / "ckpt").exists()
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         params = {
@@ -222,6 +243,62 @@ class TestCheckpointRoundTrip:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match=key):
             read_checkpoint(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A 3-case dataset and a tiny checkpoint, as their writers write them."""
+    root = tmp_path_factory.mktemp("written")
+    write_dataset(root / "dataset",
+                  generate_dataset(GenConfig(n_cases=3, n_patches=2, feat_dim=3, seed=5)))
+    params = {"w": Tensor(np.random.default_rng(0).normal(size=(2, 3))),
+              "gate": Tensor(np.asarray(0.5))}
+    cooc = estimate_cooccurrence(np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1]]))
+    write_checkpoint(root / "checkpoint", params, 3, cooc, TrainConfig())
+    return root
+
+
+def _write_read_checkpoint(dest, loaded):
+    params, feat_dim, cooc, cfg = loaded
+    write_checkpoint(dest, {name: Tensor(a) for name, a in params.items()}, feat_dim, cooc, cfg)
+
+
+# kind -> (manifest name, the reader's error, reader, writer of what the reader returns)
+FORMATS = {
+    "dataset": (DATASET_MANIFEST, DatasetError, read_dataset, write_dataset),
+    "checkpoint": (CHECKPOINT_MANIFEST, CheckpointError, read_checkpoint, _write_read_checkpoint),
+}
+# spellings that int() or float() reads but no writer writes, then short strings of the
+# characters the manifests hold (and an Arabic-Indic four)
+TOKENS = (st.sampled_from(["+4", "\u0664", "0_4", "04", "+0", "-0", "1e3", "0.0030", "(2,,3)",
+                           "(3,2)", "()", ""])
+          | st.text("0123456789+-_.,()=e \u0664x", max_size=6))
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_reader_accepts_only_what_its_writer_writes(written, kind, data):
+    """One token of one manifest line replaced: the reader raises its format's error, or
+    what it returns, written again, gives the edited manifest byte for byte."""
+    manifest, error, read, write = FORMATS[kind]
+    lines = (written / kind / manifest).read_text(encoding="utf-8").splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[at].split(" ")
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+    lines[at] = " ".join(tokens)
+    edited = ("\n".join(lines) + "\n").encode()
+    src, dest = written / "edited", written / "rewritten"
+    for path in (src, dest):
+        shutil.rmtree(path, ignore_errors=True)
+    shutil.copytree(written / kind, src)
+    (src / manifest).write_bytes(edited)
+    try:
+        loaded = read(src)
+    except error:
+        return
+    write(dest, loaded)
+    assert (dest / manifest).read_bytes() == edited
 
 
 class TestConfigFiles:

@@ -1,9 +1,11 @@
 """Training-loop behavior: splits, loss assembly, the bag-by-bag step, the
 optimizer step, gradient modulation wiring, determinism, and the ablation
 harness."""
+import collections
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -269,6 +271,28 @@ def _step_peak_bytes(bags, adj, cfg) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_training_never_calls_the_nine_ops_the_engine_docstring_names(monkeypatch):
+    """One epoch (train steps and the scoring pass) calls every op of ``autodiff.OPS`` but
+    the nine that ``autodiff``'s docstring names as never called by the model."""
+    named = re.search(r"The model never calls (.*?); only", ad.__doc__, re.S)[1]
+    unused = {"exp", "log", "mean_all", "mse", "relu", "tanh", "transpose", "cosine",
+              "layer_norm"}
+    assert set(re.findall(r"``(\w+)``", named)) == unused
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ad.OPS:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    train_model(generate_dataset(GenConfig(n_cases=8, n_patches=5, feat_dim=4, seed=0)),
+                TrainConfig(epochs=1, batch_size=3, dcc_top_m=3, seed=0))
+    assert set(ad.OPS) - set(calls) == unused
 
 
 def test_a_step_keeps_one_bag_graph_alive():

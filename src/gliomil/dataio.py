@@ -137,21 +137,22 @@ def _check_case_id(case_id: str) -> None:
                            "and hold no whitespace or comma")
 
 
-def _record(case_id: str, n: int, k: int, labels: list, glioma: int, offsets, width: int) -> str:
+def _record(case_id: str, n: int, k: int, markers, glioma: int, offsets, width: int) -> str:
     """A case's manifest record as ``write_dataset`` writes it, once it passes the record
     rules of writer and reader: a valid case id, 0/1 labels, a non-empty bag as wide as
     the first case (``width``) and the class its markers give."""
-    record = " ".join(map(str, (case_id, n, k, *labels, glioma, *offsets)))
+    record = " ".join(map(str, (case_id, n, k, *markers, glioma, *offsets)))
     _check_case_id(case_id)
-    if any(v not in (0, 1) for v in labels):
-        raise DatasetError(f"case {case_id}: labels must be 0/1, got {labels}")
+    if any(v not in (0, 1) for v in markers):
+        raise DatasetError(f"case {case_id}: labels must be 0/1, got {list(markers)}")
     if min(n, k) < 1:
         raise DatasetError(f"case {case_id}: empty bag in {record!r}")
     if k != width:
         raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
                            f"case's {width}")
-    if glioma != derive_glioma_class(MarkerTuple(*labels)):
-        raise DatasetError(f"case {case_id}: stored class {glioma} contradicts markers {labels}")
+    if glioma != derive_glioma_class(markers):
+        raise DatasetError(f"case {case_id}: stored class {glioma} "
+                           f"contradicts markers {list(markers)}")
     return record
 
 
@@ -170,6 +171,8 @@ def write_dataset(out_dir, bags) -> None:
     anything is written.
     """
     bags = list(bags)
+    if not bags:
+        raise DatasetError(f"{Path(out_dir) / DATASET_MANIFEST}: no cases")
     with np.errstate(over="ignore"):  # as stored: a value past float32's range is inf
         arrays = [np.asarray(f, dtype="<f4")
                   for bag in bags for f in (bag.feats_high, bag.feats_low)]
@@ -181,7 +184,7 @@ def write_dataset(out_dir, bags) -> None:
             raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
                                f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
         pair = slice(2 * i, 2 * i + 2)  # the bag's arrays and offsets
-        lines.append(_record(bag.case_id, n, k, list(bag.markers), bag.glioma_class,
+        lines.append(_record(bag.case_id, n, k, MarkerTuple(*bag.markers), bag.glioma_class,
                              offsets[pair], bags[0].feats_high.shape[1]))
         for feats in arrays[pair]:
             _check_finite(feats, f"case {bag.case_id}", DatasetError)
@@ -208,24 +211,25 @@ def read_dataset(data_dir) -> list:
         raise DatasetError(f"{manifest_path}: header declares {declared} cases, "
                            f"found {len(records)} records")
 
-    n_fields = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
+    width = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
     bags = []
     for record in records:
         tokens = record.split()
-        if len(tokens) != n_fields:
-            raise DatasetError(f"malformed record (want {n_fields} fields): {record!r}")
+        if len(tokens) != width:
+            raise DatasetError(f"malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
         except ValueError:
             raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}") from None
-        width = bags[0].feats_high.shape[1] if bags else k
-        written = _record(case_id, n, k, labels, glioma, (off_high, off_low), width)
+        markers = MarkerTuple(*labels)
+        written = _record(case_id, n, k, markers, glioma, (off_high, off_low),
+                          bags[0].feats_high.shape[1] if bags else k)
         _as_written(f"case {case_id}: record", record, written, DatasetError)
         high, low = (blob.array("<f4", (n, k), off, f"case {case_id}")
                      for off in (off_high, off_low))
         bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
-                             markers=MarkerTuple(*labels), glioma_class=glioma))
+                             markers=markers, glioma_class=glioma))
     blob.check_end()
     # after the per-record checks, whose errors come first
     _check_unique(bag.case_id for bag in bags)
@@ -241,7 +245,7 @@ def _counts(text: str) -> np.ndarray:
 
 
 # meta key -> parser of its value, in the order write_checkpoint writes them; the
-# matrix stays text, which only its counts' matrix, as written, may match
+# matrix stays text, which must read as its counts' matrix is written
 _META_PARSERS = {"feat_dim": int, "cooccurrence": str, "cooccurrence_counts": _counts,
                  "cooccurrence_cases": int}
 

@@ -141,6 +141,12 @@ class TestDatasetRoundTrip:
         assert not (tmp_path / "data").exists()
 
 
+    def test_an_empty_dataset_is_refused_before_writing(self, tmp_path):
+        with pytest.raises(DatasetError, match="no cases"):
+            write_dataset(tmp_path / "data", [])
+        assert not (tmp_path / "data").exists()
+
+
 class TestCheckpointRoundTrip:
     def test_a_non_finite_param_is_refused_before_writing(self, tmp_path):
         cooc = estimate_cooccurrence(np.zeros((1, 3), dtype=int))

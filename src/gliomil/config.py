@@ -188,7 +188,7 @@ def format_config(cfg) -> dict:
 def read_utf8(path, error) -> str:
     """The text of an input file; bytes that are not UTF-8 raise ``error``, naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")  # as is: CRLF stays CRLF
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -16,17 +16,17 @@ tile the blob as ``_write_blob`` writes it: in manifest order, each array
 starts where the previous one ended, the first at byte 0, and the last
 ends at the blob's end.
 
-Writer and reader share one renderer per manifest line kind (the dataset
-header and ``_record``, the checkpoint's ``_param``, ``_meta`` and
-``config.format_config``): a reader accepts a line only if it renders
-back from the values parsed from it, so ``+4`` or ``0_4`` for 4 is
-refused. A writer refuses what its reader refuses, with its message.
+Each format has one manifest function (``_dataset_lines``, ``_checkpoint_lines``)
+that holds its rules. The writer writes its lines; the reader passes the values it
+parsed to it and compares the whole text once (``_as_written``), so a respelled
+number, a reordered, blank or missing line, CRLF or no final newline is refused.
+A writer refuses what its reader refuses, with its message.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import fields
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -57,12 +57,12 @@ class CheckpointError(ValueError):
 # the shared codec
 
 def _open(directory, manifest_name: str, blob_name: str, error):
-    """(manifest path, manifest lines, ``_Blob``); a missing or non-UTF-8 file raises ``error``."""
+    """(manifest path, manifest text, ``_Blob``); a missing or non-UTF-8 file raises ``error``."""
     manifest_path, blob_path = Path(directory) / manifest_name, Path(directory) / blob_name
     for path in (manifest_path, blob_path):
         if not path.exists():
             raise error(f"missing {path}")
-    return (manifest_path, read_utf8(manifest_path, error).splitlines(),
+    return (manifest_path, read_utf8(manifest_path, error),
             _Blob(blob_path, blob_path.read_bytes(), error))
 
 
@@ -105,10 +105,21 @@ def _check_finite(arr: np.ndarray, what: str, error) -> None:
         raise error(f"{what}: non-finite values")
 
 
-def _as_written(what: str, text: str, written: str, error) -> None:
-    """Raise ``error`` unless ``text`` is ``written``: what the writer writes for its values."""
+def _as_written(path, text: str, lines, error) -> None:
+    """Raise ``error`` unless ``text`` is ``lines``, each ending in a newline: what the writer
+    writes for the values read from it. The message quotes the first line that differs."""
+    written = "".join(f"{line}\n" for line in lines)
     if text != written:
-        raise error(f"{what} {text!r} is not as written: the writer writes {written!r}")
+        got, want = (re.findall(".*\n|.+", t) + [None] for t in (text, written))
+        n = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        raise error(f"{path}: line {n + 1} {_quote(got[n])} is not as written: "
+                    f"the writer writes {_quote(want[n])}")
+
+
+def _quote(line) -> str:
+    """A manifest line as a message quotes it: without its newline; None is past the last."""
+    return ("(end of file)" if line is None else repr(line[:-1]) if line.endswith("\n")
+            else f"{line!r} (no newline)")
 
 
 def _offsets(arrays, dtype: str) -> list:
@@ -156,12 +167,13 @@ def _record(case_id: str, n: int, k: int, markers, glioma: int, offsets, width: 
     return record
 
 
-def _check_unique(case_ids) -> None:
-    seen = set()
-    for case_id in case_ids:
-        if case_id in seen:
-            raise DatasetError(f"case {case_id}: repeated case id")
-        seen.add(case_id)
+def _dataset_lines(rows: list) -> list:
+    """The dataset manifest: the header, then each row's ``_record``. A row is a case's
+    (id, patch count, width, markers, class, (high, low) offsets); no case id may repeat."""
+    lines = [_DATASET_HEADER.format(len(rows)), *(_record(*row, rows[0][2]) for row in rows)]
+    if repeated := [case_id for case_id, n in Counter(row[0] for row in rows).items() if n > 1]:
+        raise DatasetError(f"case {repeated[0]}: repeated case id")
+    return lines
 
 
 def write_dataset(out_dir, bags) -> None:
@@ -173,22 +185,19 @@ def write_dataset(out_dir, bags) -> None:
     bags = list(bags)
     if not bags:
         raise DatasetError(f"{Path(out_dir) / DATASET_MANIFEST}: no cases")
+    for bag in bags:
+        if bag.feats_low.shape != bag.feats_high.shape:
+            raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
+                               f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
     with np.errstate(over="ignore"):  # as stored: a value past float32's range is inf
         arrays = [np.asarray(f, dtype="<f4")
                   for bag in bags for f in (bag.feats_high, bag.feats_low)]
     offsets = _offsets(arrays, "<f4")
-    lines = [_DATASET_HEADER.format(len(bags))]
-    for i, bag in enumerate(bags):
-        n, k = bag.feats_high.shape
-        if bag.feats_low.shape != (n, k):
-            raise DatasetError(f"case {bag.case_id}: magnification shapes differ: "
-                               f"{bag.feats_high.shape} vs {bag.feats_low.shape}")
-        pair = slice(2 * i, 2 * i + 2)  # the bag's arrays and offsets
-        lines.append(_record(bag.case_id, n, k, MarkerTuple(*bag.markers), bag.glioma_class,
-                             offsets[pair], bags[0].feats_high.shape[1]))
-        for feats in arrays[pair]:
-            _check_finite(feats, f"case {bag.case_id}", DatasetError)
-    _check_unique(bag.case_id for bag in bags)
+    lines = _dataset_lines([(bag.case_id, *bag.feats_high.shape, MarkerTuple(*bag.markers),
+                             bag.glioma_class, offsets[2 * i:2 * i + 2])
+                            for i, bag in enumerate(bags)])
+    for i, feats in enumerate(arrays):
+        _check_finite(feats, f"case {bags[i // 2].case_id}", DatasetError)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / DATASET_MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -197,42 +206,27 @@ def write_dataset(out_dir, bags) -> None:
 
 def read_dataset(data_dir) -> list:
     """Read bags back, each with its stored patch count, as read-only float32 views of the blob."""
-    manifest_path, lines, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB, DatasetError)
-    head = lines[0] if lines else ""
-    header = re.fullmatch(_DATASET_HEADER.format("([0-9]+)"), head)
-    if header is None:
-        raise DatasetError(f"{manifest_path}: malformed header {head!r}")
-    declared = int(header[1])
-    _as_written(f"{manifest_path}: header", head, _DATASET_HEADER.format(declared), DatasetError)
-    records = [ln for ln in lines[1:] if ln.strip()]
+    manifest_path, text, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB, DatasetError)
+    records = text.splitlines()[1:]  # after the header, which the comparison checks
     if not records:
         raise DatasetError(f"{manifest_path}: no cases")
-    if len(records) != declared:
-        raise DatasetError(f"{manifest_path}: header declares {declared} cases, "
-                           f"found {len(records)} records")
-
     width = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
-    bags = []
+    rows = []
     for record in records:
         tokens = record.split()
         if len(tokens) != width:
-            raise DatasetError(f"malformed record (want {width} fields): {record!r}")
+            raise DatasetError(f"{manifest_path}: malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
         try:
             n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
         except ValueError:
             raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}") from None
-        markers = MarkerTuple(*labels)
-        written = _record(case_id, n, k, markers, glioma, (off_high, off_low),
-                          bags[0].feats_high.shape[1] if bags else k)
-        _as_written(f"case {case_id}: record", record, written, DatasetError)
-        high, low = (blob.array("<f4", (n, k), off, f"case {case_id}")
-                     for off in (off_high, off_low))
-        bags.append(PatchBag(case_id=case_id, feats_high=high, feats_low=low,
-                             markers=markers, glioma_class=glioma))
+        rows.append((case_id, n, k, MarkerTuple(*labels), glioma, (off_high, off_low)))
+    _as_written(manifest_path, text, _dataset_lines(rows), DatasetError)
+    bags = [PatchBag(case_id, *(blob.array("<f4", (n, k), off, f"case {case_id}")
+                                for off in offsets), markers, glioma)
+            for case_id, n, k, markers, glioma, offsets in rows]
     blob.check_end()
-    # after the per-record checks, whose errors come first
-    _check_unique(bag.case_id for bag in bags)
     return bags
 
 
@@ -257,25 +251,29 @@ def _meta(feat_dim: int, cooc: CooccurrenceMatrix) -> dict:
         ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel()), str(cooc.n_cases))))
 
 
-def _param(name: str, shape: tuple, offset: int) -> str:
-    return f"param {name} ({','.join(map(str, shape))}) {offset}"
+def _checkpoint_lines(arrays: dict, feat_dim: int, cooc: CooccurrenceMatrix,
+                      cfg: TrainConfig) -> list:
+    """The checkpoint manifest: the magic line, the ``_meta`` and ``format_config`` lines,
+    then a ``param`` line per named array, which lie back to back in the blob."""
+    return [_CHECKPOINT_MAGIC,
+            *(f"meta {key} {text}" for key, text in _meta(feat_dim, cooc).items()),
+            *(f"config {key} {text}" for key, text in format_config(cfg).items()),
+            *(f"param {name} ({','.join(map(str, arr.shape))}) {offset}"
+              for (name, arr), offset in zip(arrays.items(), _offsets(arrays.values(), "<f8")))]
 
 
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
     """Write named float64 parameters plus the run metadata needed to eval; a non-finite
     parameter raises the reader's message before anything is written."""
-    arrays = [tensor.data for tensor in params.values()]
-    for name, arr in zip(params, arrays):
+    manifest = Path(out_dir) / CHECKPOINT_MANIFEST
+    arrays = {name: tensor.data for name, tensor in params.items()}
+    for name, arr in arrays.items():
         _check_finite(arr, f"param {name}", CheckpointError)
-    lines = [_CHECKPOINT_MAGIC,
-             *(f"meta {key} {text}" for key, text in _meta(feat_dim, cooc).items()),
-             *(f"config {key} {text}" for key, text in format_config(train_cfg).items()),
-             *map(_param, params, (arr.shape for arr in arrays), _offsets(arrays, "<f8"))]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / CHECKPOINT_MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_blob(out_dir / CHECKPOINT_BLOB, arrays, "<f8")
+    lines = _checkpoint_lines(arrays, feat_dim, cooc, train_cfg)
+    manifest.parent.mkdir(parents=True, exist_ok=True)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_blob(manifest.parent / CHECKPOINT_BLOB, arrays.values(), "<f8")
 
 
 def read_checkpoint(ckpt_dir):
@@ -283,15 +281,14 @@ def read_checkpoint(ckpt_dir):
 
     Each param is a read-only float64 view of the blob.
     """
-    manifest_path, lines, blob = _open(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB,
-                                       CheckpointError)
+    manifest_path, text, blob = _open(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB,
+                                      CheckpointError)
+    lines = text.splitlines()
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{manifest_path}: not a {_CHECKPOINT_MAGIC} manifest")
 
     sections = {"meta": {}, "config": {}, "param": {}}
     for line in lines[1:]:
-        if not line.strip():
-            continue
         kind, _, rest = line.partition(" ")
         if kind not in sections:
             raise CheckpointError(f"{manifest_path}: unknown line kind {kind!r}")
@@ -302,7 +299,6 @@ def read_checkpoint(ckpt_dir):
                 offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
-            _as_written(f"{manifest_path}: line", line, _param(key, dims, offset), CheckpointError)
             value = blob.array("<f8", dims, offset, f"param {key}")
         else:
             key, _, value = rest.partition(" ")
@@ -310,11 +306,9 @@ def read_checkpoint(ckpt_dir):
             raise CheckpointError(f"{manifest_path}: repeated {kind} {key!r}")
         sections[kind][key] = value
     blob.check_end()
-    meta, config_raw, params = sections["meta"], sections["config"], sections["param"]
+    # a missing meta key parses as ''
+    meta, params = dict.fromkeys(_META_PARSERS, "") | sections["meta"], sections["param"]
 
-    if set(meta) != set(_META_PARSERS):
-        odd = sorted(set(meta) ^ set(_META_PARSERS))
-        raise CheckpointError(f"{manifest_path}: bad metadata: missing or unknown keys {odd}")
     parsed = {}
     for key, parse in _META_PARSERS.items():
         try:
@@ -328,15 +322,10 @@ def read_checkpoint(ckpt_dir):
         raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence_counts "
                               f"{meta['cooccurrence_counts']!r} over {cases} cases")
     cooc = cooccurrence_from_counts(counts, cases)
-    for key, text in _meta(parsed["feat_dim"], cooc).items():
-        _as_written(f"{manifest_path}: bad metadata: {key}", meta[key], text, CheckpointError)
-    missing = [f.name for f in fields(TrainConfig) if f.name not in config_raw]
-    if missing:
-        raise CheckpointError(f"{manifest_path}: bad config: missing keys {missing}")
     try:
-        cfg = parse_config(TrainConfig, config_raw)
+        cfg = parse_config(TrainConfig, sections["config"])
     except ConfigError as exc:
         raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
-    for key, text in format_config(cfg).items():
-        _as_written(f"{manifest_path}: bad config: {key}", config_raw[key], text, CheckpointError)
+    _as_written(manifest_path, text, _checkpoint_lines(params, parsed["feat_dim"], cooc, cfg),
+                CheckpointError)
     return params, parsed["feat_dim"], cooc, cfg

@@ -376,6 +376,16 @@ def _replace_line(prefix, new):
     return edit
 
 
+def _swap(first, second):
+    """An edit that swaps the lines that start with ``first`` and ``second``."""
+    def edit(lines):
+        i, j = (next(n for n, ln in enumerate(lines) if ln.startswith(p)) for p in (first, second))
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+
+    return edit
+
+
 def _set_param_field(index, value):
     def new(line):
         fields = line.split(" ")
@@ -429,11 +439,14 @@ BAD_CHECKPOINT_MANIFESTS = {
         _replace_line("param his.blocks.0.ln1_bias ", _set_param_field(3, "0")),
         "param his.blocks.0.ln1_bias: starts at byte 0"),
     "cooccurrence_nan": (_replace_line("meta cooccurrence ", lambda _: "meta cooccurrence "
-                                       + ",".join(["nan"] * 9)), "bad metadata: cooccurrence"),
+                                       + ",".join(["nan"] * 9)),
+                         "line 3 'meta cooccurrence nan,nan,nan,nan,nan,nan,nan,nan,nan' is not "
+                         "as written: the writer writes 'meta cooccurrence 1.0,"),
     "cooccurrence_edited": (
         _replace_line("meta cooccurrence ",
                       lambda _: "meta cooccurrence 1e300,-5,0,0,1,0,0,0,1"),
-        "bad metadata: cooccurrence"),
+        "line 3 'meta cooccurrence 1e300,-5,0,0,1,0,0,0,1' is not as written: "
+        "the writer writes 'meta cooccurrence 1.0,"),
     # symmetric, but more cases share markers 0 and 1 than have marker 1
     "cooccurrence_counts_impossible": (
         _replace_line("meta cooccurrence_counts ",
@@ -444,13 +457,28 @@ BAD_CHECKPOINT_MANIFESTS = {
         _replace_line("param his.blocks.0.ln1_gain ", _set_param_field(3, "+0")),
         "the writer writes 'param his.blocks.0.ln1_gain (1,4) 0'"),
     "meta_feat_dim_underscore": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim 0_4"),
-                                 "bad metadata: feat_dim '0_4'"),
+                                 "line 2 'meta feat_dim 0_4' is not as written: "
+                                 "the writer writes 'meta feat_dim 4'"),
     "meta_counts_spaced": (
         _replace_line("meta cooccurrence_counts ",
                       lambda ln: ln.replace("counts ", "counts  ").replace(",", ", ")),
-        "bad metadata: cooccurrence_counts"),
+        "line 4 'meta cooccurrence_counts  4, 3, 0, 3, 3, 0, 0, 0, 0' is not as written: "
+        "the writer writes 'meta cooccurrence_counts 4,3,0,3,3,0,0,0,0'"),
     "config_epochs_underscore": (_replace_line("config epochs ", lambda _: "config epochs 0_1"),
-                                 "bad config: epochs '0_1'"),
+                                 "line 6 'config epochs 0_1' is not as written: "
+                                 "the writer writes 'config epochs 1'"),
+    # lines in another order, a blank line or CRLF endings: all as no writer writes them
+    "meta_swapped": (_swap("meta feat_dim ", "meta cooccurrence "),
+                     "is not as written: the writer writes 'meta feat_dim 4'"),
+    "config_swapped": (_swap("config epochs ", "config batch_size "),
+                       "line 6 'config batch_size 6' is not as written: "
+                       "the writer writes 'config epochs 1'"),
+    "config_after_params": (
+        lambda lines: [ln for ln in lines if not ln.startswith("config seed ")] + ["config seed 1"],
+        "is not as written: the writer writes 'config seed 1'"),
+    "blank_line": (lambda lines: lines[:1] + [""] + lines[1:], "unknown line kind ''"),
+    "crlf": (lambda lines: [ln + "\r" for ln in lines],
+             "line 1 'paramset v1\\r' is not as written: the writer writes 'paramset v1'"),
 }
 
 
@@ -711,11 +739,25 @@ def _with_header(header):
     return build
 
 
+def _edit_manifest(edit):
+    """A builder of a twelve-case dataset whose manifest text is ``edit`` of the written one."""
+    def build(dest):
+        _write_bags(dest, TWELVE_CASES)
+        manifest = dest / "dataset.manifest"
+        manifest.write_bytes(edit(manifest.read_text()).encode())
+        return dest
+
+    return build
+
+
 # dataset builder -> text the one error line must contain
 BAD_DATASETS = {
-    "junk_header": (_with_header("bagset v12 junk cases=12"), "malformed header"),
+    "junk_header": (_with_header("bagset v12 junk cases=12"),
+                    "line 1 'bagset v12 junk cases=12' is not as written: "
+                    "the writer writes 'bagset v1 cases=12'"),
     "declared_count": (_with_header("bagset v1 cases=13"),
-                       "header declares 13 cases, found 12 records"),
+                       "line 1 'bagset v1 cases=13' is not as written: "
+                       "the writer writes 'bagset v1 cases=12'"),
     "repeated_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case0001")),
                          "case0001: repeated case id"),
@@ -748,6 +790,17 @@ BAD_DATASETS = {
         "the writer writes 'case0000 4 4 "),
     "width_underscore": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(2, "0_4")),
                          "the writer writes 'case0000 4 4 "),
+    # line-level edits of a written manifest
+    "blank_line_between_records": (
+        _edit_manifest(lambda t: t.replace("\ncase0005 ", "\n\ncase0005 ")),
+        "malformed record (want 10 fields): ''"),
+    "trailing_blank_lines": (_edit_manifest(lambda t: t + "\n\n"),
+                             "malformed record (want 10 fields): ''"),
+    "crlf": (_edit_manifest(lambda t: t.replace("\n", "\r\n")),
+             "line 1 'bagset v1 cases=12\\r' is not as written: "
+             "the writer writes 'bagset v1 cases=12'"),
+    "no_final_newline": (_edit_manifest(lambda t: t[:-1]),
+                         "(no newline) is not as written: the writer writes 'case0011 4 4 "),
 }
 
 

@@ -214,8 +214,10 @@ class TestCheckpointRoundTrip:
         ([[2, 1, 0], [1, 2, 0], [0, 0, 4]], 3),    # more positives than cases
     ])
     def test_impossible_cooccurrence_counts_rejected(self, tmp_path, counts, cases):
-        cooc = CooccurrenceMatrix(a=np.zeros((3, 3)), counts=np.array(counts), n_cases=cases)
+        cooc = estimate_cooccurrence(np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1]]))
         write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        _set_meta(tmp_path, "cooccurrence_counts", ",".join(map(str, np.ravel(counts))))
+        _set_meta(tmp_path, "cooccurrence_cases", str(cases))
         with pytest.raises(CheckpointError, match="bad metadata: cooccurrence_counts"):
             read_checkpoint(tmp_path)
 
@@ -223,9 +225,12 @@ class TestCheckpointRoundTrip:
         cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
         write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
         assert read_checkpoint(tmp_path)[2].a.tobytes() == cooc.a.tobytes()
-        one_ulp_off = cooc._replace(a=np.nextafter(cooc.a, 2.0))
-        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, one_ulp_off, TrainConfig())
-        with pytest.raises(CheckpointError, match="bad metadata: cooccurrence "):
+        written, one_ulp_off = (",".join(repr(float(v)) for v in a.ravel())
+                                for a in (cooc.a, np.nextafter(cooc.a, 2.0)))
+        _set_meta(tmp_path, "cooccurrence", one_ulp_off)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"line 3 'meta cooccurrence {one_ulp_off}' is not as written: "
+                f"the writer writes 'meta cooccurrence {written}'")):
             read_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("line,key", [
@@ -249,6 +254,13 @@ class TestCheckpointRoundTrip:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match=key):
             read_checkpoint(tmp_path)
+
+
+def _set_meta(ckpt_dir, key, value):
+    """Set the ``meta`` line of ``key`` in the checkpoint manifest in ``ckpt_dir`` to ``value``."""
+    manifest = ckpt_dir / CHECKPOINT_MANIFEST
+    manifest.write_text("".join(f"meta {key} {value}\n" if ln.startswith(f"meta {key} ")
+                                else f"{ln}\n" for ln in manifest.read_text().splitlines()))
 
 
 @pytest.fixture(scope="module")
@@ -281,19 +293,33 @@ TOKENS = (st.sampled_from(["+4", "\u0664", "0_4", "04", "+0", "-0", "1e3", "0.00
           | st.text("0123456789+-_.,()=e \u0664x", max_size=6))
 
 
+# line-level edits: none leaves a manifest as its writer writes it, unless it swaps a line
+# with itself
+LINE_EDITS = ("token", "swap", "empty_line", "crlf", "no_final_newline")
+
+
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_a_reader_accepts_only_what_its_writer_writes(written, kind, data):
-    """One token of one manifest line replaced: the reader raises its format's error, or
-    what it returns, written again, gives the edited manifest byte for byte."""
+    """One edit of a manifest: a token of one line replaced, two lines swapped, an empty
+    line inserted, CRLF line endings or no final newline. The reader raises its format's
+    error, or what it returns, written again, gives the edited manifest byte for byte."""
     manifest, error, read, write = FORMATS[kind]
     lines = (written / kind / manifest).read_text(encoding="utf-8").splitlines()
+    edit = data.draw(st.sampled_from(LINE_EDITS))
     at = data.draw(st.integers(0, len(lines) - 1))
-    tokens = lines[at].split(" ")
-    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
-    lines[at] = " ".join(tokens)
-    edited = ("\n".join(lines) + "\n").encode()
+    if edit == "token":
+        tokens = lines[at].split(" ")
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+        lines[at] = " ".join(tokens)
+    elif edit == "swap":
+        other = data.draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif edit == "empty_line":
+        lines.insert(at, "")
+    newline = "\r\n" if edit == "crlf" else "\n"
+    edited = (newline.join(lines) + ("" if edit == "no_final_newline" else newline)).encode()
     src, dest = written / "edited", written / "rewritten"
     for path in (src, dest):
         shutil.rmtree(path, ignore_errors=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -77,13 +78,15 @@ def _rules(cls) -> tuple:
 
 def _check(cfg) -> None:
     """Raise ``ConfigError`` unless each field of ``cfg`` has its default's type (an int may
-    stand for a float, a bool is no number, a tuple holds only str) and lies in its interval."""
+    stand for a float it converts to, a bool is no number, a tuple holds only str) and lies
+    in its interval."""
     for name, types, kind, interval in _rules(type(cfg)):
         value = getattr(cfg, name)
         if (isinstance(value, bool) or not isinstance(value, types)
                 or (types is tuple and not all(isinstance(s, str) for s in value))):
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        if interval and not interval[1](value):
+        if interval and not (interval[1](value)
+                             and (types is int or abs(value) <= sys.float_info.max)):
             raise ConfigError(f"{name} must lie in {interval[0]}, got {value!r}")
 
 

@@ -43,6 +43,7 @@ CHECKPOINT_BLOB = "checkpoint.blob"
 
 _DATASET_HEADER = "bagset v1 cases={}"
 _CHECKPOINT_MAGIC = "paramset v1"
+_INTEGERS = re.compile("(?: -?[0-9]+)+")  # a dataset record's fields after its case id
 
 
 class DatasetError(ValueError):
@@ -150,10 +151,12 @@ def _check_case_id(case_id: str) -> None:
 
 def _record(case_id: str, n: int, k: int, markers, glioma: int, offsets, width: int) -> str:
     """A case's manifest record as ``write_dataset`` writes it, once it passes the record
-    rules of writer and reader: a valid case id, 0/1 labels, a non-empty bag as wide as
-    the first case (``width``) and the class its markers give."""
+    rules of writer and reader: a valid case id, fields written as integers, 0/1 labels, a
+    non-empty bag as wide as the first case (``width``) and the class its markers give."""
     record = " ".join(map(str, (case_id, n, k, *markers, glioma, *offsets)))
     _check_case_id(case_id)
+    if not _INTEGERS.fullmatch(record, len(case_id)):  # so no label reads False or 1.0
+        raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}")
     if any(v not in (0, 1) for v in markers):
         raise DatasetError(f"case {case_id}: labels must be 0/1, got {list(markers)}")
     if min(n, k) < 1:
@@ -238,6 +241,10 @@ def _counts(text: str) -> np.ndarray:
     return np.array([np.int64(v) for v in text.split(",")]).reshape(m, m)
 
 
+def _counts_text(counts) -> str:
+    return ",".join(str(int(v)) for v in np.ravel(counts))
+
+
 # meta key -> parser of its value, in the order write_checkpoint writes them; the
 # matrix stays text, which must read as its counts' matrix is written
 _META_PARSERS = {"feat_dim": int, "cooccurrence": str, "cooccurrence_counts": _counts,
@@ -248,7 +255,17 @@ def _meta(feat_dim: int, cooc: CooccurrenceMatrix) -> dict:
     """Each meta key's value as the manifest stores it; the matrix is ``repr`` of each float."""
     return dict(zip(_META_PARSERS, (
         str(feat_dim), ",".join(repr(float(v)) for v in np.asarray(cooc.a).ravel()),
-        ",".join(str(int(v)) for v in np.asarray(cooc.counts).ravel()), str(cooc.n_cases))))
+        _counts_text(cooc.counts), str(cooc.n_cases))))
+
+
+def _check_counts(path, counts: np.ndarray, cases: int) -> None:
+    """The joint-count rule of writer and reader: an (M, M) symmetric table of non-negative
+    joint positives, none above either marker's positives, which are at most ``cases``."""
+    m, diag = len(MOLECULAR), np.diag(counts)
+    if not (counts.shape == (m, m) and np.array_equal(counts, counts.T) and (counts >= 0).all()
+            and (counts <= diag).all() and (diag <= cases).all()):
+        raise CheckpointError(f"{path}: bad metadata: cooccurrence_counts "
+                              f"{_counts_text(counts)!r} over {cases} cases")
 
 
 def _checkpoint_lines(arrays: dict, feat_dim: int, cooc: CooccurrenceMatrix,
@@ -264,15 +281,23 @@ def _checkpoint_lines(arrays: dict, feat_dim: int, cooc: CooccurrenceMatrix,
 
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
-    """Write named float64 parameters plus the run metadata needed to eval; a non-finite
-    parameter raises the reader's message before anything is written."""
+    """Write named float64 parameters plus the run metadata needed to eval.
+
+    What the reader refuses raises its message before anything is written: a
+    non-finite parameter, counts that are no joint-count table, or a matrix that
+    is not, bit for bit, its counts' matrix.
+    """
     manifest = Path(out_dir) / CHECKPOINT_MANIFEST
     arrays = {name: tensor.data for name, tensor in params.items()}
     for name, arr in arrays.items():
         _check_finite(arr, f"param {name}", CheckpointError)
-    lines = _checkpoint_lines(arrays, feat_dim, cooc, train_cfg)
+    _check_counts(manifest, np.asarray(cooc.counts), cooc.n_cases)
+    text = "".join(f"{line}\n" for line in _checkpoint_lines(arrays, feat_dim, cooc, train_cfg))
+    of_counts = cooccurrence_from_counts(cooc.counts, cooc.n_cases)  # as the reader builds it
+    _as_written(manifest, text, _checkpoint_lines(arrays, feat_dim, of_counts, train_cfg),
+                CheckpointError)
     manifest.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest.write_text(text, encoding="utf-8")
     _write_blob(manifest.parent / CHECKPOINT_BLOB, arrays.values(), "<f8")
 
 
@@ -316,11 +341,7 @@ def read_checkpoint(ckpt_dir):
         except (ValueError, OverflowError):
             raise CheckpointError(f"{manifest_path}: bad metadata: {key} {meta[key]!r}") from None
     counts, cases = parsed["cooccurrence_counts"], parsed["cooccurrence_cases"]
-    diag = np.diag(counts)
-    if not (np.array_equal(counts, counts.T) and (counts >= 0).all()
-            and (counts <= diag).all() and (diag <= cases).all()):
-        raise CheckpointError(f"{manifest_path}: bad metadata: cooccurrence_counts "
-                              f"{meta['cooccurrence_counts']!r} over {cases} cases")
+    _check_counts(manifest_path, counts, cases)
     cooc = cooccurrence_from_counts(counts, cases)
     try:
         cfg = parse_config(TrainConfig, sections["config"])

@@ -727,18 +727,6 @@ def _empty_dataset(dest):
 TWELVE_CASES = GenConfig(n_cases=12, n_patches=4, feat_dim=4)
 
 
-def _with_header(header):
-    """A builder of a twelve-case dataset whose manifest header reads ``header``."""
-    def build(dest):
-        _write_bags(dest, TWELVE_CASES)
-        manifest = dest / "dataset.manifest"
-        lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join([header] + lines[1:]) + "\n")
-        return dest
-
-    return build
-
-
 def _edit_manifest(edit):
     """A builder of a twelve-case dataset whose manifest text is ``edit`` of the written one."""
     def build(dest):
@@ -748,6 +736,11 @@ def _edit_manifest(edit):
         return dest
 
     return build
+
+
+def _with_header(header):
+    """A builder of a twelve-case dataset whose manifest header reads ``header``."""
+    return _edit_manifest(lambda text: header + text[text.index("\n"):])
 
 
 # dataset builder -> text the one error line must contain

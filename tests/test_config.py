@@ -137,6 +137,13 @@ def test_replace_checks_the_new_config():
         dataclasses.replace(TrainConfig(), dcc_decay=0.0)
 
 
+def test_an_int_a_float_field_cannot_hold_is_refused():
+    """float(10**400) overflows, so no checkpoint could hold it; 2**1023 converts."""
+    with pytest.raises(ConfigError, match=r"lr must lie in \[0, inf\), got 1000"):
+        TrainConfig(lr=10**400)
+    assert format_config(TrainConfig(lr=2**1023))["lr"] == repr(float(2**1023))
+
+
 def test_every_number_field_but_the_generator_seed_declares_an_open_ended_interval():
     for cls in (GenConfig, TrainConfig):
         for f in dataclasses.fields(cls):

@@ -131,8 +131,15 @@ class TestDatasetRoundTrip:
         (dict(feats_low=np.full((6, 5), 1e39)), "case case0003: non-finite values"),  # inf as f4
         (dict(feats_high=np.zeros((6, 4), np.float32), feats_low=np.zeros((6, 4), np.float32)),
          "case case0003: feature width 4 differs from the first case's 5"),
+        # labels and a class equal to ints but not written as the reader's integers
+        (dict(markers=MarkerTuple(True, True, True, False)),
+         "case case0003: a field is not an integer in 'case0003 6 5 True True True False 3 "),
+        (dict(markers=MarkerTuple(np.True_, 1, 1, 0)),
+         "case case0003: a field is not an integer in 'case0003 6 5 True 1 1 0 3 "),
+        (dict(glioma_class=3.0),
+         "case case0003: a field is not an integer in 'case0003 6 5 1 1 1 0 3.0 "),
     ], ids=["space", "comma", "empty", "tab", "repeated", "class", "label", "empty_bag", "nan",
-            "float32_overflow", "width"])
+            "float32_overflow", "width", "bool_labels", "numpy_bool_label", "float_class"])
     def test_a_case_id_the_reader_refuses_is_refused_before_writing(self, tmp_path, small_bags,
                                                                     edit, refusal):
         bags = small_bags[:3] + [small_bags[3]._replace(**edit)]
@@ -220,6 +227,20 @@ class TestCheckpointRoundTrip:
         _set_meta(tmp_path, "cooccurrence_cases", str(cases))
         with pytest.raises(CheckpointError, match="bad metadata: cooccurrence_counts"):
             read_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("edit,refusal", [
+        (lambda cooc: cooc._replace(counts=cooc.counts * 5),
+         "bad metadata: cooccurrence_counts '10,5,5,5,5,0,5,0,10' over 3 cases"),
+        (lambda cooc: cooc._replace(a=cooc.a * 0.5),
+         "line 3 'meta cooccurrence 0.5,0.375,0.25,0.375,0.5,0.0,0.25,0.0,0.5' is not as written: "
+         "the writer writes 'meta cooccurrence 1.0,0.75,0.5,0.75,1.0,0.0,0.5,0.0,1.0'"),
+    ], ids=["counts", "matrix"])
+    def test_a_cooccurrence_the_reader_refuses_is_refused_before_writing(self, tmp_path, edit,
+                                                                         refusal):
+        cooc = edit(estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]])))
+        with pytest.raises(CheckpointError, match=re.escape(refusal)):
+            write_checkpoint(tmp_path / "ckpt", {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        assert not (tmp_path / "ckpt").exists()
 
     def test_cooccurrence_must_be_the_matrix_of_its_counts(self, tmp_path):
         cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))

@@ -79,15 +79,21 @@ def _rules(cls) -> tuple:
 def _check(cfg) -> None:
     """Raise ``ConfigError`` unless each field of ``cfg`` has its default's type (an int may
     stand for a float it converts to, a bool is no number, a tuple holds only str) and lies
-    in its interval."""
+    in its interval. No field may hold an int too long for ``str``, which ``format_config``
+    and ``synth.rng_for_case`` use."""
     for name, types, kind, interval in _rules(type(cfg)):
         value = getattr(cfg, name)
+        try:
+            shown = repr(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ConfigError(f"{name} holds an int of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
         if (isinstance(value, bool) or not isinstance(value, types)
                 or (types is tuple and not all(isinstance(s, str) for s in value))):
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            raise ConfigError(f"{name} must be {kind}, got {shown}")
         if interval and not (interval[1](value)
                              and (types is int or abs(value) <= sys.float_info.max)):
-            raise ConfigError(f"{name} must lie in {interval[0]}, got {value!r}")
+            raise ConfigError(f"{name} must lie in {interval[0]}, got {shown}")
 
 
 @dataclass(frozen=True)

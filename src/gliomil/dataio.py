@@ -3,18 +3,16 @@
 A dataset is a text manifest (`dataset.manifest`) plus a raw blob
 (`dataset.blob`) of little-endian float32 features, one high- then one
 low-magnification matrix per case, row-major. A checkpoint is the same
-idea at float64: a manifest of named parameter shapes and byte offsets
-(`checkpoint.manifest`) plus the packed values (`checkpoint.blob`).
-``write_dataset`` and ``write_checkpoint`` write in place, manifest first;
-the CLI is what makes them atomic (``cli._replace_dir``).
+idea at float64: a manifest of named parameter shapes (`checkpoint.manifest`)
+plus the packed values (`checkpoint.blob`). A manifest stores no byte offset,
+glioma class or co-occurrence matrix: its reader derives each. ``write_dataset``
+and ``write_checkpoint`` write in place, manifest first; the CLI is what makes
+them atomic (``cli._replace_dir``).
 
-Both share one private codec: ``_open`` reads a manifest and its blob,
-``_Blob.array`` checks a span of the blob and returns a read-only view of
-it, and ``_offsets`` and ``_write_blob`` lay arrays out back to back,
-writing one array at a time. Each keeps its record syntax. The spans must
-tile the blob as ``_write_blob`` writes it: in manifest order, each array
-starts where the previous one ended, the first at byte 0, and the last
-ends at the blob's end.
+Both share one private codec: ``_open`` reads a manifest and its blob and checks
+the manifest's version line, ``_Blob.array`` reads the blob's next array as a
+read-only view, and ``_write_blob`` writes arrays back to back. So the arrays tile
+the blob in manifest order, the first at byte 0 and the last ending at its end.
 
 Each format has one manifest function (``_dataset_lines``, ``_checkpoint_lines``)
 that holds its rules. The writer writes its lines; the reader passes the values it
@@ -27,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +38,8 @@ DATASET_BLOB = "dataset.blob"
 CHECKPOINT_MANIFEST = "checkpoint.manifest"
 CHECKPOINT_BLOB = "checkpoint.blob"
 
-_DATASET_HEADER = "bagset v1 cases={}"
-_CHECKPOINT_MAGIC = "paramset v1"
+# each manifest's first line starts with its format and version
+_DATASET_VERSION, _CHECKPOINT_VERSION = "bagset v2", "paramset v2"
 _INTEGERS = re.compile("(?: -?[0-9]+)+")  # a dataset record's fields after its case id
 
 
@@ -57,14 +54,18 @@ class CheckpointError(ValueError):
 # ---------------------------------------------------------------------------
 # the shared codec
 
-def _open(directory, manifest_name: str, blob_name: str, error):
-    """(manifest path, manifest text, ``_Blob``); a missing or non-UTF-8 file raises ``error``."""
+def _open(directory, manifest_name: str, blob_name: str, version: str, error):
+    """(manifest path, manifest text, ``_Blob``); a missing or non-UTF-8 file, or a manifest
+    whose first line is not of ``version``, raises ``error``."""
     manifest_path, blob_path = Path(directory) / manifest_name, Path(directory) / blob_name
     for path in (manifest_path, blob_path):
         if not path.exists():
             raise error(f"missing {path}")
-    return (manifest_path, read_utf8(manifest_path, error),
-            _Blob(blob_path, blob_path.read_bytes(), error))
+    text = read_utf8(manifest_path, error)
+    found = " ".join(text.partition("\n")[0].split()[:2])
+    if found != version:
+        raise error(f"{manifest_path}: a {found or 'blank'} manifest; this gliomil reads {version}")
+    return manifest_path, text, _Blob(blob_path, blob_path.read_bytes(), error)
 
 
 class _Blob:
@@ -73,22 +74,19 @@ class _Blob:
     def __init__(self, path: Path, data: bytes, error):
         self.path, self.data, self.error, self.end = path, data, error, 0
 
-    def array(self, dtype: str, shape: tuple, offset: int, what: str) -> np.ndarray:
-        """The read-only ``shape`` view of the blob as ``dtype`` from byte ``offset``.
+    def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
+        """The read-only ``shape`` view of the blob as ``dtype`` from where the previous
+        array ended (byte 0 for the first).
 
-        A negative shape or offset, an offset other than the previous array's
-        end (0 for the first), a truncated blob or a non-finite value raises.
+        A negative shape, a truncated blob or a non-finite value raises.
         """
-        if min(shape + (offset,)) < 0:
-            raise self.error(f"{what}: negative shape or offset ({shape} at {offset})")
-        if offset != self.end:
-            raise self.error(f"{what}: starts at byte {offset}, not at byte {self.end} "
-                             "(the arrays must tile the blob)")
-        count = math.prod(shape)
+        if min(shape, default=0) < 0:
+            raise self.error(f"{what}: negative shape {shape}")
+        count, offset = math.prod(shape), self.end
         self.end = offset + count * np.dtype(dtype).itemsize
-        if self.end > len(self.data):
-            raise self.error(f"{what}: truncated blob (need bytes up to {self.end}, "
-                             f"blob has {len(self.data)})")
+        if self.end > len(self.data):  # not shown: it may have more digits than str() renders
+            raise self.error(f"{what}: truncated blob (shape {shape} needs more than the "
+                             f"{len(self.data) - offset} bytes left)")
         arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=offset).reshape(shape)
         _check_finite(arr, what, self.error)
         return arr
@@ -123,12 +121,6 @@ def _quote(line) -> str:
             else f"{line!r} (no newline)")
 
 
-def _offsets(arrays, dtype: str) -> list:
-    """Each array's byte offset when the arrays lie back to back as ``dtype``."""
-    sizes = [np.size(arr) * np.dtype(dtype).itemsize for arr in arrays]
-    return list(accumulate(sizes, initial=0))[:len(sizes)]
-
-
 def _write_blob(path: Path, arrays, dtype: str) -> None:
     """Write the arrays' row-major ``dtype`` values back to back, one array at a time."""
     with open(path, "wb", buffering=1 << 18) as f:  # a few system calls per MB, not one per array
@@ -149,11 +141,11 @@ def _check_case_id(case_id: str) -> None:
                            "and hold no whitespace or comma")
 
 
-def _record(case_id: str, n: int, k: int, markers, glioma: int, offsets, width: int) -> str:
+def _record(case_id: str, n: int, k: int, markers, width: int) -> str:
     """A case's manifest record as ``write_dataset`` writes it, once it passes the record
-    rules of writer and reader: a valid case id, fields written as integers, 0/1 labels, a
-    non-empty bag as wide as the first case (``width``) and the class its markers give."""
-    record = " ".join(map(str, (case_id, n, k, *markers, glioma, *offsets)))
+    rules of writer and reader: a valid case id, fields written as integers, 0/1 labels and
+    a non-empty bag as wide as the first case (``width``)."""
+    record = " ".join(map(str, (case_id, n, k, *markers)))
     _check_case_id(case_id)
     if not _INTEGERS.fullmatch(record, len(case_id)):  # so no label reads False or 1.0
         raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}")
@@ -164,16 +156,13 @@ def _record(case_id: str, n: int, k: int, markers, glioma: int, offsets, width: 
     if k != width:
         raise DatasetError(f"case {case_id}: feature width {k} differs from the first "
                            f"case's {width}")
-    if glioma != derive_glioma_class(markers):
-        raise DatasetError(f"case {case_id}: stored class {glioma} "
-                           f"contradicts markers {list(markers)}")
     return record
 
 
 def _dataset_lines(rows: list) -> list:
     """The dataset manifest: the header, then each row's ``_record``. A row is a case's
-    (id, patch count, width, markers, class, (high, low) offsets); no case id may repeat."""
-    lines = [_DATASET_HEADER.format(len(rows)), *(_record(*row, rows[0][2]) for row in rows)]
+    (id, patch count, width, markers); no case id may repeat."""
+    lines = [f"{_DATASET_VERSION} cases={len(rows)}", *(_record(*row, rows[0][2]) for row in rows)]
     if repeated := [case_id for case_id, n in Counter(row[0] for row in rows).items() if n > 1]:
         raise DatasetError(f"case {repeated[0]}: repeated case id")
     return lines
@@ -183,7 +172,8 @@ def write_dataset(out_dir, bags) -> None:
     """Write bags to ``out_dir``/dataset.{manifest,blob}.
 
     A bag that ``read_dataset`` would refuse raises its message before
-    anything is written.
+    anything is written, and so does a bag whose class is not its markers':
+    it would read back with theirs.
     """
     bags = list(bags)
     if not bags:
@@ -195,10 +185,12 @@ def write_dataset(out_dir, bags) -> None:
     with np.errstate(over="ignore"):  # as stored: a value past float32's range is inf
         arrays = [np.asarray(f, dtype="<f4")
                   for bag in bags for f in (bag.feats_high, bag.feats_low)]
-    offsets = _offsets(arrays, "<f4")
-    lines = _dataset_lines([(bag.case_id, *bag.feats_high.shape, MarkerTuple(*bag.markers),
-                             bag.glioma_class, offsets[2 * i:2 * i + 2])
-                            for i, bag in enumerate(bags)])
+    lines = _dataset_lines([(bag.case_id, *bag.feats_high.shape, MarkerTuple(*bag.markers))
+                            for bag in bags])
+    for bag in bags:
+        if bag.glioma_class != derive_glioma_class(bag.markers):
+            raise DatasetError(f"case {bag.case_id}: class {bag.glioma_class} "
+                               f"contradicts markers {list(bag.markers)}")
     for i, feats in enumerate(arrays):
         _check_finite(feats, f"case {bags[i // 2].case_id}", DatasetError)
     out_dir = Path(out_dir)
@@ -208,12 +200,14 @@ def write_dataset(out_dir, bags) -> None:
 
 
 def read_dataset(data_dir) -> list:
-    """Read bags back, each with its stored patch count, as read-only float32 views of the blob."""
-    manifest_path, text, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB, DatasetError)
+    """Read bags back, each with its stored patch count, as read-only float32 views of the
+    blob, and the class its markers give."""
+    manifest_path, text, blob = _open(data_dir, DATASET_MANIFEST, DATASET_BLOB,
+                                      _DATASET_VERSION, DatasetError)
     records = text.splitlines()[1:]  # after the header, which the comparison checks
     if not records:
         raise DatasetError(f"{manifest_path}: no cases")
-    width = len(MarkerTuple._fields) + 6  # id, n, k, the finding labels, class, 2 offsets
+    width = len(MarkerTuple._fields) + 3  # id, n, k and the finding labels
     rows = []
     for record in records:
         tokens = record.split()
@@ -221,14 +215,14 @@ def read_dataset(data_dir) -> list:
             raise DatasetError(f"{manifest_path}: malformed record (want {width} fields): {record!r}")
         case_id = tokens[0]
         try:
-            n, k, *labels, glioma, off_high, off_low = map(int, tokens[1:])
+            n, k, *labels = map(int, tokens[1:])
         except ValueError:
             raise DatasetError(f"case {case_id}: a field is not an integer in {record!r}") from None
-        rows.append((case_id, n, k, MarkerTuple(*labels), glioma, (off_high, off_low)))
+        rows.append((case_id, n, k, MarkerTuple(*labels)))
     _as_written(manifest_path, text, _dataset_lines(rows), DatasetError)
-    bags = [PatchBag(case_id, *(blob.array("<f4", (n, k), off, f"case {case_id}")
-                                for off in offsets), markers, glioma)
-            for case_id, n, k, markers, glioma, offsets in rows]
+    bags = [PatchBag(case_id, *(blob.array("<f4", (n, k), f"case {case_id}") for _ in range(2)),
+                     markers, derive_glioma_class(markers))
+            for case_id, n, k, markers in rows]
     blob.check_end()
     return bags
 
@@ -246,16 +240,8 @@ def _counts_text(counts) -> str:
 
 
 # meta key -> parser of its value, in the order write_checkpoint writes them; the
-# matrix stays text, which must read as its counts' matrix is written
-_META_PARSERS = {"feat_dim": int, "cooccurrence": str, "cooccurrence_counts": _counts,
-                 "cooccurrence_cases": int}
-
-
-def _meta(feat_dim: int, cooc: CooccurrenceMatrix) -> dict:
-    """Each meta key's value as the manifest stores it; the matrix is ``repr`` of each float."""
-    return dict(zip(_META_PARSERS, (
-        str(feat_dim), ",".join(repr(float(v)) for v in np.asarray(cooc.a).ravel()),
-        _counts_text(cooc.counts), str(cooc.n_cases))))
+# matrix is not stored, since read_checkpoint builds it from the counts
+_META_PARSERS = {"feat_dim": int, "cooccurrence_counts": _counts, "cooccurrence_cases": int}
 
 
 def _check_counts(path, counts: np.ndarray, cases: int) -> None:
@@ -270,34 +256,32 @@ def _check_counts(path, counts: np.ndarray, cases: int) -> None:
 
 def _checkpoint_lines(arrays: dict, feat_dim: int, cooc: CooccurrenceMatrix,
                       cfg: TrainConfig) -> list:
-    """The checkpoint manifest: the magic line, the ``_meta`` and ``format_config`` lines,
-    then a ``param`` line per named array, which lie back to back in the blob."""
-    return [_CHECKPOINT_MAGIC,
-            *(f"meta {key} {text}" for key, text in _meta(feat_dim, cooc).items()),
+    """The checkpoint manifest: the version line, the ``meta`` and ``format_config`` lines,
+    then a ``param`` line per named array, which tile the blob in that order."""
+    meta = (feat_dim, _counts_text(cooc.counts), cooc.n_cases)
+    return [_CHECKPOINT_VERSION,
+            *(f"meta {key} {value}" for key, value in zip(_META_PARSERS, meta)),
             *(f"config {key} {text}" for key, text in format_config(cfg).items()),
-            *(f"param {name} ({','.join(map(str, arr.shape))}) {offset}"
-              for (name, arr), offset in zip(arrays.items(), _offsets(arrays.values(), "<f8")))]
+            *(f"param {name} ({','.join(map(str, arr.shape))})" for name, arr in arrays.items())]
 
 
 def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
                      train_cfg: TrainConfig) -> None:
     """Write named float64 parameters plus the run metadata needed to eval.
 
-    What the reader refuses raises its message before anything is written: a
-    non-finite parameter, counts that are no joint-count table, or a matrix that
-    is not, bit for bit, its counts' matrix.
+    The parameters tile the blob in manifest order. What the reader refuses
+    raises its message before anything is written: a non-finite parameter, or
+    counts that are no joint-count table. ``cooc.a`` is not stored; the reader
+    builds the matrix from the counts.
     """
     manifest = Path(out_dir) / CHECKPOINT_MANIFEST
     arrays = {name: tensor.data for name, tensor in params.items()}
     for name, arr in arrays.items():
         _check_finite(arr, f"param {name}", CheckpointError)
     _check_counts(manifest, np.asarray(cooc.counts), cooc.n_cases)
-    text = "".join(f"{line}\n" for line in _checkpoint_lines(arrays, feat_dim, cooc, train_cfg))
-    of_counts = cooccurrence_from_counts(cooc.counts, cooc.n_cases)  # as the reader builds it
-    _as_written(manifest, text, _checkpoint_lines(arrays, feat_dim, of_counts, train_cfg),
-                CheckpointError)
+    lines = _checkpoint_lines(arrays, feat_dim, cooc, train_cfg)
     manifest.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_text(text, encoding="utf-8")
+    manifest.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     _write_blob(manifest.parent / CHECKPOINT_BLOB, arrays.values(), "<f8")
 
 
@@ -307,29 +291,22 @@ def read_checkpoint(ckpt_dir):
     Each param is a read-only float64 view of the blob.
     """
     manifest_path, text, blob = _open(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_BLOB,
-                                      CheckpointError)
-    lines = text.splitlines()
-    if not lines or lines[0] != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{manifest_path}: not a {_CHECKPOINT_MAGIC} manifest")
-
+                                      _CHECKPOINT_VERSION, CheckpointError)
     sections = {"meta": {}, "config": {}, "param": {}}
-    for line in lines[1:]:
+    for line in text.splitlines()[1:]:  # after the version line, which the comparison checks
         kind, _, rest = line.partition(" ")
         if kind not in sections:
             raise CheckpointError(f"{manifest_path}: unknown line kind {kind!r}")
         if kind == "param":
             try:
-                key, shape_s, offset_s = rest.rsplit(" ", 2)
+                key, shape_s = rest.rsplit(" ", 1)
                 dims = tuple(int(d) for d in shape_s[1:-1].split(",") if d)
-                offset = int(offset_s)
             except ValueError:
                 raise CheckpointError(f"{manifest_path}: malformed line {line!r}") from None
-            value = blob.array("<f8", dims, offset, f"param {key}")
+            value = blob.array("<f8", dims, f"param {key}")
         else:
             key, _, value = rest.partition(" ")
-        if key in sections[kind]:
-            raise CheckpointError(f"{manifest_path}: repeated {kind} {key!r}")
-        sections[kind][key] = value
+        sections[kind][key] = value  # a repeated key keeps one value, so the comparison refuses it
     blob.check_end()
     # a missing meta key parses as ''
     meta, params = dict.fromkeys(_META_PARSERS, "") | sections["meta"], sections["param"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gliomil import cli, dataio
 from gliomil.cli import main
-from gliomil.config import ABLATION_FLAGS, GenConfig
+from gliomil.config import ABLATION_FLAGS, GenConfig, format_config
 from gliomil.dataio import CHECKPOINT_BLOB, read_dataset, write_checkpoint, write_dataset
 from gliomil.synth import generate_dataset
 
@@ -44,7 +44,7 @@ def test_gen_default_writes_300_cases(tmp_path):
     out = tmp_path / "full"
     assert main(["gen", "--out", str(out)]) == 0
     manifest = (out / "dataset.manifest").read_text().splitlines()
-    assert manifest[0].strip() == "bagset v1 cases=300"
+    assert manifest[0].strip() == "bagset v2 cases=300"
     assert len(read_dataset(out)) == 300
 
 
@@ -405,8 +405,10 @@ BAD_CHECKPOINT_MANIFESTS = {
         _replace_line("param his.blocks.0.wq ", _set_param_field(2, "((4,4))")), "((4,4))"),
     "param_shape_empty_dim": (
         _replace_line("param his.blocks.0.wq ", _set_param_field(2, "(4,,4)")), "(4,,4)"),
-    "param_offset_negative": (_replace_line("param ", _set_param_field(3, "-8")), "negative"),
     "param_line_short": (_replace_line("param ", lambda _: "param lonely"), "lonely"),
+    # a shape whose byte count has more digits than str() renders
+    "param_shape_huge": (_replace_line("param ", _set_param_field(2, f"({10**4299},4)")),
+                         "truncated blob"),
     "config_int_not_int": (_replace_line("config epochs ", lambda _: "config epochs x"), "epochs"),
     "config_int_fraction": (
         _replace_line("config batch_size ", lambda _: "config batch_size 6.5"), "batch_size"),
@@ -415,7 +417,8 @@ BAD_CHECKPOINT_MANIFESTS = {
     "config_seed_negative": (_replace_line("config seed ", lambda _: "config seed -1"), "seed"),
     "config_missing": (lambda lines: [ln for ln in lines if not ln.startswith("config seed ")],
                        "seed"),
-    "meta_repeated": (lambda lines: lines + ["meta cooccurrence_cases 3"], "cooccurrence_cases"),
+    "meta_repeated": (lambda lines: lines + ["meta cooccurrence_cases 3"],
+                      "bad metadata: cooccurrence_counts '4,3,0,3,3,0,0,0,0' over 3 cases"),
     "meta_unknown": (lambda lines: lines + ["meta bogus 3"], "bogus"),
     "meta_value_named": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim"), "feat_dim"),
     "meta_feat_dim_zero": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim 0"),
@@ -435,50 +438,35 @@ BAD_CHECKPOINT_MANIFESTS = {
         "bytes past the last array"),
     "param_renamed": (_replace_line("param fusion.b ", _set_param_field(1, "fusion.c")),
                       "missing ['fusion.b']"),
-    "param_over_an_earlier_param": (
-        _replace_line("param his.blocks.0.ln1_bias ", _set_param_field(3, "0")),
-        "param his.blocks.0.ln1_bias: starts at byte 0"),
-    "cooccurrence_nan": (_replace_line("meta cooccurrence ", lambda _: "meta cooccurrence "
-                                       + ",".join(["nan"] * 9)),
-                         "line 3 'meta cooccurrence nan,nan,nan,nan,nan,nan,nan,nan,nan' is not "
-                         "as written: the writer writes 'meta cooccurrence 1.0,"),
-    "cooccurrence_edited": (
-        _replace_line("meta cooccurrence ",
-                      lambda _: "meta cooccurrence 1e300,-5,0,0,1,0,0,0,1"),
-        "line 3 'meta cooccurrence 1e300,-5,0,0,1,0,0,0,1' is not as written: "
-        "the writer writes 'meta cooccurrence 1.0,"),
     # symmetric, but more cases share markers 0 and 1 than have marker 1
     "cooccurrence_counts_impossible": (
         _replace_line("meta cooccurrence_counts ",
                       lambda _: "meta cooccurrence_counts 5,9,0,9,5,0,0,0,5"),
         "bad metadata: cooccurrence_counts"),
     # values int() reads, spelled as no writer writes them
-    "param_offset_plus": (
-        _replace_line("param his.blocks.0.ln1_gain ", _set_param_field(3, "+0")),
-        "the writer writes 'param his.blocks.0.ln1_gain (1,4) 0'"),
     "meta_feat_dim_underscore": (_replace_line("meta feat_dim ", lambda _: "meta feat_dim 0_4"),
                                  "line 2 'meta feat_dim 0_4' is not as written: "
                                  "the writer writes 'meta feat_dim 4'"),
     "meta_counts_spaced": (
         _replace_line("meta cooccurrence_counts ",
                       lambda ln: ln.replace("counts ", "counts  ").replace(",", ", ")),
-        "line 4 'meta cooccurrence_counts  4, 3, 0, 3, 3, 0, 0, 0, 0' is not as written: "
+        "line 3 'meta cooccurrence_counts  4, 3, 0, 3, 3, 0, 0, 0, 0' is not as written: "
         "the writer writes 'meta cooccurrence_counts 4,3,0,3,3,0,0,0,0'"),
     "config_epochs_underscore": (_replace_line("config epochs ", lambda _: "config epochs 0_1"),
-                                 "line 6 'config epochs 0_1' is not as written: "
+                                 "line 5 'config epochs 0_1' is not as written: "
                                  "the writer writes 'config epochs 1'"),
     # lines in another order, a blank line or CRLF endings: all as no writer writes them
-    "meta_swapped": (_swap("meta feat_dim ", "meta cooccurrence "),
+    "meta_swapped": (_swap("meta feat_dim ", "meta cooccurrence_counts "),
                      "is not as written: the writer writes 'meta feat_dim 4'"),
     "config_swapped": (_swap("config epochs ", "config batch_size "),
-                       "line 6 'config batch_size 6' is not as written: "
+                       "line 5 'config batch_size 6' is not as written: "
                        "the writer writes 'config epochs 1'"),
     "config_after_params": (
         lambda lines: [ln for ln in lines if not ln.startswith("config seed ")] + ["config seed 1"],
         "is not as written: the writer writes 'config seed 1'"),
     "blank_line": (lambda lines: lines[:1] + [""] + lines[1:], "unknown line kind ''"),
     "crlf": (lambda lines: [ln + "\r" for ln in lines],
-             "line 1 'paramset v1\\r' is not as written: the writer writes 'paramset v1'"),
+             "line 1 'paramset v2\\r' is not as written: the writer writes 'paramset v2'"),
 }
 
 
@@ -492,22 +480,6 @@ def test_eval_rejects_malformed_checkpoint_manifest(tmp_path, trained_run, capsy
     _one_error_line(capsys.readouterr().err, key)
 
 
-@pytest.mark.parametrize("field", (8, 9))
-def test_eval_rejects_negative_dataset_blob_offset(tmp_path, trained_run, capsys, field):
-    data, run = trained_run
-    bad = tmp_path / "data"
-    bad.mkdir()
-    (bad / "dataset.blob").write_bytes((data / "dataset.blob").read_bytes())
-    lines = (data / "dataset.manifest").read_text().splitlines()
-    fields = lines[2].split()
-    fields[field] = "-64"
-    lines[2] = " ".join(fields)
-    (bad / "dataset.manifest").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
-    _one_error_line(capsys.readouterr().err, fields[0])
-
-
 def test_eval_rejects_a_checkpoint_blob_with_bytes_past_its_arrays(tmp_path, trained_run,
                                                                    capsys):
     data, run = trained_run
@@ -518,19 +490,24 @@ def test_eval_rejects_a_checkpoint_blob_with_bytes_past_its_arrays(tmp_path, tra
     _one_error_line(capsys.readouterr().err, "64 bytes past the last array")
 
 
-def test_eval_rejects_a_case_over_an_earlier_cases_rows(tmp_path, trained_run, capsys):
+def test_eval_refuses_a_v1_checkpoint(tmp_path, trained_run, capsys):
+    """The run's checkpoint as the v1 format held it: a ``meta cooccurrence`` line with
+    the matrix, and each ``param`` line ending in the byte offset of its values."""
     data, run = trained_run
-    bad = tmp_path / "data"
-    bad.mkdir()
-    (bad / "dataset.blob").write_bytes((data / "dataset.blob").read_bytes())
-    lines = (data / "dataset.manifest").read_text().splitlines()
-    first, second = lines[1].split(), lines[2].split()
-    second[8:] = first[8:]  # both magnifications point at the first case's rows
-    lines[2] = " ".join(second)
-    (bad / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    params, feat_dim, cooc, cfg = dataio.read_checkpoint(run)
+    offsets = np.cumsum([0] + [a.nbytes for a in params.values()])
+    lines = ["paramset v1", f"meta feat_dim {feat_dim}",
+             "meta cooccurrence " + ",".join(repr(float(v)) for v in cooc.a.ravel()),
+             "meta cooccurrence_counts " + ",".join(str(int(v)) for v in cooc.counts.ravel()),
+             f"meta cooccurrence_cases {cooc.n_cases}",
+             *(f"config {key} {text}" for key, text in format_config(cfg).items()),
+             *(f"param {name} ({','.join(map(str, a.shape))}) {offset}"
+               for (name, a), offset in zip(params.items(), offsets))]
+    ckpt = _copy_run(run, tmp_path / "ckpt", lambda _: lines)
     capsys.readouterr()
-    assert main(["eval", "--data", str(bad), "--checkpoint", str(run)]) == 2
-    _one_error_line(capsys.readouterr().err, f"case {second[0]}: starts at byte 0")
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys.readouterr().err,
+                    "checkpoint.manifest: a paramset v1 manifest; this gliomil reads paramset v2")
 
 
 NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
@@ -699,14 +676,11 @@ def _write_bags(dest, *gen_cfgs, edit_record=None):
 def _write_unchecked(dest, bags):
     """The manifest and blob ``write_dataset`` would write for ``bags``, without its checks."""
     dest.mkdir()
-    arrays = [f for bag in bags for f in (bag.feats_high, bag.feats_low)]
-    offsets = np.cumsum([0] + [f.nbytes for f in arrays])
-    lines = [f"bagset v1 cases={len(bags)}"] + [
-        " ".join(map(str, (bag.case_id, *bag.feats_high.shape, *bag.markers, bag.glioma_class,
-                           offsets[2 * i], offsets[2 * i + 1])))
-        for i, bag in enumerate(bags)]
+    lines = [f"bagset v2 cases={len(bags)}"] + [
+        " ".join(map(str, (bag.case_id, *bag.feats_high.shape, *bag.markers))) for bag in bags]
     (dest / "dataset.manifest").write_text("\n".join(lines) + "\n")
-    (dest / "dataset.blob").write_bytes(b"".join(f.tobytes() for f in arrays))
+    (dest / "dataset.blob").write_bytes(
+        b"".join(f.tobytes() for bag in bags for f in (bag.feats_high, bag.feats_low)))
     return dest
 
 
@@ -719,7 +693,7 @@ def _set_field(index, value):
 
 def _empty_dataset(dest):
     dest.mkdir()
-    (dest / "dataset.manifest").write_text("bagset v1 cases=0\n")
+    (dest / "dataset.manifest").write_text("bagset v2 cases=0\n")
     (dest / "dataset.blob").write_bytes(b"")
     return dest
 
@@ -738,6 +712,20 @@ def _edit_manifest(edit):
     return build
 
 
+def _write_v1(dest):
+    """Twelve cases as the v1 format held them: each record also ends in the case's class
+    and the byte offsets of its high and low rows."""
+    bags = _bags(TWELVE_CASES)
+    _write_unchecked(dest, bags)
+    offsets = np.cumsum([0] + [f.nbytes for bag in bags for f in (bag.feats_high, bag.feats_low)])
+    lines = [f"bagset v1 cases={len(bags)}"] + [
+        " ".join(map(str, (bag.case_id, *bag.feats_high.shape, *bag.markers, bag.glioma_class,
+                           offsets[2 * i], offsets[2 * i + 1])))
+        for i, bag in enumerate(bags)]
+    (dest / "dataset.manifest").write_text("\n".join(lines) + "\n")
+    return dest
+
+
 def _with_header(header):
     """A builder of a twelve-case dataset whose manifest header reads ``header``."""
     return _edit_manifest(lambda text: header + text[text.index("\n"):])
@@ -746,11 +734,12 @@ def _with_header(header):
 # dataset builder -> text the one error line must contain
 BAD_DATASETS = {
     "junk_header": (_with_header("bagset v12 junk cases=12"),
-                    "line 1 'bagset v12 junk cases=12' is not as written: "
-                    "the writer writes 'bagset v1 cases=12'"),
-    "declared_count": (_with_header("bagset v1 cases=13"),
-                       "line 1 'bagset v1 cases=13' is not as written: "
-                       "the writer writes 'bagset v1 cases=12'"),
+                    "a bagset v12 manifest; this gliomil reads bagset v2"),
+    "v1_manifest": (_write_v1,
+                    "dataset.manifest: a bagset v1 manifest; this gliomil reads bagset v2"),
+    "declared_count": (_with_header("bagset v2 cases=13"),
+                       "line 1 'bagset v2 cases=13' is not as written: "
+                       "the writer writes 'bagset v2 cases=12'"),
     "repeated_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case0001")),
                          "case0001: repeated case id"),
@@ -761,6 +750,9 @@ BAD_DATASETS = {
                     "feature width"),
     "zero_patches": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "0")),
                      "empty bag"),
+    "huge_patch_count": (lambda d: _write_bags(d, TWELVE_CASES,
+                                               edit_record=_set_field(1, str(10**4299))),
+                         "case0000: truncated blob"),
     "zero_width": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(2, "0")),
                    "empty bag"),
     "label_not_binary": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(3, "2")),
@@ -768,14 +760,14 @@ BAD_DATASETS = {
     "field_not_integer": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "x")),
                           "a field is not an integer"),
     "short_record": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=lambda f: f.pop()),
-                     "malformed record (want 10 fields)"),
+                     "malformed record (want 7 fields)"),
     "no_cases": (_empty_dataset, "no cases"),
     "comma_in_case_id": (lambda d: _write_bags(d, TWELVE_CASES,
                                                edit_record=_set_field(0, "case,0001")),
                          "case,0001"),
     # values int() reads, spelled as no writer writes them
-    "header_leading_zero": (_with_header("bagset v1 cases=012"),
-                            "the writer writes 'bagset v1 cases=12'"),
+    "header_leading_zero": (_with_header("bagset v2 cases=012"),
+                            "the writer writes 'bagset v2 cases=12'"),
     "patch_count_plus": (lambda d: _write_bags(d, TWELVE_CASES, edit_record=_set_field(1, "+4")),
                          "the writer writes 'case0000 4 4 "),
     "patch_count_arabic_indic": (
@@ -786,12 +778,12 @@ BAD_DATASETS = {
     # line-level edits of a written manifest
     "blank_line_between_records": (
         _edit_manifest(lambda t: t.replace("\ncase0005 ", "\n\ncase0005 ")),
-        "malformed record (want 10 fields): ''"),
+        "malformed record (want 7 fields): ''"),
     "trailing_blank_lines": (_edit_manifest(lambda t: t + "\n\n"),
-                             "malformed record (want 10 fields): ''"),
+                             "malformed record (want 7 fields): ''"),
     "crlf": (_edit_manifest(lambda t: t.replace("\n", "\r\n")),
-             "line 1 'bagset v1 cases=12\\r' is not as written: "
-             "the writer writes 'bagset v1 cases=12'"),
+             "line 1 'bagset v2 cases=12\\r' is not as written: "
+             "the writer writes 'bagset v2 cases=12'"),
     "no_final_newline": (_edit_manifest(lambda t: t[:-1]),
                          "(no newline) is not as written: the writer writes 'case0011 4 4 "),
 }

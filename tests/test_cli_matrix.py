@@ -92,51 +92,51 @@ def digests(tmp_path_factory) -> dict:
 PINNED = """\
 bc1eabfefed93c92b73d8240f7e28837aee120c30e11348a4a8562ab2b587f91  ablation/ablation.csv
 c86ecf4e445eb2c47c9ffd18f893165467cf618e94e2a6a731a3eaf7eed68c1d  ablation/full/checkpoint.blob
-5e157e2a035b1caf32e04265b69ffd329f405ece9fbaccce06727cea1cd841b2  ablation/full/checkpoint.manifest
+10c1b82062332714f861db2a537570fb8d8f2e34832164eaf1325a250e6c8526  ablation/full/checkpoint.manifest
 65c2323a300b9694df05284695f60e94de17231c56872b78947faae347f4f1af  ablation/full/confidences.csv
 01bf55ee2d50165492f8ba8fe8ecd095bafd982b78d03cac7e34ea65079894e7  ablation/full/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/full/report.txt
 91d07de292db709dc10fa91d51d078b695df870fb2f4d31c4be77e26e3c69dbc  ablation/no_cmg/checkpoint.blob
-85fd836c1f4715f8a781dfd053dd26cb8e08fa5ba680e89f1641308cfcaad21d  ablation/no_cmg/checkpoint.manifest
+0a476efe71395a7ad4189dc8c9053850c8bbe228c33ba05c93def3b3e5cd5401  ablation/no_cmg/checkpoint.manifest
 6e1ea4b996c978ba96093e1b467396aa4230841bf0fc0202ba4587fa80402981  ablation/no_cmg/confidences.csv
 075c1cd2764ee970503c7f32b8066bb93bfc50ce205c634e02316ac9e7426a8e  ablation/no_cmg/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_cmg/report.txt
 9a8aec1989e633b51627281bd0d4fd7eec3a8302478d8f6e09d7115cd0a93044  ablation/no_dcc/checkpoint.blob
-efcaca6438d20755ab872fd941fddfa9a63ae8d0df0bd0ef235d8d8fed80c3d8  ablation/no_dcc/checkpoint.manifest
+1e61e30aa0e45ab6e54eb93839b2eb870a76ae0a012fd3dac72aef93e7ec8bcb  ablation/no_dcc/checkpoint.manifest
 5c6bfa33ed10e2f3790bb0c0269a9a26e1e7bf3a9b40854350948231be76558c  ablation/no_dcc/confidences.csv
 b02de19ce42cf1068229fb8106c403b244f6deb5088b51cecc9eed531a304970  ablation/no_dcc/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_dcc/report.txt
 402baff26c985bc27696d2247b88cbf06b5fc6e2a19b07447f263aa3fe7c7fb5  ablation/no_disent/checkpoint.blob
-ee771c166f1eb4cf4498eb9ef6816558e864161f44069f6f1416ebd12113a861  ablation/no_disent/checkpoint.manifest
+ea6798397256aabc70663570ed8d100a1bd1699f3eca9ea4d0d4224cc0ed1aa5  ablation/no_disent/checkpoint.manifest
 d9174e4b0100662508072c1c340e4ee61cf4d0375e8e34f100967d2375f4d8cb  ablation/no_disent/confidences.csv
 97013188e17e56ac4ab0dfa070cefbedd228a85aea867509311c214b52fc112a  ablation/no_disent/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_disent/report.txt
 00be22409543736bf70b54e545313677cabc93bc57be9c6466d419c83dd908b1  ablation/no_graph/checkpoint.blob
-23998069c364a92dc4831a989a817b430969da80edc91949c6adcfbc5155ec3c  ablation/no_graph/checkpoint.manifest
+146f9e8cfc1c2a3e53c69d9ba7a86c5d46b0510afbc2c39a5a8586e2c46681c4  ablation/no_graph/checkpoint.manifest
 889bb2bc6cdabd9a6c083e6a8476434b9ecd18f4496bbbcaf6b1fcc3d36c5628  ablation/no_graph/confidences.csv
 5b3c5a71eb5cd1ee8e7e1740a4e5d0882fe949583296a0a8618ef94b1eca5707  ablation/no_graph/epochs.csv
 fca50ab4c69a1dd9428a4186aaceed4d79f038a5e60ee1157f95fd3ce57cf5c8  ablation/no_graph/report.txt
 3b66c1551f50b2855c860238aa8f58a0e55b60d118d4bd9f4e74edf1bcaea621  ablation/no_guide/checkpoint.blob
-63626cc188f23b73f2f16053e584c8e678778fa40ac6263769ef5020452e1eb1  ablation/no_guide/checkpoint.manifest
+95086a028a36d3a20a0fd23d3d9851d4e242b0550091017f6c40a2eb7622f66d  ablation/no_guide/checkpoint.manifest
 ca01f8a1ef9b14844a63b90739f531ab212ffabf9aba34af8729028c34a7ae4e  ablation/no_guide/confidences.csv
 a5645e4c45fa4102821d8af5e83c1bff26264565ed848bca51a5015bf8959053  ablation/no_guide/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_guide/report.txt
 cbca815467d057582f32d70f4a613ec9f67dccb7b8ea3943fd5e951882a2ccd9  ablation/no_lc/checkpoint.blob
-59ac5f5817148bae0c68b5c1098a14ca4e1f26c7a04531686095139a205d290a  ablation/no_lc/checkpoint.manifest
+cee291f7588909c97d82a09f2b75f618587518249909ad12ff09e6e9103d771d  ablation/no_lc/checkpoint.manifest
 14ca2e51d62069e8b6bc15bf08aeac0ec79bc11e8e383d1cdf6d7d12e06179e3  ablation/no_lc/confidences.csv
 eb1088390f48ad61062e0b5b75447936edb0a2597c7fe691ba61db2989a30e01  ablation/no_lc/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_lc/report.txt
 5da809b7f0eb1d39d350f600d84df28f9b6fc2ae08614da948b70677f29eafdd  ablation/no_rescale/checkpoint.blob
-347c9075a5dfab513b42d096321784f5f7a17b18c5f65c8daa7630fc1129be46  ablation/no_rescale/checkpoint.manifest
+8dd53a9bae0595e75af77b7167bbbc63a18a4ba78daa228fa39ec2813bfcae1a  ablation/no_rescale/checkpoint.manifest
 2cb582f43a69130708f7f7f7007ca343602df9f6d00bb4da1b9c940edc1534b9  ablation/no_rescale/confidences.csv
 a53aa66c93268d77e4b8b22845f4e6036cf5b5ce781d8c83f46f6def1704d851  ablation/no_rescale/epochs.csv
 5a705cdc3e1d30af241507748a07e3dda213300aa70b40469c86e757e43c6e78  ablation/no_rescale/report.txt
 320cc8b6f89612e4c5bfb3a8293ccdfdd0ee3572b1ecba6b539382c264503d5b  data/dataset.blob
-009b4bdd5f231ce2391bcdf6e4e72fa3ea8c8d98dafe855657255a52f2575d1c  data/dataset.manifest
+8fee5a23cc8c73e03f08ad8de9a2f6665a94d26ba7e0350796ccd4f840fcac5a  data/dataset.manifest
 872b30bcfd14c842ae5025bf560aa7f0a9bc9f48da8b27892590427c5ba1ded2  ragged/dataset.blob
-d7b649535537406232eb17696946feb74923cb3cafd5999ff25c137f660e9809  ragged/dataset.manifest
+1536be01cbf1c5bf1ddba26c5f084d4fdb3cd6f65444db5b1dbfcc52faf52ad0  ragged/dataset.manifest
 b01ec1419184ae3b12ee63b65f0eeae13200147e7e8b335e52890b7a291924bd  ragged_run/checkpoint.blob
-5e157e2a035b1caf32e04265b69ffd329f405ece9fbaccce06727cea1cd841b2  ragged_run/checkpoint.manifest
+10c1b82062332714f861db2a537570fb8d8f2e34832164eaf1325a250e6c8526  ragged_run/checkpoint.manifest
 024735c2de508680e21fab9aa9d5128938af610b9c976cd5b21879abb07cb238  ragged_run/confidences.csv
 7a756f3c5cb2fab74e2ab700f50ff05952edc96764726c275680625abead7b11  ragged_run/epochs.csv
 7f772514a1e04e2bd234465cadd707ab12f564cd2d5be4277a074a2fb8861a59  ragged_run/report.txt

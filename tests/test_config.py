@@ -2,10 +2,11 @@
 and the loss-weight map."""
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gliomil.config import (
@@ -69,6 +70,36 @@ def test_config_file_roundtrip(tmp_path_factory, cfg):
     path.write_text("".join(f"{k} = {v}\n" for k, v in format_config(cfg).items()))
     load = load_gen_config if isinstance(cfg, GenConfig) else load_train_config
     assert load(path) == cfg
+
+
+NUMBER_FIELDS = [(cls, f.name) for cls in (GenConfig, TrainConfig)
+                 for f in dataclasses.fields(cls) if type(f.default) in (int, float)]
+# ints of any size: few digits, about as many as a float holds, and about as many as
+# str() renders (sys.get_int_max_str_digits(), 4300 by default), either sign
+LIMIT = sys.get_int_max_str_digits()
+digit_counts = st.integers(1, 20) | st.integers(300, 320) | st.integers(LIMIT - 10, LIMIT + 10)
+any_int = st.tuples(digit_counts, st.sampled_from((1, -1))).flatmap(
+    lambda drawn: st.integers(10**(drawn[0] - 1), 10**drawn[0] - 1).map(lambda v: drawn[1] * v))
+
+
+@given(st.sampled_from(NUMBER_FIELDS), any_int)
+@example((TrainConfig, "epochs"), 10**5000)
+@example((TrainConfig, "lr"), 10**5000)
+@example((GenConfig, "seed"), -10**5000)
+@example((GenConfig, "seed"), 10**4299)
+@settings(max_examples=300, deadline=None)
+def test_any_int_in_a_number_field_round_trips_or_is_refused(field, value):
+    """A build either holds a value whose text reads back as the same text (an int in a
+    float field is written as the float it stands for), or raises ``ConfigError``, whose
+    message renders no value too long for ``str``."""
+    cls, name = field
+    try:
+        cfg = cls(**{name: value})
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{name} ")
+        return
+    text = format_config(cfg)
+    assert format_config(parse_config(cls, text)) == text
 
 
 def test_format_matches_the_checkpoint_text():

@@ -77,16 +77,6 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match="case0000"):
             read_dataset(tmp_path)
 
-    def test_inconsistent_class_rejected(self, tmp_path, small_bags):
-        write_dataset(tmp_path, small_bags)
-        lines = (tmp_path / DATASET_MANIFEST).read_text().splitlines()
-        fields = lines[1].split()
-        fields[7] = str((int(fields[7]) + 1) % 4)
-        lines[1] = " ".join(fields)
-        (tmp_path / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="contradicts"):
-            read_dataset(tmp_path)
-
     def test_uneven_patch_counts_round_trip(self, tmp_path):
         """Bags of uneven patch counts come back with their stored row counts."""
         bags = [
@@ -123,7 +113,7 @@ class TestDatasetRoundTrip:
         (dict(case_id="case\t1"), "case 'case\\t1': a case id"),
         (dict(case_id="case0001"), "case case0001: repeated case id"),
         # a bag the reader refuses for what else its record or blob holds
-        (dict(glioma_class=0), "case case0003: stored class 0 contradicts markers [1, 1, 1, 0]"),
+        (dict(glioma_class=0), "case case0003: class 0 contradicts markers [1, 1, 1, 0]"),
         (dict(markers=MarkerTuple(2, 1, 1, 0)), "case case0003: labels must be 0/1, got [2, 1, 1, 0]"),
         (dict(feats_high=np.zeros((0, 5), np.float32), feats_low=np.zeros((0, 5), np.float32)),
          "case case0003: empty bag in 'case0003 0 5 "),
@@ -131,15 +121,13 @@ class TestDatasetRoundTrip:
         (dict(feats_low=np.full((6, 5), 1e39)), "case case0003: non-finite values"),  # inf as f4
         (dict(feats_high=np.zeros((6, 4), np.float32), feats_low=np.zeros((6, 4), np.float32)),
          "case case0003: feature width 4 differs from the first case's 5"),
-        # labels and a class equal to ints but not written as the reader's integers
+        # labels equal to ints but not written as the reader's integers
         (dict(markers=MarkerTuple(True, True, True, False)),
-         "case case0003: a field is not an integer in 'case0003 6 5 True True True False 3 "),
+         "case case0003: a field is not an integer in 'case0003 6 5 True True True False'"),
         (dict(markers=MarkerTuple(np.True_, 1, 1, 0)),
-         "case case0003: a field is not an integer in 'case0003 6 5 True 1 1 0 3 "),
-        (dict(glioma_class=3.0),
-         "case case0003: a field is not an integer in 'case0003 6 5 1 1 1 0 3.0 "),
+         "case case0003: a field is not an integer in 'case0003 6 5 True 1 1 0'"),
     ], ids=["space", "comma", "empty", "tab", "repeated", "class", "label", "empty_bag", "nan",
-            "float32_overflow", "width", "bool_labels", "numpy_bool_label", "float_class"])
+            "float32_overflow", "width", "bool_labels", "numpy_bool_label"])
     def test_a_case_id_the_reader_refuses_is_refused_before_writing(self, tmp_path, small_bags,
                                                                     edit, refusal):
         bags = small_bags[:3] + [small_bags[3]._replace(**edit)]
@@ -201,7 +189,7 @@ class TestCheckpointRoundTrip:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("checkpoint.manifest", "checkpoint.blob")}
         assert digests == {
-            "checkpoint.manifest": "3c3c991716981d9281a605f8693476bc0377a3bd57ee0a2d3bea421f7a315fd0",
+            "checkpoint.manifest": "f5edf2b3af7765d88df2a4dc69bf5f56c7d549a5c0cf5f5c144bea5fe85c72dd",
             "checkpoint.blob": "bbcbec1e35f6a6c468eb16924e85e79249e78279fafd85ee94eedff36c14f9eb",
         }
 
@@ -231,28 +219,13 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("edit,refusal", [
         (lambda cooc: cooc._replace(counts=cooc.counts * 5),
          "bad metadata: cooccurrence_counts '10,5,5,5,5,0,5,0,10' over 3 cases"),
-        (lambda cooc: cooc._replace(a=cooc.a * 0.5),
-         "line 3 'meta cooccurrence 0.5,0.375,0.25,0.375,0.5,0.0,0.25,0.0,0.5' is not as written: "
-         "the writer writes 'meta cooccurrence 1.0,0.75,0.5,0.75,1.0,0.0,0.5,0.0,1.0'"),
-    ], ids=["counts", "matrix"])
+    ], ids=["counts"])
     def test_a_cooccurrence_the_reader_refuses_is_refused_before_writing(self, tmp_path, edit,
                                                                          refusal):
         cooc = edit(estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]])))
         with pytest.raises(CheckpointError, match=re.escape(refusal)):
             write_checkpoint(tmp_path / "ckpt", {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
         assert not (tmp_path / "ckpt").exists()
-
-    def test_cooccurrence_must_be_the_matrix_of_its_counts(self, tmp_path):
-        cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
-        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
-        assert read_checkpoint(tmp_path)[2].a.tobytes() == cooc.a.tobytes()
-        written, one_ulp_off = (",".join(repr(float(v)) for v in a.ravel())
-                                for a in (cooc.a, np.nextafter(cooc.a, 2.0)))
-        _set_meta(tmp_path, "cooccurrence", one_ulp_off)
-        with pytest.raises(CheckpointError, match=re.escape(
-                f"line 3 'meta cooccurrence {one_ulp_off}' is not as written: "
-                f"the writer writes 'meta cooccurrence {written}'")):
-            read_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("line,key", [
         ("config epochs x", "epochs"),

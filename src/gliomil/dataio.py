@@ -271,14 +271,16 @@ def write_checkpoint(out_dir, params, feat_dim: int, cooc: CooccurrenceMatrix,
 
     The parameters tile the blob in manifest order. What the reader refuses
     raises its message before anything is written: a non-finite parameter, or
-    counts that are no joint-count table. ``cooc.a`` is not stored; the reader
-    builds the matrix from the counts.
+    counts that are no joint-count table. ``cooc.a`` is not stored, so a matrix
+    that is not the one the reader builds from the counts raises too.
     """
     manifest = Path(out_dir) / CHECKPOINT_MANIFEST
     arrays = {name: tensor.data for name, tensor in params.items()}
     for name, arr in arrays.items():
         _check_finite(arr, f"param {name}", CheckpointError)
     _check_counts(manifest, np.asarray(cooc.counts), cooc.n_cases)
+    if cooc.a.tobytes() != cooccurrence_from_counts(cooc.counts, cooc.n_cases).a.tobytes():
+        raise CheckpointError(f"{manifest}: bad metadata: the cooccurrence matrix is not its counts'")
     lines = _checkpoint_lines(arrays, feat_dim, cooc, train_cfg)
     manifest.parent.mkdir(parents=True, exist_ok=True)
     manifest.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")

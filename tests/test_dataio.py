@@ -77,6 +77,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match="case0000"):
             read_dataset(tmp_path)
 
+    def test_inconsistent_class_rejected(self, tmp_path, small_bags):
+        """The reader derives each class from its markers, so a record that also stores one,
+        as v1 records did, is refused, whether or not it contradicts them."""
+        write_dataset(tmp_path, small_bags)
+        lines = (tmp_path / DATASET_MANIFEST).read_text().splitlines()
+        lines[1] += f" {(small_bags[0].glioma_class + 1) % 4}"
+        (tmp_path / DATASET_MANIFEST).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"malformed record (want 7 fields): {lines[1]!r}")):
+            read_dataset(tmp_path)
+
     def test_uneven_patch_counts_round_trip(self, tmp_path):
         """Bags of uneven patch counts come back with their stored row counts."""
         bags = [
@@ -219,13 +230,29 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("edit,refusal", [
         (lambda cooc: cooc._replace(counts=cooc.counts * 5),
          "bad metadata: cooccurrence_counts '10,5,5,5,5,0,5,0,10' over 3 cases"),
-    ], ids=["counts"])
+        (lambda cooc: cooc._replace(a=cooc.a * 0.5),
+         "bad metadata: the cooccurrence matrix is not its counts'"),
+    ], ids=["counts", "matrix"])
     def test_a_cooccurrence_the_reader_refuses_is_refused_before_writing(self, tmp_path, edit,
                                                                          refusal):
         cooc = edit(estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]])))
         with pytest.raises(CheckpointError, match=re.escape(refusal)):
             write_checkpoint(tmp_path / "ckpt", {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
         assert not (tmp_path / "ckpt").exists()
+
+    def test_cooccurrence_must_be_the_matrix_of_its_counts(self, tmp_path):
+        """The matrix reads back bitwise as written, built from the counts; a manifest that
+        also stores it, as v1 manifests did after ``feat_dim``, is refused."""
+        cooc = estimate_cooccurrence(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
+        write_checkpoint(tmp_path, {"w": Tensor(np.ones(2))}, 2, cooc, TrainConfig())
+        assert read_checkpoint(tmp_path)[2].a.tobytes() == cooc.a.tobytes()
+        matrix = "meta cooccurrence " + ",".join(repr(float(v)) for v in cooc.a.ravel())
+        manifest = tmp_path / CHECKPOINT_MANIFEST
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines[:2], matrix, *lines[2:]]) + "\n")
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"line 3 {matrix!r} is not as written: the writer writes {lines[2]!r}")):
+            read_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("line,key", [
         ("config epochs x", "epochs"),
@@ -325,6 +352,27 @@ def test_a_reader_accepts_only_what_its_writer_writes(written, kind, data):
         return
     write(dest, loaded)
     assert (dest / manifest).read_bytes() == edited
+
+
+@pytest.mark.parametrize("kind,header,found", [
+    ("dataset", "paramset v2", "paramset v2"),
+    ("dataset", "bagset v3 cases=3", "bagset v3"),
+    ("dataset", "", "blank"),
+    ("checkpoint", "bagset v2 cases=3", "bagset v2"),
+    ("checkpoint", "paramset v3", "paramset v3"),
+], ids=["dataset-of_a_checkpoint", "dataset-v3", "dataset-blank",
+        "checkpoint-of_a_dataset", "checkpoint-v3"])
+def test_a_manifest_of_another_format_or_version_is_refused_by_its_first_line(
+        written, tmp_path, kind, header, found):
+    """The reader checks the version line before any other: the one message names what the
+    first line holds, although no line after it is one the reader could parse."""
+    manifest, error, read, _ = FORMATS[kind]
+    shutil.copytree(written / kind, tmp_path / kind)
+    (tmp_path / kind / manifest).write_text(f"{header}\njunk\n")
+    want = "bagset v2" if kind == "dataset" else "paramset v2"
+    with pytest.raises(error, match=re.escape(
+            f"{manifest}: a {found} manifest; this gliomil reads {want}")):
+        read(tmp_path / kind)
 
 
 class TestConfigFiles:
